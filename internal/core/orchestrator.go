@@ -342,13 +342,13 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 			members = o.poolMemberInfos(svc.Name)
 		}
 		var primaryLoad float64
-		for _, rep := range orderPrimaryFirst(svc) {
+		eachPrimaryFirst(svc, func(rep *fabric.Replica) {
 			if rep.Node == nil {
-				continue
+				return
 			}
 			mgr := o.managers[rep.Node.ID]
 			if mgr == nil {
-				continue
+				return
 			}
 			var value float64
 			var modeled bool
@@ -358,16 +358,16 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 				value, modeled = mgr.ReportDisk(rep, info, now)
 			}
 			if !modeled {
-				continue // no model: the replica reports actual usage
+				return // no model: the replica reports actual usage
 			}
 			if err := o.Cluster.ReportLoad(rep.ID, fabric.MetricDiskGB, value); err != nil {
-				continue
+				return
 			}
 			reports++
 			if rep.Role == fabric.Primary {
 				primaryLoad = value
 			}
-		}
+		})
 		if dt > 0 {
 			o.diskGBSeconds[svc.Name] += primaryLoad * dt
 		}
@@ -405,18 +405,17 @@ func (o *Orchestrator) reportMemory(now time.Time) {
 	sp.End(obs.Int("reports", reports))
 }
 
-// orderPrimaryFirst returns a service's replicas with the primary first.
-func orderPrimaryFirst(svc *fabric.Service) []*fabric.Replica {
-	out := make([]*fabric.Replica, 0, len(svc.Replicas))
+// eachPrimaryFirst calls fn for a service's primary and then for its
+// other replicas in order, without building a reordered slice.
+func eachPrimaryFirst(svc *fabric.Service, fn func(*fabric.Replica)) {
 	if p := svc.Primary(); p != nil {
-		out = append(out, p)
+		fn(p)
 	}
 	for _, r := range svc.Replicas {
 		if r.Role != fabric.Primary {
-			out = append(out, r)
+			fn(r)
 		}
 	}
-	return out
 }
 
 // BootstrapPopulation creates the scenario's initial population through

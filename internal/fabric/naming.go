@@ -16,13 +16,16 @@ import (
 // on a different node sees the same disk usage the old primary reported.
 //
 // Every write bumps a monotonically increasing version so readers can
-// detect changes cheaply. The store is safe for concurrent use: in the
-// deployed system every node's RgManager reads it independently.
+// detect changes cheaply. Readers that parse a value (the model XML) go
+// through Decoded, which decodes once per entry version and hands every
+// later reader the same result. The store is safe for concurrent use: in
+// the deployed system every node's RgManager reads it independently.
 type NamingService struct {
 	mu      sync.RWMutex
 	entries map[string]namingEntry
 	version int64
 	reads   int64
+	decodes int64
 
 	// registry counters (nil-safe no-ops when observability is off)
 	cReads        *obs.Counter
@@ -44,6 +47,12 @@ type NamingService struct {
 type namingEntry struct {
 	value   []byte
 	version int64
+
+	// Decoded's memo for this version. Put replaces the whole entry and
+	// Delete removes it, so a memo never outlives the bytes it came from.
+	memoized  bool
+	decoded   any
+	decodeErr error
 }
 
 // NewNamingService returns an empty metastore.
@@ -154,22 +163,60 @@ func (n *NamingService) MaxEntryVersion() int64 {
 // Get returns the value and version stored under key. The returned slice
 // is a copy.
 func (n *NamingService) Get(key string) (value []byte, version int64, ok bool) {
-	n.cReads.Inc()
-	n.mu.Lock()
-	n.reads++
-	n.mu.Unlock()
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	e, ok := n.entries[key]
+	e, ok := n.read(key)
 	if !ok {
 		return nil, 0, false
 	}
 	return append([]byte(nil), e.value...), e.version, true
 }
 
+// read counts one read and returns the entry under key.
+func (n *NamingService) read(key string) (namingEntry, bool) {
+	n.cReads.Inc()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.reads++
+	e, ok := n.entries[key]
+	return e, ok
+}
+
+// Decoded returns the value under key as decode parses it. It counts as
+// one read, exactly like Get, but decodes at most once per entry version: the first reader after a Put runs decode and
+// every later reader of that version gets the same result, error
+// included. decode must be a pure function of the bytes, every reader of
+// a key must pass the same decoder, and since all readers share one
+// decoded value they must treat it as read-only.
+func Decoded[T any](n *NamingService, key string, decode func([]byte) (T, error)) (value T, ok bool, err error) {
+	e, ok := n.read(key)
+	if !ok {
+		return value, false, nil
+	}
+	if e.memoized {
+		value, _ = e.decoded.(T)
+		return value, true, e.decodeErr
+	}
+	// Decode outside the lock; the entry's bytes are never mutated, and
+	// the memo is installed only if no write replaced the entry meanwhile.
+	value, err = decode(e.value)
+	n.mu.Lock()
+	n.decodes++
+	if cur, ok := n.entries[key]; ok && cur.version == e.version {
+		cur.memoized, cur.decoded, cur.decodeErr = true, value, err
+		n.entries[key] = cur
+	}
+	n.mu.Unlock()
+	return value, true, err
+}
+
+// Decodes returns how many times Decoded ran a decoder: once per written
+// version that was read through it.
+func (n *NamingService) Decodes() int64 {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.decodes
+}
+
 // Version returns the version of the entry under key, or 0 when absent.
-// It lets pollers skip re-parsing unchanged values (RgManager re-reads
-// the model XML every 15 minutes; an unchanged version short-circuits).
 func (n *NamingService) Version(key string) int64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -197,9 +244,9 @@ func (n *NamingService) Keys(prefix string) []string {
 	return out
 }
 
-// Reads returns the cumulative number of Get calls served — the load the
-// metastore absorbs from polling readers (each node's RgManager re-reads
-// the model XML every refresh interval, §3.3.1).
+// Reads returns the cumulative number of Get and Decoded calls served —
+// the load the metastore absorbs from polling readers (each node's
+// RgManager re-reads the models every refresh interval, §3.3.1).
 func (n *NamingService) Reads() int64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -78,6 +79,7 @@ func TestNamingKeysPrefix(t *testing.T) {
 
 func TestNamingConcurrentAccess(t *testing.T) {
 	n := NewNamingService()
+	n.Put("shared", []byte("s"))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -88,11 +90,60 @@ func TestNamingConcurrentAccess(t *testing.T) {
 				n.Put(key, []byte{byte(i)})
 				n.Get(key)
 				n.Version(key)
+				Decoded(n, key, func(b []byte) (int, error) { return len(b), nil })
+				Decoded(n, "shared", func(b []byte) (int, error) { return len(b), nil })
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n.Len() != 8 {
-		t.Errorf("Len = %d, want 8", n.Len())
+	if n.Len() != 9 {
+		t.Errorf("Len = %d, want 9", n.Len())
+	}
+}
+
+func TestNamingDecodedMemoizesPerVersion(t *testing.T) {
+	n := NewNamingService()
+	calls := 0
+	decode := func(b []byte) (*string, error) {
+		calls++
+		if string(b) == "bad" {
+			return nil, errors.New("malformed")
+		}
+		s := string(b)
+		return &s, nil
+	}
+	if _, ok, err := Decoded(n, "k", decode); ok || err != nil || calls != 0 {
+		t.Fatalf("missing key: ok=%v err=%v calls=%d", ok, err, calls)
+	}
+	n.Put("k", []byte("one"))
+	a, ok, err := Decoded(n, "k", decode)
+	b, _, _ := Decoded(n, "k", decode)
+	if !ok || err != nil || *a != "one" || a != b || calls != 1 {
+		t.Fatalf("first version: %v %v %v, shared=%v, calls=%d", *a, ok, err, a == b, calls)
+	}
+	// Every Decoded call is one counted read, memo hit or not.
+	if n.Reads() != 3 {
+		t.Errorf("Reads = %d, want 3", n.Reads())
+	}
+	// A Put drops the memo; so does a Delete.
+	n.Put("k", []byte("two"))
+	if c, _, _ := Decoded(n, "k", decode); *c != "two" || calls != 2 {
+		t.Fatalf("after Put: %q, calls=%d", *c, calls)
+	}
+	n.Delete("k")
+	n.Put("k", []byte("two"))
+	Decoded(n, "k", decode)
+	if calls != 3 {
+		t.Errorf("Delete kept the memo: calls=%d", calls)
+	}
+	// A decode error is memoized with the version, like a value.
+	n.Put("k", []byte("bad"))
+	for i := 0; i < 2; i++ {
+		if _, ok, err := Decoded(n, "k", decode); !ok || err == nil {
+			t.Fatalf("malformed value: ok=%v err=%v", ok, err)
+		}
+	}
+	if calls != 4 || n.Decodes() != 4 {
+		t.Errorf("calls=%d Decodes=%d, want 4 each", calls, n.Decodes())
 	}
 }

@@ -2,7 +2,7 @@ package models
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 	"time"
 
 	"toto/internal/rng"
@@ -163,36 +163,69 @@ type EvalContext struct {
 	Seed uint64
 }
 
-// dbStream derives the deterministic random stream for one database at
-// one report bucket. The stream depends only on (seed, db, bucket), so
-// replays and cross-node evaluations agree.
-func dbStream(seed uint64, db string, bucket int64) *rng.Source {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s/%d", seed, db, bucket)
-	return rng.New(h.Sum64())
+// FNV-1a (64-bit) parameters. The per-database hashes below run the
+// hash/fnv algorithm inline over strconv digits in a stack buffer, so a
+// model evaluation formats and allocates nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnv1a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * fnvPrime64
+	}
+	return h
 }
 
-// dbHash01 maps (seed, db, salt) to a uniform value in [0,1) used for
+// dbKey is the FNV-1a state after hashing "seed/db/", the prefix every
+// per-database draw shares. Completing it with a decimal bucket gives the
+// hash of "seed/db/bucket" that seeds a random stream; completing it with
+// a salt gives "seed/db/salt" for stable subset selection. The streams
+// depend only on (seed, db, bucket), so replays and cross-node evaluations
+// agree.
+type dbKey uint64
+
+func newDBKey(seed uint64, db string) dbKey {
+	var buf [20]byte
+	h := fnv1a(fnvOffset64, strconv.AppendUint(buf[:0], seed, 10))
+	h = fnv1a(h, "/")
+	h = fnv1a(h, db)
+	return dbKey(fnv1a(h, "/"))
+}
+
+// bucketSeed returns the seed of the database's random stream at one
+// report bucket: the hash of "seed/db/bucket".
+func (k dbKey) bucketSeed(bucket int64) uint64 {
+	var buf [20]byte
+	return fnv1a(uint64(k), strconv.AppendInt(buf[:0], bucket, 10))
+}
+
+// hash01 maps the key and a salt to a uniform value in [0,1) used for
 // stable subset selection (does this database exhibit high initial
 // growth? rapid growth?).
-func dbHash01(seed uint64, db, salt string) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s/%s", seed, db, salt)
-	return float64(h.Sum64()>>11) / (1 << 53)
+func (k dbKey) hash01(salt string) float64 {
+	return float64(fnv1a(uint64(k), salt)>>11) / (1 << 53)
 }
 
 // HasInitialGrowth reports whether database db belongs to the
 // high-initial-growth subset under this model.
 func (m *DiskUsageModel) HasInitialGrowth(seed uint64, db string) bool {
-	return m.Initial != nil && m.Initial.Probability > 0 &&
-		dbHash01(seed, db, "initial") < m.Initial.Probability
+	return m.hasInitialGrowth(newDBKey(seed, db))
+}
+
+func (m *DiskUsageModel) hasInitialGrowth(k dbKey) bool {
+	return m.Initial != nil && m.Initial.Probability > 0 && k.hash01("initial") < m.Initial.Probability
 }
 
 // HasRapidGrowth reports whether database db follows the rapid-growth
 // state machine under this model.
 func (m *DiskUsageModel) HasRapidGrowth(seed uint64, db string) bool {
-	return m.Rapid != nil && m.Rapid.Probability > 0 &&
-		dbHash01(seed, db, "rapid") < m.Rapid.Probability
+	return m.hasRapidGrowth(newDBKey(seed, db))
+}
+
+func (m *DiskUsageModel) hasRapidGrowth(k dbKey) bool {
+	return m.Rapid != nil && m.Rapid.Probability > 0 && k.hash01("rapid") < m.Rapid.Probability
 }
 
 // Next computes the value to report for this interval: the previous value
@@ -206,16 +239,17 @@ func (m *DiskUsageModel) Next(ctx EvalContext) float64 {
 	if ctx.Now.After(ctx.Created) {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
-	src := dbStream(ctx.Seed, ctx.DB, bucket)
+	key := newDBKey(ctx.Seed, ctx.DB)
+	src := rng.New(key.bucketSeed(bucket))
 
 	delta := m.Steady.Sample(src, ctx.Now)
 
 	// Initial creation growth: total bin-sampled growth spread uniformly
 	// over the reports inside the initial window.
-	if m.HasInitialGrowth(ctx.Seed, ctx.DB) {
+	if m.hasInitialGrowth(key) {
 		elapsed := ctx.Now.Sub(ctx.Created)
 		if elapsed >= 0 && elapsed < m.Initial.Duration {
-			total := SampleBins(dbStream(ctx.Seed, ctx.DB, -1), m.Initial.Bins)
+			total := SampleBins(rng.New(key.bucketSeed(-1)), m.Initial.Bins)
 			reports := float64(m.Initial.Duration / m.ReportInterval)
 			if reports < 1 {
 				reports = 1
@@ -227,10 +261,10 @@ func (m *DiskUsageModel) Next(ctx EvalContext) float64 {
 	// Predictable rapid growth: spike/drop magnitudes are sampled once
 	// per cycle (stream keyed by cycle index) and spread uniformly over
 	// the phase's reports; the drop returns what the spike added.
-	if m.HasRapidGrowth(ctx.Seed, ctx.DB) {
+	if m.hasRapidGrowth(key) {
 		state, _ := m.Rapid.StateAt(ctx.Created, ctx.Now)
 		cycle := m.Rapid.cycleIndex(ctx.Created, ctx.Now)
-		magnitude := SampleBins(dbStream(ctx.Seed, ctx.DB, -1000-cycle), m.Rapid.IncreaseBins)
+		magnitude := SampleBins(rng.New(key.bucketSeed(-1000-cycle)), m.Rapid.IncreaseBins)
 		switch state {
 		case StateRapidIncrease:
 			reports := float64(m.Rapid.IncreaseDur / m.ReportInterval)
@@ -293,7 +327,7 @@ func (m *MemoryModel) next(ctx EvalContext, secondary bool) float64 {
 	if m.ReportInterval > 0 && ctx.Now.After(ctx.Created) {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
-	src := dbStream(ctx.Seed, ctx.DB, bucket+1_000_000)
+	src := rng.New(newDBKey(ctx.Seed, ctx.DB).bucketSeed(bucket + 1_000_000))
 	target := m.Target.Sample(src, ctx.Now)
 	if secondary && m.SecondaryFactor > 0 {
 		target *= m.SecondaryFactor
@@ -336,7 +370,11 @@ type CPUModel struct {
 
 // IsIdle reports whether db belongs to the stable idle subpopulation.
 func (m *CPUModel) IsIdle(seed uint64, db string) bool {
-	return m.IdleFraction > 0 && dbHash01(seed, db, "cpu-idle") < m.IdleFraction
+	return m.isIdle(newDBKey(seed, db))
+}
+
+func (m *CPUModel) isIdle(k dbKey) bool {
+	return m.IdleFraction > 0 && k.hash01("cpu-idle") < m.IdleFraction
 }
 
 // Next computes the cores a primary replica currently consumes, given
@@ -347,14 +385,15 @@ func (m *CPUModel) Next(ctx EvalContext) float64 { return m.next(ctx, false) }
 func (m *CPUModel) NextSecondary(ctx EvalContext) float64 { return m.next(ctx, true) }
 
 func (m *CPUModel) next(ctx EvalContext, secondary bool) float64 {
-	if m.IsIdle(ctx.Seed, ctx.DB) {
+	key := newDBKey(ctx.Seed, ctx.DB)
+	if m.isIdle(key) {
 		return 0
 	}
 	bucket := int64(0)
 	if m.ReportInterval > 0 && ctx.Now.After(ctx.Created) {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
-	src := dbStream(ctx.Seed, ctx.DB, bucket+2_000_000)
+	src := rng.New(key.bucketSeed(bucket + 2_000_000))
 	frac := m.TargetFraction.Sample(src, ctx.Now)
 	if frac < 0 {
 		frac = 0

@@ -4,8 +4,10 @@
 // the Steady State disk growth model, the Initial Creation Growth model
 // (five equi-probable uniform bins), and the Predictable Rapid Growth
 // state machine. It also defines the XML serialization format the models
-// travel in: Toto writes model XML into the Naming Service and every
-// node's RgManager re-reads and re-parses it every 15 minutes (§3.3.1).
+// travel in: Toto writes model XML into the Naming Service, and every
+// node's RgManager re-reads it every refresh interval (15 minutes by
+// default, §3.3.1). The Naming Service decodes it once per written
+// version and all readers share the decoded ModelSet.
 //
 // Model objects are stateless (§3.3.2): every evaluation derives its
 // randomness from (model seed, database name, time bucket), so any node

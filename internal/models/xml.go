@@ -11,10 +11,12 @@ import (
 // ModelSet is the full collection of models Toto injects into a cluster:
 // create/drop models for the Population Manager and disk/memory models
 // for every RgManager. It is serialized to XML and written into the
-// Naming Service; RgManager re-reads and re-parses it every 15 minutes,
-// so overwriting the XML reconfigures resource behaviour declaratively
+// Naming Service; every RgManager re-reads it every refresh interval, so
+// overwriting the XML reconfigures resource behaviour declaratively
 // mid-run (§3.3.1: "Tweaking the growth behavior of subsets of databases
-// ... is easily configurable simply by changing XML properties").
+// ... is easily configurable simply by changing XML properties"). The
+// XML is decoded once per written version (fabric.Decoded), so a decoded
+// ModelSet is shared by every reader and must be treated as read-only.
 type ModelSet struct {
 	// Seed is the base model seed. Each node's RgManager splits a unique
 	// per-node stream from it (§5.2), and all per-database hashing keys

@@ -5,8 +5,9 @@
 // a 4-core local store database at 5:37pm").
 //
 // The daemon is stateless in the paper's sense: every wakeup re-reads the
-// declarative model XML from the Naming Service, so the benchmark scenario
-// can be reconfigured mid-run by overwriting the XML.
+// declarative models from the Naming Service, so the benchmark scenario
+// can be reconfigured mid-run by overwriting the XML. The XML is decoded
+// once per stored version, shared with every node's RgManager.
 package population
 
 import (
@@ -55,6 +56,7 @@ type Manager struct {
 	naming *fabric.NamingService
 	cp     *controlplane.ControlPlane
 	rnd    *rng.Source
+	set    *models.ModelSet // what the last wakeup read
 
 	onCreated []CreatedFunc
 	poolOps   PoolOps
@@ -133,11 +135,18 @@ func (m *Manager) Stats() (creates, drops, failures int) {
 	return m.creates, m.drops, m.failures
 }
 
+// Models returns the model set the last wakeup read (nil before the first
+// wakeup, or when the models were absent or malformed). It is shared with
+// every other reader of the same Naming Service version and must not be
+// modified.
+func (m *Manager) Models() *models.ModelSet { return m.set }
+
 // Wake runs one hourly cycle: re-read the models, sample the hour's
 // creates and drops per edition, and schedule the requests at uniformly
 // random offsets within the hour.
 func (m *Manager) Wake(now time.Time) {
 	set := m.readModels()
+	m.set = set
 	if set == nil || set.Frozen {
 		return
 	}
@@ -231,16 +240,13 @@ func (m *Manager) scheduleMemberDrop(e slo.Edition, hourStart time.Time) {
 	})
 }
 
-// readModels fetches and parses the model XML; nil when absent or
-// malformed (a malformed blob disables churn rather than crashing the
-// daemon, matching a production service's defensive posture).
+// readModels reads the model set through the Naming Service's decode
+// memo; nil when absent or malformed (a malformed blob disables churn
+// rather than crashing the daemon, matching a production service's
+// defensive posture).
 func (m *Manager) readModels() *models.ModelSet {
-	data, _, ok := m.naming.Get(models.NamingKey)
-	if !ok {
-		return nil
-	}
-	set, err := models.UnmarshalModelSetXML(data)
-	if err != nil {
+	set, ok, err := fabric.Decoded(m.naming, models.NamingKey, models.UnmarshalModelSetXML)
+	if !ok || err != nil {
 		return nil
 	}
 	return set

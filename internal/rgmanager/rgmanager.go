@@ -6,8 +6,10 @@
 // report its metric loads to the PLB it consults the co-located Manager;
 // with Toto enabled, the Manager computes the value from declarative
 // models instead of the replica's actual usage. Models arrive as XML
-// through the Naming Service and are re-read every 15 minutes, so
-// behaviour can be reconfigured mid-benchmark by overwriting one key.
+// through the Naming Service and are re-read every refresh interval
+// (15 minutes by default), so behaviour can be reconfigured mid-benchmark
+// by overwriting one key. The XML is decoded once per stored version and
+// every node's Manager shares the decoded set.
 //
 // Persisted metrics (local-store disk) round-trip the previously reported
 // value through the Naming Service: only the primary replica executes the
@@ -21,6 +23,7 @@ package rgmanager
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"toto/internal/fabric"
@@ -62,8 +65,7 @@ type Manager struct {
 	naming   *fabric.NamingService
 	nodeSeed uint64
 
-	set     *models.ModelSet
-	version int64
+	set *models.ModelSet
 
 	mem map[loadKey]float64
 
@@ -104,30 +106,26 @@ func (m *Manager) SetObs(o *obs.Obs) {
 func (m *Manager) NodeID() string { return m.nodeID }
 
 // Models returns the currently loaded model set (nil before the first
-// successful Refresh).
+// successful Refresh). It is shared with every other reader of the same
+// Naming Service version and must not be modified.
 func (m *Manager) Models() *models.ModelSet { return m.set }
 
-// Refresh re-reads the model XML from the Naming Service, re-parsing only
-// when the stored version changed. It is scheduled every 15 minutes by
-// the orchestrator. A missing key clears the models (normal operating
-// behaviour resumes).
+// Refresh re-reads the models from the Naming Service. It is scheduled
+// every refresh interval by the orchestrator; the XML is decoded only by
+// the first reader of each stored version (fabric.Decoded). A missing key
+// clears the models (normal operating behaviour resumes); a malformed
+// blob returns an error and leaves the previous models active.
 func (m *Manager) Refresh() error {
 	m.cRefreshes.Inc()
-	data, version, ok := m.naming.Get(models.NamingKey)
-	if !ok {
+	set, ok, err := fabric.Decoded(m.naming, models.NamingKey, models.UnmarshalModelSetXML)
+	switch {
+	case !ok:
 		m.set = nil
-		m.version = 0
-		return nil
-	}
-	if version == m.version {
-		return nil
-	}
-	set, err := models.UnmarshalModelSetXML(data)
-	if err != nil {
+	case err != nil:
 		return fmt.Errorf("rgmanager %s: %w", m.nodeID, err)
+	default:
+		m.set = set
 	}
-	m.set = set
-	m.version = version
 	return nil
 }
 
@@ -141,16 +139,19 @@ func (m *Manager) persistedLoad(db string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	var v float64
-	if _, err := fmt.Sscanf(string(data), "%g", &v); err != nil {
+	v, err := strconv.ParseFloat(string(data), 64)
+	if err != nil {
 		return 0, false
 	}
 	return v, true
 }
 
-// persistLoad durably stores the reported disk value for db.
+// persistLoad durably stores the reported disk value for db, in the
+// shortest decimal form that parses back to v (the bytes fmt's %g
+// writes).
 func (m *Manager) persistLoad(db string, v float64) {
-	m.naming.Put(loadNamingKey(db), []byte(fmt.Sprintf("%g", v)))
+	var buf [32]byte
+	m.naming.Put(loadNamingKey(db), strconv.AppendFloat(buf[:0], v, 'g', -1, 64))
 }
 
 // ClearPersisted removes db's durable load entry (called when the

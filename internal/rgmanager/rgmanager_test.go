@@ -2,6 +2,8 @@ package rgmanager
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -105,7 +107,7 @@ func TestRefreshVersionShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Models() != first {
-		t.Error("unchanged version re-parsed the XML")
+		t.Error("unchanged version decoded the XML again")
 	}
 	// Overwrite: refresh must pick up the new set.
 	set2 := testModelSet()
@@ -402,5 +404,62 @@ func TestCPUModelIdleSubpopulation(t *testing.T) {
 	}
 	if idle == 0 || busy == 0 {
 		t.Errorf("idle=%d busy=%d: idle subpopulation not reproduced", idle, busy)
+	}
+}
+
+func TestManagersShareOneDecodePerVersion(t *testing.T) {
+	e := newEnv(t, testModelSet())
+	naming := e.cluster.Naming()
+	shared := e.managers["node-0"].Models()
+	for id, m := range e.managers {
+		if m.Models() != shared {
+			t.Errorf("%s holds its own decoded set", id)
+		}
+	}
+	if naming.Decodes() != 1 {
+		t.Errorf("5 managers decoded the XML %d times, want once", naming.Decodes())
+	}
+	// A malformed blob is decoded once, fails on every manager, and
+	// leaves the previous models active.
+	naming.Put(models.NamingKey, []byte("<broken"))
+	for id, m := range e.managers {
+		if err := m.Refresh(); err == nil {
+			t.Errorf("%s accepted malformed XML", id)
+		}
+		if m.Models() != shared {
+			t.Errorf("%s dropped its models on a malformed blob", id)
+		}
+	}
+	if naming.Decodes() != 2 {
+		t.Errorf("Decodes = %d after the malformed write, want 2", naming.Decodes())
+	}
+}
+
+// TestPersistedLoadMatchesPercentG pins the persisted-load encoding to
+// the bytes fmt's %g writes and the values its %g scan reads back, so
+// stores written by either stay interchangeable.
+func TestPersistedLoadMatchesPercentG(t *testing.T) {
+	e := newEnv(t, testModelSet())
+	m := e.managers["node-0"]
+	vals := []float64{0, math.Copysign(0, -1), 1, 0.1, 1.5e-300, math.SmallestNonzeroFloat64,
+		1e21, 123456789012.5, math.MaxFloat64, 4096}
+	src := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		vals = append(vals, src.Float64()*2048, math.Float64frombits(src.Uint64()&^(0x7ff<<52)|uint64(src.Intn(0x7ff))<<52))
+	}
+	for _, v := range vals {
+		m.persistLoad("db", v)
+		data, _, _ := e.cluster.Naming().Get(loadNamingKey("db"))
+		if want := fmt.Sprintf("%g", v); string(data) != want {
+			t.Fatalf("persistLoad(%v) wrote %q, %%g writes %q", v, data, want)
+		}
+		var want float64
+		if _, err := fmt.Sscanf(string(data), "%g", &want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := m.persistedLoad("db")
+		if !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("persistedLoad(%q) = %v, %v; %%g scans %v", data, got, ok, want)
+		}
 	}
 }
