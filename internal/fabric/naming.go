@@ -81,9 +81,9 @@ func (n *NamingService) setInjector(fi FaultInjector, pol retryPolicy, backoffFn
 // Put stores value under key and returns the new entry version. The value
 // is copied, so callers may reuse their buffer. Under fault injection the
 // write is retried with exponential backoff up to the retry budget; a
-// write that exhausts it is dropped and Put returns 0 — callers poll the
-// store by version, so a dropped model write is repaired by the writer's
-// next refresh rather than by blocking the simulation.
+// write that exhausts it is dropped and Put returns 0 — readers re-read
+// the store every refresh interval, so a dropped model write is repaired
+// by the writer's next refresh rather than by blocking the simulation.
 func (n *NamingService) Put(key string, value []byte) int64 {
 	if n.injector != nil {
 		attempts := n.retry.maxAttempts
@@ -181,9 +181,9 @@ func (n *NamingService) read(key string) (namingEntry, bool) {
 }
 
 // Decoded returns the value under key as decode parses it. It counts as
-// one read, exactly like Get, but decodes at most once per entry version: the first reader after a Put runs decode and
-// every later reader of that version gets the same result, error
-// included. decode must be a pure function of the bytes, every reader of
+// one read, exactly like Get, but decodes at most once per entry version:
+// the first reader after a Put runs decode and every later reader of that
+// version gets the same result, error included. decode must be a pure function of the bytes, every reader of
 // a key must pass the same decoder, and since all readers share one
 // decoded value they must treat it as read-only.
 func Decoded[T any](n *NamingService, key string, decode func([]byte) (T, error)) (value T, ok bool, err error) {
@@ -214,13 +214,6 @@ func (n *NamingService) Decodes() int64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.decodes
-}
-
-// Version returns the version of the entry under key, or 0 when absent.
-func (n *NamingService) Version(key string) int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.entries[key].version
 }
 
 // Delete removes key. Deleting an absent key is a no-op.

@@ -26,11 +26,8 @@ func TestNamingVersionsIncrease(t *testing.T) {
 	if !(v1 < v2 && v2 < v3) {
 		t.Errorf("versions not increasing: %d %d %d", v1, v2, v3)
 	}
-	if n.Version("a") != v2 {
-		t.Errorf("Version(a) = %d, want %d", n.Version("a"), v2)
-	}
-	if n.Version("missing") != 0 {
-		t.Error("Version of missing key != 0")
+	if _, ver, _ := n.Get("a"); ver != v2 {
+		t.Errorf("Get(a) version = %d, want %d", ver, v2)
 	}
 }
 
@@ -89,7 +86,6 @@ func TestNamingConcurrentAccess(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				n.Put(key, []byte{byte(i)})
 				n.Get(key)
-				n.Version(key)
 				Decoded(n, key, func(b []byte) (int, error) { return len(b), nil })
 				Decoded(n, "shared", func(b []byte) (int, error) { return len(b), nil })
 			}

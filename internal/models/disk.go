@@ -208,22 +208,14 @@ func (k dbKey) hash01(salt string) float64 {
 	return float64(fnv1a(uint64(k), salt)>>11) / (1 << 53)
 }
 
-// HasInitialGrowth reports whether database db belongs to the
+// hasInitialGrowth reports whether the database keyed by k belongs to the
 // high-initial-growth subset under this model.
-func (m *DiskUsageModel) HasInitialGrowth(seed uint64, db string) bool {
-	return m.hasInitialGrowth(newDBKey(seed, db))
-}
-
 func (m *DiskUsageModel) hasInitialGrowth(k dbKey) bool {
 	return m.Initial != nil && m.Initial.Probability > 0 && k.hash01("initial") < m.Initial.Probability
 }
 
-// HasRapidGrowth reports whether database db follows the rapid-growth
-// state machine under this model.
-func (m *DiskUsageModel) HasRapidGrowth(seed uint64, db string) bool {
-	return m.hasRapidGrowth(newDBKey(seed, db))
-}
-
+// hasRapidGrowth reports whether the database keyed by k follows the
+// rapid-growth state machine under this model.
 func (m *DiskUsageModel) hasRapidGrowth(k dbKey) bool {
 	return m.Rapid != nil && m.Rapid.Probability > 0 && k.hash01("rapid") < m.Rapid.Probability
 }
@@ -368,11 +360,8 @@ type CPUModel struct {
 	ReportInterval time.Duration
 }
 
-// IsIdle reports whether db belongs to the stable idle subpopulation.
-func (m *CPUModel) IsIdle(seed uint64, db string) bool {
-	return m.isIdle(newDBKey(seed, db))
-}
-
+// isIdle reports whether the database keyed by k belongs to the stable
+// idle subpopulation.
 func (m *CPUModel) isIdle(k dbKey) bool {
 	return m.IdleFraction > 0 && k.hash01("cpu-idle") < m.IdleFraction
 }

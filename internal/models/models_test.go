@@ -242,7 +242,7 @@ func TestInitialGrowthSubsetSelection(t *testing.T) {
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if m.HasInitialGrowth(1, dbName(i)) {
+		if m.hasInitialGrowth(newDBKey(1, dbName(i))) {
 			hits++
 		}
 	}
@@ -252,7 +252,7 @@ func TestInitialGrowthSubsetSelection(t *testing.T) {
 	}
 	// Selection is stable per database.
 	for i := 0; i < 50; i++ {
-		if m.HasInitialGrowth(1, "db-7") != m.HasInitialGrowth(1, "db-7") {
+		if m.hasInitialGrowth(newDBKey(1, "db-7")) != m.hasInitialGrowth(newDBKey(1, "db-7")) {
 			t.Fatal("selection not stable")
 		}
 	}
