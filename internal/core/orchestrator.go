@@ -331,7 +331,7 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 	dt := now.Sub(o.lastReport).Seconds()
 	o.lastReport = now
 	// EachLiveService keeps this 20-minute sweep allocation-free; reports
-	// move replicas but never drop services, so the iteration is safe.
+	// never create or drop services, which the sweep forbids.
 	o.Cluster.EachLiveService(func(svc *fabric.Service) {
 		info, ok := o.dbinfo[svc.Name]
 		if !ok {

@@ -198,8 +198,19 @@ type Cluster struct {
 	openQuorum     []*Service // open quorum-loss windows
 	quorumScratch  []*Service // reused sweep candidate buffer
 
-	// svcScratch is EachLiveService's reused sorted-sweep buffer.
-	svcScratch []*Service
+	// live indexes the live services in name order: create inserts by
+	// binary search and drop removes, so every sweep walks it directly
+	// instead of filtering and sorting the map of all services ever
+	// created. liveGen counts those mutations and liveChanged names the
+	// last service they touched, so a sweep can detect and report a create
+	// or drop made under it.
+	live        []*Service
+	liveGen     uint64
+	liveChanged string
+	// freeSlots holds the slots of dropped services for reuse; nextSlot
+	// is the lowest slot never assigned (see Service.Slot).
+	freeSlots []int
+	nextSlot  int
 
 	// upgrade is the in-flight domain-upgrade walker, nil otherwise (see
 	// upgrade.go).
@@ -509,31 +520,14 @@ func (c *Cluster) Services() []*Service {
 	return out
 }
 
-// LiveServices returns the services that have not been dropped, sorted by
-// name.
+// LiveServices returns a copy of the services that have not been
+// dropped, sorted by name.
 func (c *Cluster) LiveServices() []*Service {
-	out := make([]*Service, 0, len(c.services))
-	for _, s := range c.services {
-		if s.Alive() {
-			out = append(out, s)
-		}
-	}
-	sortServicesByName(out)
-	return out
+	return append(make([]*Service, 0, len(c.live)), c.live...)
 }
 
-// LiveServiceCount returns how many services are live, without building
-// the sorted slice LiveServices returns — the right call for periodic
-// gauges that only need the number.
-func (c *Cluster) LiveServiceCount() int {
-	n := 0
-	for _, s := range c.services {
-		if s.Alive() {
-			n++
-		}
-	}
-	return n
-}
+// LiveServiceCount returns how many services are live.
+func (c *Cluster) LiveServiceCount() int { return len(c.live) }
 
 // sortServicesByName is the canonical service ordering every sweep uses;
 // slices.SortFunc avoids the reflection (and its allocation) sort.Slice
@@ -542,26 +536,51 @@ func sortServicesByName(svcs []*Service) {
 	slices.SortFunc(svcs, func(a, b *Service) int { return strings.Compare(a.Name, b.Name) })
 }
 
-// EachLiveService calls fn for every live service in name order without
-// allocating: the sorted sweep buffer is owned by the cluster and reused
-// across calls. Periodic loops (load reporting, churn) should prefer this
-// over LiveServices, whose returned slice they would immediately discard.
-// fn must not drop services (creating is safe: the candidate set was
-// snapshotted before the first call).
+// cmpServiceName orders the live index by name for binary search.
+func cmpServiceName(s *Service, name string) int { return strings.Compare(s.Name, name) }
+
+// EachLiveService calls fn for every live service in name order. It walks
+// the cluster's live index, so it neither allocates nor sorts; periodic
+// loops (load reporting, churn) should prefer it over LiveServices, whose
+// copy they would immediately discard. fn must neither create nor drop a
+// service: the sweep panics, naming the service, if the index changes
+// under it. Nested sweeps are fine.
 func (c *Cluster) EachLiveService(fn func(*Service)) {
-	buf := c.svcScratch
-	c.svcScratch = nil // a reentrant call gets its own buffer
-	buf = buf[:0]
-	for _, s := range c.services {
-		if s.Alive() {
-			buf = append(buf, s)
+	gen := c.liveGen
+	for _, s := range c.live {
+		fn(s)
+		if c.liveGen != gen {
+			panic("fabric: service " + c.liveChanged + " created or dropped during EachLiveService")
 		}
 	}
-	sortServicesByName(buf)
-	for _, s := range buf {
-		fn(s)
+}
+
+// addLive inserts a newly placed service into the live index and gives
+// it a slot, reusing the most recently freed one. Neither step allocates
+// once the index and free list have reached their working size.
+func (c *Cluster) addLive(svc *Service) {
+	i, _ := slices.BinarySearchFunc(c.live, svc.Name, cmpServiceName)
+	c.live = slices.Insert(c.live, i, svc)
+	if n := len(c.freeSlots); n > 0 {
+		svc.slot = c.freeSlots[n-1]
+		c.freeSlots = c.freeSlots[:n-1]
+	} else {
+		svc.slot = c.nextSlot
+		c.nextSlot++
 	}
-	c.svcScratch = buf[:0]
+	c.liveGen++
+	c.liveChanged = svc.Name
+}
+
+// removeLive takes a dropped service out of the live index and frees its
+// slot.
+func (c *Cluster) removeLive(svc *Service) {
+	if i, ok := slices.BinarySearchFunc(c.live, svc.Name, cmpServiceName); ok {
+		c.live = slices.Delete(c.live, i, i+1)
+	}
+	c.freeSlots = append(c.freeSlots, svc.slot)
+	c.liveGen++
+	c.liveChanged = svc.Name
 }
 
 // FailoverCount returns the total number of failover movements so far.
@@ -610,6 +629,7 @@ func (c *Cluster) CreateServiceWithLoads(name string, replicaCount int, reserved
 		node.attach(svc.Replicas[i])
 	}
 	c.services[name] = svc
+	c.addLive(svc)
 	c.emit(Event{Kind: EventServiceCreated, Time: c.clock.Now(), Service: svc})
 	return svc, nil
 }
@@ -631,6 +651,7 @@ func (c *Cluster) DropService(name string) error {
 		c.closeQuorumWindow(svc, nil, c.clock.Now(), "dropped")
 	}
 	svc.Dropped = c.clock.Now()
+	c.removeLive(svc)
 	c.emit(Event{Kind: EventServiceDropped, Time: c.clock.Now(), Service: svc})
 	return nil
 }

@@ -35,7 +35,7 @@ func CheckInvariants(c *Cluster) error {
 		}
 	}
 	totalCores := 0.0
-	for _, svc := range c.LiveServices() {
+	for _, svc := range c.live {
 		if err := checkServiceInvariants(c, svc); err != nil {
 			return err
 		}

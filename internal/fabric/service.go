@@ -152,7 +152,16 @@ type Service struct {
 	// candidate collection (a service can arrive via the trigger node,
 	// the dirty set, and the open-window set at once).
 	quorumQueued bool
+	// slot is the service's dense index among live services (see Slot).
+	slot int
 }
+
+// Slot returns the service's dense index among live services: a small
+// integer the cluster assigns when the service is created and recycles
+// once it is dropped, so per-service side tables can be slices instead of
+// maps keyed by name. Slots are unique among live services only; a
+// dropped service's slot may already belong to a newer one.
+func (s *Service) Slot() int { return s.slot }
 
 // QuorumAvailable reports whether the replica set can serve writes: its
 // primary sits on an up node and a majority of its replicas (primary

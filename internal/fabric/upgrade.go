@@ -323,7 +323,7 @@ func (u *UpgradeWalker) safetyCheck(ud int) string {
 			return fmt.Sprintf("node %s down", n.ID)
 		}
 	}
-	for _, svc := range c.LiveServices() {
+	for _, svc := range c.live {
 		if !svc.QuorumAvailable() {
 			return fmt.Sprintf("service %s lacks quorum", svc.Name)
 		}
@@ -351,7 +351,7 @@ func (u *UpgradeWalker) healthCheck() string {
 	if err := CheckInvariants(u.c); err != nil {
 		return err.Error()
 	}
-	for _, svc := range u.c.LiveServices() {
+	for _, svc := range u.c.live {
 		for _, r := range svc.Replicas {
 			if r.Node != nil && !r.Node.Up() {
 				return fmt.Sprintf("replica %s stranded on down node %s", r.ID, r.Node.ID)

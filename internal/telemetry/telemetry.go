@@ -161,12 +161,6 @@ func (r *Recorder) Stop() {
 
 // TakeSample records one cluster-level sample now.
 func (r *Recorder) TakeSample() {
-	live := 0
-	for _, s := range r.cluster.Services() {
-		if s.Alive() {
-			live++
-		}
-	}
 	cpuUsed := 0.0
 	for _, n := range r.cluster.Nodes() {
 		cpuUsed += n.Load(fabric.MetricCPUUsedCores)
@@ -177,7 +171,7 @@ func (r *Recorder) TakeSample() {
 		FreeCores:     r.cluster.FreeCores(),
 		DiskUsageGB:   r.cluster.DiskUsage(),
 		CPUUsedCores:  cpuUsed,
-		LiveDBs:       live,
+		LiveDBs:       r.cluster.LiveServiceCount(),
 	}
 	r.samples = append(r.samples, s)
 	r.gLiveDBs.Set(float64(s.LiveDBs))

@@ -107,6 +107,34 @@ func runFabricDay(tb testing.TB) {
 	c.Stop()
 }
 
+// TestWarmedTrafficTickZeroAlloc pins the steady-state request plane at
+// zero allocations: once every live service has its front-end state, a
+// tick's sweeps, admission, dispatch and histogram adds allocate nothing.
+func TestWarmedTrafficTickZeroAlloc(t *testing.T) {
+	clock := simclock.New(harnessStart)
+	c := fabric.NewCluster(clock, 10, harnessCapacity(), fabric.DefaultConfig())
+	c.Start()
+	for i := 0; i < 48; i++ {
+		if _, err := c.CreateService(fmt.Sprintf("db-%d", i), 1+i%2, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := traffic.NewEngine(clock, c, &traffic.Spec{Seed: 7}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start(harnessStart)
+	clock.RunUntil(harnessStart.Add(2 * time.Hour))
+	if allocs := testing.AllocsPerRun(30, func() {
+		clock.RunUntil(clock.Now().Add(time.Minute))
+	}); allocs != 0 {
+		t.Errorf("a warmed traffic tick allocates %.1f", allocs)
+	}
+	if st := eng.Stats(); st.Arrivals == 0 {
+		t.Fatal("no traffic was generated")
+	}
+}
+
 // TestNoTrafficZeroAlloc pins the tentpole's inertness guarantee: with no
 // traffic spec, no engine exists, and the code this package added to the
 // fabric (ServingStateAt, the restoring flag) contributes zero

@@ -72,7 +72,7 @@ const (
 // anchorRank orders anchor classes by how exceptional they are, mirroring
 // the alert engine: a chaos injection outranks the violations cascading
 // from it, so request errors chain to the true incident.
-var anchorRank = []string{
+var anchorRank = [...]string{
 	"chaos", "crash", "quorum", "upgrade", "drain", "forced", "resize",
 	"violation", "balance",
 }
@@ -150,8 +150,12 @@ type Engine struct {
 
 	tickEvery time.Duration
 	tokens    float64
-	svc       map[string]*svcState
-	anchors   map[string]anchor
+	// svc is the per-service front-end state, indexed by fabric.Service
+	// Slot; the drop listener zeroes a slot before the fabric reuses it.
+	svc []svcState
+	// anchors holds the latest anchor per class, indexed like anchorRank
+	// (a zero seq means none seen yet).
+	anchors [len(anchorRank)]anchor
 
 	ticker  *simclock.Ticker
 	flusher *simclock.Ticker
@@ -229,8 +233,6 @@ func NewEngine(clock *simclock.Clock, cluster *fabric.Cluster, spec *Spec, store
 		errorRnd:   root.Split("errors"),
 		latencyRnd: root.Split("latency"),
 		tickEvery:  time.Duration(resolved.TickSeconds * float64(time.Second)),
-		svc:        make(map[string]*svcState),
-		anchors:    make(map[string]anchor),
 		rec:        rec,
 	}
 	if rec != nil {
@@ -313,21 +315,42 @@ func (e *Engine) onAnnotation(a fabric.Annotation) {
 			kind = k
 		}
 	}
-	e.anchors[class] = anchor{seq: a.Seq, kind: kind, time: a.Time}
+	for i, c := range anchorRank {
+		if c == class {
+			e.anchors[i] = anchor{seq: a.Seq, kind: kind, time: a.Time}
+			return
+		}
+	}
 }
 
-// onEvent drops per-service state when the service goes away.
+// onEvent drops per-service state when the service goes away, so the
+// next service the fabric gives the slot starts fresh.
 func (e *Engine) onEvent(ev fabric.Event) {
 	if ev.Kind == fabric.EventServiceDropped && ev.Service != nil {
-		delete(e.svc, ev.Service.Name)
+		if slot := ev.Service.Slot(); slot < len(e.svc) {
+			e.svc[slot] = svcState{}
+		}
 	}
+}
+
+// state returns s's front-end state, creating it on the service's first
+// tick.
+func (e *Engine) state(s *fabric.Service) *svcState {
+	slot := s.Slot()
+	if slot >= len(e.svc) {
+		e.svc = append(e.svc, make([]svcState, slot+1-len(e.svc))...)
+	}
+	st := &e.svc[slot]
+	if st.br == nil {
+		st.br = NewBreaker(e.spec.Breaker)
+	}
+	return st
 }
 
 // bestAnchor returns the most exceptional anchor within the horizon.
 func (e *Engine) bestAnchor(now time.Time) (uint64, fabric.CauseKind) {
-	for _, class := range anchorRank {
-		a, ok := e.anchors[class]
-		if ok && now.Sub(a.time) <= anchorHorizon {
+	for i := range e.anchors {
+		if a := &e.anchors[i]; a.seq != 0 && now.Sub(a.time) <= anchorHorizon {
 			return a.seq, a.kind
 		}
 	}
@@ -400,11 +423,7 @@ func (e *Engine) tick(now time.Time) {
 // bounded queueing and shedding, the circuit breaker, dispatch against
 // the service's serving state, budgeted retries, and latency accounting.
 func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
-	st := e.svc[s.Name]
-	if st == nil {
-		st = &svcState{br: NewBreaker(e.spec.Breaker)}
-		e.svc[s.Name] = st
-	}
+	st := e.state(s)
 	// Trace group indices restart per (tick, service) so trace IDs —
 	// hashed over (seed, time, service, outcome, group) — stay unique.
 	e.traceGroup = 0

@@ -16,25 +16,76 @@ const (
 // need to walk the layout without importing its internals.
 func Buckets() int { return histBuckets }
 
-// BucketBound returns bucket i's inclusive upper bound in ms — the
-// exact float the quantile functions report, so an analysis tool can
-// match a journaled p99 back to its bucket by float equality.
+// BucketBound returns bucket i's nominal upper bound in ms, base·growth^i
+// — the exact float the quantile functions report, so an analysis tool
+// can match a journaled p99 back to its bucket by float equality. It is
+// not an exact edge: a latency equal to BucketBound(i) may land in bucket
+// i or i+1, because the edges in bucketFloor come from a different float
+// rounding of the same curve.
 func BucketBound(i int) float64 {
 	return histBaseMs * math.Pow(histGrowth, float64(i))
 }
 
-// BucketIndex maps a latency to its bucket, clamping NaN, negative, and
-// infinite inputs into the edge buckets instead of panicking: a
-// degenerate modeled latency degrades the histogram, never the run.
+// bucketFloor[i] is the smallest latency that lands in bucket i (entry 0
+// is unused: bucket 0 takes everything below bucketFloor[1], plus NaN).
+// Each entry is the exact float64 at which the defining formula
+// int(math.Log(ms/histBaseMs)/math.Log(histGrowth))+1 steps up, found by
+// bisection over float64 bit patterns; hist_test.go checks every entry
+// and its neighbourhood against that formula and prints the right
+// literal when one disagrees.
+var bucketFloor = [histBuckets]float64{
+	0,
+	0x1.0000000000001p-02, 0x1.4p-02, 0x1.9p-02, 0x1.f400000000001p-02,
+	0x1.388p-01, 0x1.86ap-01, 0x1.e848000000001p-01, 0x1.312dp+00,
+	0x1.7d784p+00, 0x1.dcd64ffffffffp+00, 0x1.2a05f1fffffffp+01, 0x1.74876e7ffffffp+01,
+	0x1.d1a94a2000001p+01, 0x1.2309ce5400001p+02, 0x1.6bcc41e9p+02, 0x1.c6bf52634p+02,
+	0x1.1c37937e08p+03, 0x1.6345785d8ap+03, 0x1.bc16d674ec7fep+03, 0x1.158e460913cfep+04,
+	0x1.5af1d78b58c3ep+04, 0x1.b1ae4d6e2ef4cp+04, 0x1.0f0cf064dd59p+05, 0x1.52d02c7e14af3p+05,
+	0x1.a784379d99db6p+05, 0x1.08b2a2c280292p+06, 0x1.4adf4b7320336p+06, 0x1.9d971e4fe8403p+06,
+	0x1.027e72f1f1282p+07, 0x1.431e0fae6d722p+07, 0x1.93e5939a08ceap+07, 0x1.f8def8808b024p+07,
+	0x1.3b8b5b5056e16p+08, 0x1.8a6e32246c99cp+08, 0x1.ed09bead87c02p+08, 0x1.3426172c74d81p+09,
+	0x1.812f9cf7920dep+09, 0x1.e17b84357691cp+09, 0x1.2ced32a16a1adp+10, 0x1.78287f49c4a1ep+10,
+	0x1.d6329f1c35c9dp+10, 0x1.25dfa371a19e7p+11, 0x1.6f578c4e0a05ap+11, 0x1.cb2d6f618c878p+11,
+	0x1.1efc659cf7d46p+12, 0x1.66bb7f0435c9dp+12, 0x1.c06a5ec5433bdp+12, 0x1.18427b3b4a05ap+13,
+	0x1.5e531a0a1c876p+13, 0x1.b5e7e08ca3a8cp+13, 0x1.11b0ec57e649cp+14, 0x1.561d276ddfdbdp+14,
+	0x1.aba4714957d32p+14, 0x1.0b46c6cdd6e3bp+15, 0x1.4e1878814c9cfp+15, 0x1.a19e96a19fc3cp+15,
+	0x1.05031e2503da9p+16, 0x1.4643e5ae44d0ep+16, 0x1.97d4df19d6058p+16, 0x1.fdca16e04b865p+16,
+	0x1.3e9e4e4c2f344p+17, 0x1.8e45e1df3b00ep+17, 0x1.f1d75a5709c19p+17,
+}
+
+// binadeFirst[b] is the bucket holding 2^(b-2), the smallest latency
+// whose float64 exponent is b-2. Buckets grow 25%, so every latency in
+// that binade lands in binadeFirst[b] or one of the three buckets above.
+// The 20 binades span bucketFloor[1] (just above 2^-2) to
+// bucketFloor[histBuckets-1] (below 2^18).
+var binadeFirst = func() (first [20]int) {
+	for b := range first {
+		lo := math.Ldexp(1, b-2)
+		for first[b] < histBuckets-1 && bucketFloor[first[b]+1] <= lo {
+			first[b]++
+		}
+	}
+	return first
+}()
+
+// BucketIndex maps a latency to its bucket: the largest i with
+// bucketFloor[i] <= ms, found from the latency's float64 exponent and at
+// most a few comparisons. NaN, zero and negative inputs land in bucket
+// 0; latencies past the top edge, +Inf included, land in the last
+// bucket. A degenerate modeled latency degrades the histogram, never the
+// run.
 func BucketIndex(ms float64) int {
-	if !(ms > histBaseMs) { // also catches NaN, zero, negatives
+	if !(ms >= bucketFloor[1]) { // also catches NaN
 		return 0
 	}
-	idx := int(math.Log(ms/histBaseMs)/math.Log(histGrowth)) + 1
-	if idx >= histBuckets || idx < 0 { // +Inf yields a huge or wrapped index
+	if ms >= bucketFloor[histBuckets-1] {
 		return histBuckets - 1
 	}
-	return idx
+	i := binadeFirst[int(math.Float64bits(ms)>>52)-(1023-2)]
+	for ms >= bucketFloor[i+1] {
+		i++
+	}
+	return i
 }
 
 // exemplar ties a kept trace to the histogram bucket its latency landed

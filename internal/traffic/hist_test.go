@@ -2,8 +2,87 @@ package traffic
 
 import (
 	"math"
+	"math/rand/v2"
+	"strconv"
 	"testing"
 )
+
+// logBucketIndex is the histogram's defining formula, which BucketIndex
+// evaluated with two math.Log calls per add before the bucketFloor table
+// replaced it. It is kept here only as the oracle the table must match
+// for every float64.
+func logBucketIndex(ms float64) int {
+	if !(ms > histBaseMs) { // also catches NaN, zero, negatives
+		return 0
+	}
+	idx := int(math.Log(ms/histBaseMs)/math.Log(histGrowth)) + 1
+	if idx >= histBuckets || idx < 0 { // +Inf yields a huge or wrapped index
+		return histBuckets - 1
+	}
+	return idx
+}
+
+// logThreshold bisects float64 bit patterns (ordered like the values
+// for positive floats) for the smallest latency the oracle puts in
+// bucket k or above.
+func logThreshold(k int) float64 {
+	lo, hi := math.Float64bits(histBaseMs), math.Float64bits(math.MaxFloat64)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if logBucketIndex(math.Float64frombits(mid)) >= k {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
+// TestBucketIndexMatchesLogFormula proves the threshold table exact: each
+// entry is the float64 where the log formula steps up, and BucketIndex
+// agrees with the formula around every entry, over a log-uniform sweep,
+// on 10^7 seeded random positive floats and on every special value. The
+// goldens fold whole-run quantiles, so one boundary disagreement would
+// move them.
+func TestBucketIndexMatchesLogFormula(t *testing.T) {
+	check := func(ms float64) {
+		if got, want := BucketIndex(ms), logBucketIndex(ms); got != want {
+			t.Fatalf("BucketIndex(%v = %#016x) = %d, log formula says %d",
+				ms, math.Float64bits(ms), got, want)
+		}
+	}
+	for k := 1; k < histBuckets; k++ {
+		thr := bucketFloor[k]
+		if logBucketIndex(thr) != k || logBucketIndex(math.Nextafter(thr, 0)) != k-1 {
+			t.Fatalf("bucketFloor[%d] = %s, the log formula steps up at %s",
+				k, strconv.FormatFloat(thr, 'x', -1, 64), strconv.FormatFloat(logThreshold(k), 'x', -1, 64))
+		}
+		bits := math.Float64bits(thr)
+		for d := uint64(0); d <= 1<<16; d++ {
+			check(math.Float64frombits(bits + d))
+			check(math.Float64frombits(bits - d))
+		}
+	}
+	const sweep = 1 << 20
+	for i := 0; i <= sweep; i++ {
+		check(math.Exp2(-30 + 60*float64(i)/sweep)) // 1e-9 ms to 1e9 ms
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 10_000_000; i++ {
+		if i%2 == 0 {
+			check(math.Float64frombits(r.Uint64() >> 1)) // any positive float, subnormals included
+		} else {
+			check(math.Exp2(-4 + 24*r.Float64())) // the buckets' own range
+		}
+	}
+	for _, ms := range []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1, -histBaseMs,
+		-math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
+		histBaseMs, math.MaxFloat64, bucketFloor[histBuckets-1] * 2,
+	} {
+		check(ms)
+	}
+}
 
 // TestBucketIndexEdges pins the bucket mapping for every degenerate
 // latency the engine's models can produce: quantile math must clamp,
@@ -20,7 +99,7 @@ func TestBucketIndexEdges(t *testing.T) {
 		{"below-base", 0.1, 0},
 		{"at-base", histBaseMs, 0},
 		{"just-above-base", histBaseMs * 1.01, 1},
-		{"one-ms", 1, 1 + int(math.Log(1/histBaseMs)/math.Log(histGrowth))},
+		{"one-ms", 1, logBucketIndex(1)},
 		{"huge", 1e12, histBuckets - 1},
 		{"pos-inf", math.Inf(1), histBuckets - 1},
 		{"neg-inf", math.Inf(-1), 0},
@@ -181,5 +260,40 @@ func TestHistMergeSkipsExemplars(t *testing.T) {
 	}
 	if copied.sum != b.sum {
 		t.Fatalf("merge lost sum: %g != %g", copied.sum, b.sum)
+	}
+}
+
+// TestHistAddZeroAlloc pins the per-add cost at zero allocations, with
+// and without exemplars.
+func TestHistAddZeroAlloc(t *testing.T) {
+	var h hist
+	ms := 0.5
+	if n := testing.AllocsPerRun(1000, func() {
+		ms *= 1.01
+		h.add(ms, 3)
+	}); n != 0 {
+		t.Errorf("hist.add allocates %.1f per call", n)
+	}
+	h.enableExemplars()
+	if n := testing.AllocsPerRun(1000, func() {
+		ms *= 1.01
+		h.add(ms, 3)
+		h.setExemplar(ms, 7)
+	}); n != 0 {
+		t.Errorf("hist.add with exemplars allocates %.1f per call", n)
+	}
+}
+
+// BenchmarkHistAdd is the per-add cost over a latency spread like the
+// engine's (3 to 160 ms).
+func BenchmarkHistAdd(b *testing.B) {
+	vals := make([]float64, 4096)
+	r := rand.New(rand.NewPCG(3, 4))
+	for i := range vals {
+		vals[i] = 3 * math.Exp(4*r.Float64())
+	}
+	var h hist
+	for i := 0; i < b.N; i++ {
+		h.add(vals[i&4095], 1)
 	}
 }
