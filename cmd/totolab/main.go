@@ -6,8 +6,9 @@
 // (bootstrap, measured window, revenue scoring) with seeds derived from
 // its matrix position, so the fleet's results are bit-identical to
 // running the same cells serially: -workers changes only the wall
-// clock, never a number. The per-run fingerprint printed with -v makes
-// that checkable by eye across invocations.
+// clock, never a number. The per-run fingerprint printed with -v, a
+// digest of the run's whole result, makes that checkable by eye across
+// invocations.
 //
 // Usage:
 //
@@ -19,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,7 +42,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 	seed := flag.Uint64("seed", 0, "offset added to all base seeds")
 	trafficPath := flag.String("traffic", "", "JSON traffic spec file: drive request-level traffic in every cell")
-	reqtraceOn := flag.Bool("reqtrace", false, "trace requests with tail-based sampling in every cell (needs -traffic); sampler counters fold into fingerprints")
+	reqtraceOn := flag.Bool("reqtrace", false, "trace requests with tail-based sampling in every cell (needs -traffic); sampler counters join the fingerprints")
 	verbose := flag.Bool("v", false, "print one row per run with its fingerprint")
 	flag.Parse()
 
@@ -73,15 +73,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "totolab:", err)
 			os.Exit(1)
 		}
-		// Accept either a bare traffic spec or a full scenario file whose
-		// "traffic" section is lifted out, like totosim's -traffic.
-		var wrapper struct {
-			Traffic json.RawMessage `json:"traffic"`
-		}
-		if json.Unmarshal(data, &wrapper) == nil && wrapper.Traffic != nil {
-			data = wrapper.Traffic
-		}
-		ts, err := traffic.ParseSpec(data)
+		ts, err := traffic.ParseSpec(core.ScenarioSection(data, "traffic"))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "totolab:", err)
 			os.Exit(1)
@@ -125,6 +117,11 @@ func main() {
 				continue
 			}
 			r := rr.Result
+			fp, err := fleet.Fingerprint(r)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "totolab:", rr.Spec.Name, err)
+				os.Exit(1)
+			}
 			trafficCols := ""
 			if st := r.Traffic; st != nil {
 				trafficCols = fmt.Sprintf("p99=%-6.0fms errRate=%-7.4f ", st.P99Ms, st.ErrorRate)
@@ -134,7 +131,7 @@ func main() {
 			}
 			fmt.Printf("  %-9s creates=%-4d drops=%-4d failovers=%-3d movedCores=%-7.1f adjusted=$%-10.0f %s%6.2fs  fp=%s\n",
 				rr.Spec.Name, r.Creates, r.Drops, r.UnplannedFailovers,
-				r.TotalFailedOverCores(), r.Revenue.Adjusted, trafficCols, rr.Elapsed.Seconds(), rr.Fingerprint)
+				r.TotalFailedOverCores(), r.Revenue.Adjusted, trafficCols, rr.Elapsed.Seconds(), fp)
 		}
 	}
 

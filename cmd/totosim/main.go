@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -140,16 +139,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// Accept either a bare chaos spec or a full scenario file, in
-		// which case the fault schedule is lifted out of its "chaos"
-		// section (so one chaos-week file can overlay any scenario).
-		var wrapper struct {
-			Chaos json.RawMessage `json:"chaos"`
-		}
-		if json.Unmarshal(data, &wrapper) == nil && wrapper.Chaos != nil {
-			data = wrapper.Chaos
-		}
-		cs, err := chaos.ParseSpec(data)
+		cs, err := chaos.ParseSpec(core.ScenarioSection(data, "chaos"))
 		if err != nil {
 			fail(err)
 		}
@@ -160,15 +150,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// Accept either a bare traffic spec or a full scenario file whose
-		// "traffic" section is lifted out, mirroring -chaos.
-		var wrapper struct {
-			Traffic json.RawMessage `json:"traffic"`
-		}
-		if json.Unmarshal(data, &wrapper) == nil && wrapper.Traffic != nil {
-			data = wrapper.Traffic
-		}
-		ts, err := traffic.ParseSpec(data)
+		ts, err := traffic.ParseSpec(core.ScenarioSection(data, "traffic"))
 		if err != nil {
 			fail(err)
 		}

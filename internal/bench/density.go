@@ -14,6 +14,7 @@ import (
 
 	"toto/internal/asciichart"
 	"toto/internal/core"
+	"toto/internal/fleet"
 	"toto/internal/obs"
 	"toto/internal/obs/alert"
 	"toto/internal/slo"
@@ -29,6 +30,8 @@ var DefaultSeeds = core.Seeds{Population: 101, Models: 202, PLB: 303, Bootstrap:
 
 // StudyConfig parameterizes the density study runs.
 type StudyConfig struct {
+	// Seeds are the study's base seeds; the zero value takes the fleet's
+	// defaults.
 	Seeds core.Seeds
 	// Days is the measured window length (6 in the paper).
 	Days int
@@ -56,39 +59,44 @@ type Study struct {
 }
 
 // RunStudy executes the density study. Identical scenarios differ only in
-// density; the PLB seed varies per run, mirroring the paper's §5.2 caveat
-// that the PLB's annealing seed cannot be pinned across runs.
+// density; the PLB seed varies per run (core.Seeds.DensityRun), mirroring
+// the paper's §5.2 caveat that the PLB's annealing seed cannot be pinned
+// across runs.
 //
-// The four experiments are independent simulations (the paper ran them
-// back-to-back only because it had one physical cluster), so they execute
-// in parallel; results keep the configured density order and are
-// identical to a sequential run.
+// The experiments are independent simulations (the paper ran them
+// back-to-back only because it had one physical cluster), so they run as
+// a one-repeat fleet on the fleet's worker pool; results keep the
+// configured density order and are identical to a sequential run.
 func RunStudy(cfg StudyConfig) (*Study, error) {
-	tm := core.DefaultModels()
-	results := make([]*core.Result, len(cfg.Densities))
-	errs := make([]error, len(cfg.Densities))
-	var wg sync.WaitGroup
-	for i, d := range cfg.Densities {
-		wg.Add(1)
-		go func(i int, d float64) {
-			defer wg.Done()
-			seeds := cfg.Seeds
-			seeds.PLB = cfg.Seeds.PLB + uint64(i+1)*7919 // same ladder as core.DensityStudy
-			name := fmt.Sprintf("density-%.0f%%", d*100)
-			sc := core.DefaultScenario(name, d, tm.Set, seeds)
-			sc.Duration = time.Duration(cfg.Days) * 24 * time.Hour
-			// Each parallel run records onto its own span track; the
-			// registry and trace buffer are shared.
-			sc.Obs = cfg.Obs.Fork(name)
-			sc.Alerts = cfg.Alerts
-			results[i], errs[i] = core.Run(sc)
-		}(i, d)
+	if cfg.Days <= 0 {
+		return nil, fmt.Errorf("bench: study has non-positive duration (%d days)", cfg.Days)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("bench: density %.0f%%: %w", cfg.Densities[i]*100, err)
+	if len(cfg.Densities) == 0 {
+		return nil, fmt.Errorf("bench: study has no densities")
+	}
+	fr, err := fleet.Run(fleet.Config{
+		Densities: cfg.Densities,
+		Duration:  time.Duration(cfg.Days) * 24 * time.Hour,
+		Seeds:     cfg.Seeds,
+		Models:    core.DefaultModels().Set,
+		Configure: func(spec fleet.RunSpec, sc *core.Scenario) {
+			sc.Name = fmt.Sprintf("density-%.0f%%", spec.Density*100)
+			sc.Seeds = spec.Seeds.DensityRun(spec.Index)
+			// Each run records onto its own span track; the registry and
+			// trace buffer are shared.
+			sc.Obs = cfg.Obs.Fork(sc.Name)
+			sc.Alerts = cfg.Alerts
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*core.Result, len(fr.Runs))
+	for i, rr := range fr.Runs {
+		if rr.Err != nil {
+			return nil, fmt.Errorf("bench: density %.0f%%: %w", rr.Spec.Density*100, rr.Err)
 		}
+		results[i] = rr.Result
 	}
 	return &Study{Config: cfg, Results: results}, nil
 }

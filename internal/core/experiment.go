@@ -412,7 +412,7 @@ func DensityStudy(base func(density float64, seeds Seeds) *Scenario, densities [
 	for i, d := range densities {
 		s := seeds
 		if varyPLBSeed {
-			s.PLB = seeds.PLB + uint64(i+1)*7919
+			s = seeds.DensityRun(i)
 		}
 		sc := base(d, s)
 		res, err := Run(sc)

@@ -53,6 +53,14 @@ type Seeds struct {
 	Bootstrap  uint64
 }
 
+// DensityRun returns the seeds of run i of a density study that varies
+// the PLB seed: the annealing seed steps by (i+1)·7919 per run, since the
+// paper could not hold it fixed across its density runs (§5.2).
+func (s Seeds) DensityRun(i int) Seeds {
+	s.PLB += uint64(i+1) * 7919
+	return s
+}
+
 // Scenario declaratively specifies one benchmark run.
 type Scenario struct {
 	// Name labels the run in outputs.

@@ -127,6 +127,21 @@ func ParseScenarioFile(data []byte) (*ScenarioFile, error) {
 	return &sf, nil
 }
 
+// ScenarioSection returns the named top-level section of a scenario
+// file, or data unchanged when it is not an object holding that section.
+// Flags that take one spec (-chaos, -traffic) accept either a bare spec
+// or a whole scenario file this way, so one chaos-week file can overlay
+// any scenario.
+func ScenarioSection(data []byte, name string) []byte {
+	var sections map[string]json.RawMessage
+	if json.Unmarshal(data, &sections) == nil {
+		if sec, ok := sections[name]; ok {
+			return sec
+		}
+	}
+	return data
+}
+
 // Build materializes the file into a runnable Scenario. set is the model
 // set to use when the file does not name its own XML (the caller resolves
 // ModelXML; this keeps file I/O out of the core package).

@@ -194,29 +194,43 @@ func BenchmarkSimulatedDayTraced(b *testing.B) {
 func benchmarkSimulatedDay(b *testing.B, newObs func() *obs.Obs) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		clock := simclock.New(testStart)
 		cfg := DefaultConfig()
 		if newObs != nil {
-			o := newObs()
-			o.SetNow(clock.Now)
-			cfg.Obs = o
+			cfg.Obs = newObs()
 		}
-		c := NewCluster(clock, 14, testCapacity(), cfg)
-		c.Start()
-		for j := 0; j < 200; j++ {
-			c.CreateService(fmt.Sprintf("db-%d", j), 1, 2, nil)
-		}
-		hour := 0
-		clock.Every(time.Hour, func(now time.Time) {
-			hour++
-			c.CreateService(fmt.Sprintf("churn-%d-%d", i, hour), 1, 2, nil)
-			c.EachLiveService(func(svc *Service) {
-				c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, float64(hour)*3)
-			})
+		SimulatedDay(i, cfg, func(clock *simclock.Clock, _ *Cluster) {
+			cfg.Obs.SetNow(clock.Now)
 		})
-		clock.RunUntil(testStart.Add(24 * time.Hour))
-		c.Stop()
 	}
+}
+
+// SimulatedDay is the body every simulated-day benchmark shares: a
+// 14-node cluster built from cfg hosts 200 services, then for 24
+// simulated hours gains one churn service an hour and reports a disk load
+// for every live service. setup, when set, runs on the started cluster
+// before the first service is created; iter keeps churn names distinct
+// across benchmark iterations. It is exported for the fabric_test
+// benchmarks, which cannot reach this package's fixtures.
+func SimulatedDay(iter int, cfg Config, setup func(*simclock.Clock, *Cluster)) {
+	clock := simclock.New(testStart)
+	c := NewCluster(clock, 14, testCapacity(), cfg)
+	c.Start()
+	if setup != nil {
+		setup(clock, c)
+	}
+	for j := 0; j < 200; j++ {
+		c.CreateService(fmt.Sprintf("db-%d", j), 1, 2, nil)
+	}
+	hour := 0
+	clock.Every(time.Hour, func(now time.Time) {
+		hour++
+		c.CreateService(fmt.Sprintf("churn-%d-%d", iter, hour), 1, 2, nil)
+		c.EachLiveService(func(svc *Service) {
+			c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, float64(hour)*3)
+		})
+	})
+	clock.RunUntil(testStart.Add(24 * time.Hour))
+	c.Stop()
 }
 
 // BenchmarkSimulatedDayWithFaults is BenchmarkSimulatedDay under an
@@ -227,35 +241,20 @@ func benchmarkSimulatedDay(b *testing.B, newObs func() *obs.Obs) {
 func BenchmarkSimulatedDayWithFaults(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		clock := simclock.New(testStart)
-		c := NewCluster(clock, 14, testCapacity(), DefaultConfig())
-		c.Start()
-		root := rng.New(uint64(99))
-		inj := &chaosTestInjector{
-			buildRnd:   root.Split("build"),
-			reportRnd:  root.Split("report"),
-			namingRnd:  root.Split("naming"),
-			buildRate:  0.2,
-			reportRate: 0.1,
-			namingRate: 0.1,
-		}
-		c.SetFaultInjector(inj)
-		c.EnableDegradedMode()
-		clock.At(testStart.Add(6*time.Hour), func(time.Time) { _, _, _ = c.CrashNode("node-5") })
-		clock.At(testStart.Add(7*time.Hour), func(time.Time) { _ = c.RestartNode("node-5") })
-		for j := 0; j < 200; j++ {
-			c.CreateService(fmt.Sprintf("db-%d", j), 1, 2, nil)
-		}
-		hour := 0
-		clock.Every(time.Hour, func(now time.Time) {
-			hour++
-			c.CreateService(fmt.Sprintf("churn-%d-%d", i, hour), 1, 2, nil)
-			c.EachLiveService(func(svc *Service) {
-				c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, float64(hour)*3)
+		SimulatedDay(i, DefaultConfig(), func(clock *simclock.Clock, c *Cluster) {
+			root := rng.New(uint64(99))
+			c.SetFaultInjector(&chaosTestInjector{
+				buildRnd:   root.Split("build"),
+				reportRnd:  root.Split("report"),
+				namingRnd:  root.Split("naming"),
+				buildRate:  0.2,
+				reportRate: 0.1,
+				namingRate: 0.1,
 			})
+			c.EnableDegradedMode()
+			clock.At(testStart.Add(6*time.Hour), func(time.Time) { _, _, _ = c.CrashNode("node-5") })
+			clock.At(testStart.Add(7*time.Hour), func(time.Time) { _ = c.RestartNode("node-5") })
 		})
-		clock.RunUntil(testStart.Add(24 * time.Hour))
-		c.Stop()
 	}
 }
 

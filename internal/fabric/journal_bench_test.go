@@ -4,27 +4,13 @@
 package fabric_test
 
 import (
-	"fmt"
 	"io"
 	"testing"
-	"time"
 
 	"toto/internal/fabric"
 	"toto/internal/obs/journal"
 	"toto/internal/simclock"
 )
-
-// Mirrors the unexported fixtures in cluster_test.go (unreachable from
-// an external test package).
-var benchStart = time.Date(2020, time.June, 1, 0, 0, 0, 0, time.UTC)
-
-func benchCapacity() map[fabric.MetricName]float64 {
-	return map[fabric.MetricName]float64{
-		fabric.MetricCores:    64,
-		fabric.MetricDiskGB:   8192,
-		fabric.MetricMemoryGB: 512,
-	}
-}
 
 // BenchmarkSimulatedDayJournaled is BenchmarkSimulatedDay with a causal
 // event journal attached (events + annotations, JSON-encoded to a
@@ -33,24 +19,10 @@ func benchCapacity() map[fabric.MetricName]float64 {
 func BenchmarkSimulatedDayJournaled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		clock := simclock.New(benchStart)
-		c := fabric.NewCluster(clock, 14, benchCapacity(), fabric.DefaultConfig())
 		w := journal.NewWriter(io.Discard)
-		w.Attach(c)
-		c.Start()
-		for j := 0; j < 200; j++ {
-			c.CreateService(fmt.Sprintf("db-%d", j), 1, 2, nil)
-		}
-		hour := 0
-		clock.Every(time.Hour, func(now time.Time) {
-			hour++
-			c.CreateService(fmt.Sprintf("churn-%d-%d", i, hour), 1, 2, nil)
-			for _, svc := range c.LiveServices() {
-				c.ReportLoad(svc.Replicas[0].ID, fabric.MetricDiskGB, float64(hour)*3)
-			}
+		fabric.SimulatedDay(i, fabric.DefaultConfig(), func(_ *simclock.Clock, c *fabric.Cluster) {
+			w.Attach(c)
 		})
-		clock.RunUntil(benchStart.Add(24 * time.Hour))
-		c.Stop()
 		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}

@@ -12,14 +12,13 @@
 // regardless of completion order, so a fleet at Workers=8 produces
 // bit-identical per-run results (and an identical merged report) to the
 // same fleet at Workers=1. TestFleetParallelMatchesSerial pins that
-// property on every run's full fingerprint.
+// property on every run's Fingerprint, a digest of the whole result.
 package fleet
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
+	"encoding/json"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -54,8 +53,9 @@ type Config struct {
 	// GOMAXPROCS. Workers=1 is the serial reference order.
 	Workers int
 	// Configure, when set, is applied to each run's scenario after the
-	// defaults — the hook tests use to shorten telemetry intervals or
-	// enable topology without widening this config.
+	// defaults, on the worker goroutine that runs it — the hook callers
+	// use to name runs, vary seeds or attach instrumentation, and tests
+	// to shorten telemetry intervals, without widening this config.
 	Configure func(spec RunSpec, sc *core.Scenario)
 }
 
@@ -72,15 +72,13 @@ type RunSpec struct {
 	Seeds core.Seeds
 }
 
-// RunResult is one completed cell: the spec it ran, the full result,
-// and a fingerprint over every deterministic output field. Elapsed is
-// host wall time — diagnostic only, never part of the fingerprint.
+// RunResult is one completed cell: the spec it ran and the full result.
+// Elapsed is host wall time — diagnostic only, never part of the result.
 type RunResult struct {
-	Spec        RunSpec
-	Result      *core.Result
-	Fingerprint string
-	Elapsed     time.Duration
-	Err         error
+	Spec    RunSpec
+	Result  *core.Result
+	Elapsed time.Duration
+	Err     error
 }
 
 // Result is a completed fleet: per-run results in matrix order (not
@@ -223,129 +221,26 @@ func runOne(cfg Config, spec RunSpec) RunResult {
 	}
 	start := time.Now()
 	res, err := core.Run(sc)
-	rr := RunResult{Spec: spec, Result: res, Err: err, Elapsed: time.Since(start)}
-	if err == nil {
-		rr.Fingerprint = Fingerprint(res)
-	}
-	return rr
+	return RunResult{Spec: spec, Result: res, Err: err, Elapsed: time.Since(start)}
 }
 
-// Fingerprint digests every deterministic output of a run: the KPI
-// scalars, the full hourly sample series, every failover record, and
-// the revenue verdict. Two runs of the same scenario must produce equal
-// fingerprints on any worker count — this is the "bit-identical" the
-// fleet's determinism contract promises, and it is deliberately strict:
-// a single sample differing by one ULP changes the digest.
-func Fingerprint(res *core.Result) string {
+// Fingerprint digests a run's whole result: SHA-256 over its JSON
+// encoding, which writes every exported field, maps in key order and
+// floats in shortest round-trip form. The digest is bit-exact — one
+// sample differing by one ULP changes it — and a field added to
+// core.Result joins it with no new code. Two runs of the same scenario
+// must produce equal fingerprints on any worker count; that is the
+// "bit-identical" the fleet's determinism contract promises. A NaN or
+// infinite float cannot be encoded and returns the encoder's error.
+//
+// Run does not call it: encoding a result costs milliseconds and
+// hundreds of kilobytes, so callers digest only the results they compare.
+func Fingerprint(res *core.Result) (string, error) {
 	h := sha256.New()
-	var scratch [8]byte
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		h.Write(scratch[:])
+	if err := json.NewEncoder(h).Encode(res); err != nil {
+		return "", fmt.Errorf("fleet: fingerprint: %w", err)
 	}
-	wi := func(v int64) { wu(uint64(v)) }
-	wf := func(v float64) { wu(math.Float64bits(v)) }
-	ws := func(s string) {
-		wi(int64(len(s)))
-		h.Write([]byte(s))
-	}
-
-	wf(res.Density)
-	wf(res.BootstrapReservedCores)
-	wf(res.BootstrapDiskGB)
-	wf(res.FinalReservedCores)
-	wf(res.FinalDiskGB)
-	wi(int64(res.Creates))
-	wi(int64(res.Drops))
-	wi(int64(res.PopFailures))
-	wi(int64(res.UnplannedFailovers))
-	wi(int64(res.PlannedMoves))
-	wi(int64(res.BalanceMoves))
-	wi(int64(res.QuorumLosses))
-	wi(int64(res.QuorumDowntime))
-	wi(int64(res.PlannedDowntime))
-	wi(res.NamingReads)
-	wf(res.TotalFailedOverCores())
-	wf(res.Revenue.Gross)
-	wf(res.Revenue.Penalty)
-	wf(res.Revenue.Adjusted)
-	wi(int64(res.Revenue.Breached))
-
-	// The traffic plane's counters join the digest only when a run flowed
-	// traffic, so traffic-free fleets keep their historical fingerprints.
-	if st := res.Traffic; st != nil {
-		wi(st.Arrivals)
-		wi(st.Admitted)
-		wi(st.Shed)
-		wi(st.BreakerRejected)
-		wi(st.Dispatched)
-		wi(st.Retries)
-		wi(st.RetriesDenied)
-		wi(st.Errors)
-		wi(int64(st.BreakerOpens))
-		wi(int64(st.BreakerHalfOpens))
-		wi(int64(st.BreakerCloses))
-		wi(int64(st.SLOViolationHours))
-		wf(st.ErrorRate)
-		wf(st.P50Ms)
-		wf(st.P99Ms)
-		wf(st.P999Ms)
-		// Hedge counters fold in only when hedging actually fired, so
-		// hedge-free fleets keep their historical fingerprints.
-		if st.Hedges != 0 || st.HedgesDenied != 0 || st.HedgeWins != 0 {
-			wi(st.Hedges)
-			wi(st.HedgesDenied)
-			wi(st.HedgeWins)
-		}
-		// The tail sampler's counters fold in only when tracing ran, so
-		// untraced fleets keep their historical fingerprints.
-		if rt := st.Reqtrace; rt != nil {
-			wi(rt.Considered)
-			wi(rt.Kept)
-			wi(rt.KeptErrors)
-			wi(rt.KeptSheds)
-			wi(rt.KeptRejected)
-			wi(rt.KeptExemplar)
-			wi(rt.KeptSampled)
-			wi(rt.Dropped)
-		}
-	}
-
-	// Slow-node detector counters fold in only when detection was armed,
-	// so detector-free fleets keep their historical fingerprints.
-	if sn := res.SlowNodes; sn != nil {
-		wi(int64(sn.Detections))
-		wi(int64(sn.Quarantines))
-		wi(int64(sn.DrainMoves))
-		wi(int64(sn.Recoveries))
-	}
-
-	wi(int64(len(res.Samples)))
-	for _, s := range res.Samples {
-		wi(s.Time.UnixNano())
-		wf(s.ReservedCores)
-		wf(s.FreeCores)
-		wf(s.DiskUsageGB)
-		wf(s.CPUUsedCores)
-		wi(int64(s.LiveDBs))
-	}
-	wi(int64(len(res.Failovers)))
-	for _, f := range res.Failovers {
-		wi(f.Time.UnixNano())
-		ws(f.DB)
-		wf(f.MovedCores)
-		wf(f.MovedDiskGB)
-		wi(int64(f.Downtime))
-		ws(f.From)
-		ws(f.To)
-	}
-	wi(int64(len(res.Redirects)))
-	for _, r := range res.Redirects {
-		wi(r.Time.UnixNano())
-		ws(r.DB)
-		wf(r.Cores)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+	return fmt.Sprintf("%x", h.Sum(nil)[:8]), nil
 }
 
 // DensitySummary aggregates one density level's repeats.

@@ -21,6 +21,16 @@ func testConfig(workers int) Config {
 	}
 }
 
+// fingerprint digests one healthy cell's result.
+func fingerprint(t *testing.T, rr RunResult) string {
+	t.Helper()
+	fp, err := Fingerprint(rr.Result)
+	if err != nil {
+		t.Fatalf("cell %s: %v", rr.Spec.Name, err)
+	}
+	return fp
+}
+
 func TestMatrixExpansion(t *testing.T) {
 	cfg := testConfig(1)
 	runs := Matrix(cfg)
@@ -59,8 +69,8 @@ func TestMatrixExpansion(t *testing.T) {
 
 // TestFleetParallelMatchesSerial is the fleet's determinism contract: a
 // parallel fleet produces bit-identical per-run results to the serial
-// reference, verified on the full result fingerprint (KPIs, hourly
-// sample series, every failover record) of all 8 matrix cells.
+// reference, verified on the whole-result fingerprint of all 8 matrix
+// cells.
 func TestFleetParallelMatchesSerial(t *testing.T) {
 	serial, err := Run(testConfig(1))
 	if err != nil {
@@ -97,12 +107,8 @@ func TestFleetParallelMatchesSerial(t *testing.T) {
 		if s.Spec != p.Spec {
 			t.Fatalf("cell %d spec mismatch: %+v vs %+v", i, s.Spec, p.Spec)
 		}
-		if s.Fingerprint == "" {
-			t.Fatalf("cell %s has empty fingerprint", s.Spec.Name)
-		}
-		if s.Fingerprint != p.Fingerprint {
-			t.Errorf("cell %s: serial fingerprint %s != parallel %s",
-				s.Spec.Name, s.Fingerprint, p.Fingerprint)
+		if sf, pf := fingerprint(t, s), fingerprint(t, p); sf != pf {
+			t.Errorf("cell %s: serial fingerprint %s != parallel %s", s.Spec.Name, sf, pf)
 		}
 	}
 	t.Logf("serial %v, parallel %v on %d workers (speedup %.1fx)",
@@ -113,8 +119,7 @@ func TestFleetParallelMatchesSerial(t *testing.T) {
 // to the request-level traffic plane: fleets that flow traffic must stay
 // bit-reproducible across worker counts, and the traffic counters must
 // join the fingerprint (a traffic-bearing run digests differently from
-// the identical traffic-free run, while traffic-free fingerprints are
-// untouched by the gate).
+// the identical traffic-free run).
 func TestFleetTrafficParallelDeterminism(t *testing.T) {
 	withTraffic := func(workers int) Config {
 		cfg := testConfig(workers)
@@ -143,14 +148,13 @@ func TestFleetTrafficParallelDeterminism(t *testing.T) {
 		if s.Result.Traffic == nil || s.Result.Traffic.Arrivals == 0 {
 			t.Fatalf("cell %s flowed no traffic", s.Spec.Name)
 		}
-		if s.Fingerprint != p.Fingerprint {
-			t.Errorf("cell %s: serial fingerprint %s != parallel %s",
-				s.Spec.Name, s.Fingerprint, p.Fingerprint)
+		if sf, pf := fingerprint(t, s), fingerprint(t, p); sf != pf {
+			t.Errorf("cell %s: serial fingerprint %s != parallel %s", s.Spec.Name, sf, pf)
 		}
 	}
 
 	// Same cells without traffic: the fabric outputs are identical (the
-	// plane observes, never feeds back), so only the gated counters may
+	// plane observes, never feeds back), so only the traffic section may
 	// separate the digests.
 	base := withTraffic(1)
 	base.Configure = nil
@@ -163,7 +167,7 @@ func TestFleetTrafficParallelDeterminism(t *testing.T) {
 		if pr.Result.Traffic != nil {
 			t.Fatalf("cell %s grew traffic stats without a spec", pr.Spec.Name)
 		}
-		if pr.Fingerprint == tr.Fingerprint {
+		if fingerprint(t, pr) == fingerprint(t, tr) {
 			t.Errorf("cell %s: traffic counters did not join the fingerprint", pr.Spec.Name)
 		}
 		if pr.Result.UnplannedFailovers != tr.Result.UnplannedFailovers ||
@@ -176,8 +180,8 @@ func TestFleetTrafficParallelDeterminism(t *testing.T) {
 // TestFleetTracedParallelDeterminism is the sampler's cross-worker
 // contract: request tracing draws from its own rng stream inside each
 // cell, so a traced fleet run in parallel is bit-identical to the serial
-// reference — sampler counters included, because they fold into the
-// fingerprint when tracing is on. Against the identical untraced fleet,
+// reference — sampler counters included, because they are part of the
+// result the fingerprint digests. Against the identical untraced fleet,
 // only the fingerprint may differ (the counters join the digest); every
 // traffic aggregate stays the same.
 func TestFleetTracedParallelDeterminism(t *testing.T) {
@@ -213,9 +217,8 @@ func TestFleetTracedParallelDeterminism(t *testing.T) {
 		if rt == nil || rt.Considered == 0 || rt.Kept == 0 {
 			t.Fatalf("cell %s kept no traces: %+v", s.Spec.Name, rt)
 		}
-		if s.Fingerprint != p.Fingerprint {
-			t.Errorf("cell %s: serial fingerprint %s != parallel %s",
-				s.Spec.Name, s.Fingerprint, p.Fingerprint)
+		if sf, pf := fingerprint(t, s), fingerprint(t, p); sf != pf {
+			t.Errorf("cell %s: serial fingerprint %s != parallel %s", s.Spec.Name, sf, pf)
 		}
 		if prt := p.Result.Traffic.Reqtrace; *rt != *prt {
 			t.Errorf("cell %s: sampler counters diverged across workers:\nserial   %+v\nparallel %+v",
@@ -224,7 +227,7 @@ func TestFleetTracedParallelDeterminism(t *testing.T) {
 	}
 
 	// The untraced twin: tracing must not move a single traffic number,
-	// only the fingerprint (which now folds the sampler counters).
+	// only the fingerprint (which digests the sampler counters).
 	plain, err := Run(traced(1, false))
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +237,7 @@ func TestFleetTracedParallelDeterminism(t *testing.T) {
 		if pr.Result.Traffic.Reqtrace != nil {
 			t.Fatalf("cell %s grew sampler stats without tracing", pr.Spec.Name)
 		}
-		if pr.Fingerprint == tr.Fingerprint {
+		if fingerprint(t, pr) == fingerprint(t, tr) {
 			t.Errorf("cell %s: sampler counters did not join the traced fingerprint", pr.Spec.Name)
 		}
 		pu, tu := *pr.Result.Traffic, *tr.Result.Traffic
@@ -294,8 +297,8 @@ func TestFleetRunErrorIsolated(t *testing.T) {
 	if res.Runs[1].Err == nil || res.Runs[0].Err != nil || res.Runs[2].Err != nil {
 		t.Errorf("error not isolated to cell 1: %+v", res.Errs())
 	}
-	if res.Runs[0].Fingerprint == "" || res.Runs[2].Fingerprint == "" {
-		t.Error("healthy cells missing fingerprints")
+	if res.Runs[0].Result == nil || res.Runs[2].Result == nil {
+		t.Error("healthy cells missing results")
 	}
 	if sums := Report(res); len(sums) != 1 || sums[0].Runs != 2 {
 		t.Errorf("report should aggregate the 2 healthy runs, got %+v", sums)

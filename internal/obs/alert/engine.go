@@ -65,23 +65,6 @@ type StreamEvent struct {
 	Alert *Transition `json:"alert,omitempty"`
 }
 
-// anchor is the most recent causal anchor seen for one class.
-type anchor struct {
-	seq  uint64
-	kind fabric.CauseKind
-	time time.Time
-}
-
-// anchorRank orders anchor classes by how exceptional they are. When an
-// alert fires with several candidate anchors in its lookback window, the
-// most exceptional wins: a chaos injection outranks the capacity
-// violations that cascade from it, so the alert chains to the true
-// incident rather than to its nearest symptom.
-var anchorRank = []string{
-	"chaos", "crash", "quorum", "upgrade", "drain", "forced", "resize",
-	"violation", "balance",
-}
-
 // ruleState is one compiled rule plus its evaluation state. All fields
 // are touched only on the sim goroutine.
 type ruleState struct {
@@ -127,7 +110,7 @@ type Engine struct {
 
 	// anchors tracks the latest causal anchor per class; sim goroutine
 	// only.
-	anchors map[string]anchor
+	anchors journal.Anchors
 
 	mu      sync.Mutex
 	active  map[string]Transition
@@ -142,11 +125,10 @@ type Engine struct {
 // inert until Bind and Start; HTTP handlers may attach to it immediately.
 func NewEngine(spec *Spec) *Engine {
 	e := &Engine{
-		spec:    spec,
-		anchors: make(map[string]anchor),
-		active:  make(map[string]Transition),
-		fired:   make(map[string]int),
-		subs:    make(map[int]chan StreamEvent),
+		spec:   spec,
+		active: make(map[string]Transition),
+		fired:  make(map[string]int),
+		subs:   make(map[int]chan StreamEvent),
 	}
 	if spec == nil {
 		return e
@@ -198,13 +180,14 @@ func (e *Engine) Bind(cl Journaler, store *timeseries.Store) {
 // timestamps, sampling precedes evaluation. With no rules loaded the
 // annotation stream is left untouched (keeping annotation generation off
 // for unjournaled runs); the ticker still runs to feed dashboard
-// subscribers.
+// subscribers. The engine's own transitions are not anchors, so it never
+// chains an alert to a previous alert.
 func (e *Engine) Start(clock *simclock.Clock) {
 	if e.store == nil {
 		return
 	}
 	if len(e.rules) > 0 && e.cl != nil {
-		e.cl.SubscribeAnnotations(e.onAnnotation)
+		e.cl.SubscribeAnnotations(e.anchors.Observe)
 	}
 	e.ticker = clock.Every(e.res, e.evaluate)
 }
@@ -222,35 +205,6 @@ func (e *Engine) Stop() {
 		close(ch)
 		delete(e.subs, id)
 	}
-}
-
-// onAnnotation tracks causal anchors. Runs on the sim goroutine, between
-// rule evaluations. The engine's own transitions are not anchors
-// (AnchorClass returns "" for them), so it never chains an alert to a
-// previous alert.
-func (e *Engine) onAnnotation(a fabric.Annotation) {
-	class := journal.AnchorClass(a.Kind)
-	if class == "" {
-		return
-	}
-	kind := a.Cause
-	if kind == fabric.CauseNone {
-		if k, ok := fabric.ParseCause(class); ok {
-			kind = k
-		}
-	}
-	e.anchors[class] = anchor{seq: a.Seq, kind: kind, time: a.Time}
-}
-
-// bestAnchor returns the most exceptional anchor within horizon of now.
-func (e *Engine) bestAnchor(now time.Time, horizon time.Duration) (anchor, string, bool) {
-	for _, class := range anchorRank {
-		a, ok := e.anchors[class]
-		if ok && now.Sub(a.time) <= horizon {
-			return a, class, true
-		}
-	}
-	return anchor{}, "", false
 }
 
 // evaluate is the per-tick rule pass. Steady state (no transitions, no
@@ -350,13 +304,9 @@ func (e *Engine) evalBurn(r *ruleState, now time.Time) {
 // bracketed to the most exceptional recent causal anchor.
 func (e *Engine) fire(r *ruleState, now time.Time, value, limit float64) {
 	r.firing = true
-	r.fireSeq, r.fireKind = 0, fabric.CauseNone
+	r.fireSeq = 0
 	t := Transition{Rule: r.name, State: "firing", Time: now, Value: value, Limit: limit}
-	a, class, ok := e.bestAnchor(now, r.lookback)
-	if ok {
-		t.RootSeq, t.Root = a.seq, class
-		r.fireKind = a.kind
-	}
+	t.RootSeq, r.fireKind, t.Root = e.anchors.Best(now, r.lookback)
 	if e.cl != nil {
 		prev := e.cl.BeginCause(r.fireKind, t.RootSeq)
 		r.fireSeq = e.cl.Annotate(fabric.Annotation{

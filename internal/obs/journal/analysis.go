@@ -2,6 +2,7 @@ package journal
 
 import (
 	"sort"
+	"time"
 
 	"toto/internal/fabric"
 )
@@ -47,11 +48,12 @@ func Chain(idx map[uint64]*Entry, seq uint64) []*Entry {
 }
 
 // AnchorClass maps an annotation kind to a root-cause label; empty when
-// the kind is not a causal anchor. The alert engine shares this table: an
-// alert fired during an incident is bracketed to the most recent anchor,
-// so its causal chain terminates at the same root a failover's would.
-// Alert transitions themselves are deliberately not anchors — an alert
-// never causes anything.
+// the kind is not a causal anchor. The alert engine and the traffic
+// plane share this table through Anchors: an alert or a request error
+// during an incident is bracketed to a recent anchor, so its causal
+// chain terminates at the same root a failover's would. Alert and
+// traffic annotations themselves are deliberately not anchors — they
+// never cause anything.
 func AnchorClass(kind string) string {
 	switch kind {
 	case "chaos-injection":
@@ -75,6 +77,63 @@ func AnchorClass(kind string) string {
 		return "quorum"
 	}
 	return ""
+}
+
+// anchorRank orders anchor classes by how exceptional they are. When
+// several classes have an anchor in range, the most exceptional wins: a
+// chaos injection outranks the capacity violations that cascade from
+// it, so an effect chains to the true incident rather than to its
+// nearest symptom.
+var anchorRank = [...]string{
+	"chaos", "crash", "quorum", "upgrade", "drain", "forced", "resize",
+	"violation", "balance",
+}
+
+// Anchors tracks the most recent causal anchor of each class, for the
+// engines that bracket their own annotations to an incident. The zero
+// value is ready to use, and neither method allocates.
+type Anchors struct {
+	latest [len(anchorRank)]anchor // indexed like anchorRank; seq 0 = none yet
+}
+
+type anchor struct {
+	seq  uint64
+	kind fabric.CauseKind
+	time time.Time
+}
+
+// Observe records a as the latest anchor of its class; annotations that
+// are not anchors are ignored. An anchor with no cause of its own takes
+// the cause kind named like its class.
+func (t *Anchors) Observe(a fabric.Annotation) {
+	class := AnchorClass(a.Kind)
+	if class == "" {
+		return
+	}
+	kind := a.Cause
+	if kind == fabric.CauseNone {
+		if k, ok := fabric.ParseCause(class); ok {
+			kind = k
+		}
+	}
+	for i, c := range anchorRank {
+		if c == class {
+			t.latest[i] = anchor{seq: a.Seq, kind: kind, time: a.Time}
+			return
+		}
+	}
+}
+
+// Best returns the most exceptional anchor seen within horizon of now:
+// its journal seq, cause kind and class. With none in range it returns
+// 0, fabric.CauseNone and "".
+func (t *Anchors) Best(now time.Time, horizon time.Duration) (uint64, fabric.CauseKind, string) {
+	for i := range t.latest {
+		if a := &t.latest[i]; a.seq != 0 && now.Sub(a.time) <= horizon {
+			return a.seq, a.kind, anchorRank[i]
+		}
+	}
+	return 0, fabric.CauseNone, ""
 }
 
 // classify maps a causal anchor to a root-cause label; empty when the

@@ -329,3 +329,38 @@ func TestQuorumWindowAttribution(t *testing.T) {
 			rc, kinds(journal.Chain(idx, lost.Seq)))
 	}
 }
+
+// TestAnchorsRankAndHorizon pins the shared anchor tracker the alert and
+// traffic engines bracket their annotations with: the most exceptional
+// class in range wins over a more recent symptom, anchors age out past
+// the horizon, non-anchors are ignored, an anchor without a recorded
+// cause takes its class's cause kind, and neither method allocates.
+func TestAnchorsRankAndHorizon(t *testing.T) {
+	t0 := time.Date(2020, time.June, 1, 12, 0, 0, 0, time.UTC)
+	var a journal.Anchors
+	if seq, kind, class := a.Best(t0, time.Hour); seq != 0 || kind != fabric.CauseNone || class != "" {
+		t.Fatalf("empty tracker returned %d/%v/%q", seq, kind, class)
+	}
+	a.Observe(fabric.Annotation{Seq: 1, Kind: "node-crash", Time: t0})
+	a.Observe(fabric.Annotation{Seq: 2, Kind: "violation", Time: t0.Add(30 * time.Minute), Cause: fabric.CauseCrash})
+	a.Observe(fabric.Annotation{Seq: 3, Kind: "request-shed", Time: t0.Add(40 * time.Minute)})
+
+	now := t0.Add(50 * time.Minute)
+	if seq, kind, class := a.Best(now, time.Hour); seq != 1 || kind != fabric.CauseCrash || class != "crash" {
+		t.Errorf("in range of both: got %d/%v/%q, want the crash anchor 1/crash/crash", seq, kind, class)
+	}
+	if seq, kind, class := a.Best(now, 30*time.Minute); seq != 2 || kind != fabric.CauseCrash || class != "violation" {
+		t.Errorf("crash out of range: got %d/%v/%q, want the violation 2/crash/violation", seq, kind, class)
+	}
+	if seq, _, _ := a.Best(now, 10*time.Minute); seq != 0 {
+		t.Errorf("nothing in range: got seq %d", seq)
+	}
+
+	ann := fabric.Annotation{Seq: 4, Kind: "chaos-injection", Time: now}
+	if n := testing.AllocsPerRun(100, func() {
+		a.Observe(ann)
+		a.Best(now, time.Hour)
+	}); n != 0 {
+		t.Errorf("Observe+Best allocate %.1f per call", n)
+	}
+}

@@ -13,8 +13,9 @@
 // https://ui.perfetto.dev.
 //
 // One *Obs is a single-threaded handle onto a shared Tracer/Registry:
-// parallel runs (bench.RunStudy) call Fork to get their own span track
-// while aggregating into the same buffers.
+// parallel runs (the fleet.Run cells of bench.RunStudy, whose Configure
+// hook forks per run) call Fork to get their own span track while
+// aggregating into the same buffers.
 package obs
 
 import (

@@ -181,9 +181,9 @@ func (s *Spec) withDefaults() Spec {
 	return out
 }
 
-// Stats are the sampler's counters, folded into fleet fingerprints only
-// when tracing is enabled so traced and untraced fleets never share a
-// digest space by accident.
+// Stats are the sampler's counters. A run's traffic stats carry them
+// only when tracing is enabled, so they join the fleet fingerprint of
+// traced runs alone.
 type Stats struct {
 	Considered   int64 // request groups offered to the sampler
 	Kept         int64 // traces kept, all policies combined

@@ -7,7 +7,6 @@ import (
 
 	"toto/internal/fabric"
 	"toto/internal/obs/reqtrace"
-	"toto/internal/rng"
 	"toto/internal/simclock"
 	"toto/internal/traffic"
 )
@@ -18,7 +17,7 @@ import (
 func BenchmarkSimulatedDayWithTraffic(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runTrafficDay(b, traffic.Spec{Seed: 7}, nil, true)
+		runDay(b, dayOpts{spec: &traffic.Spec{Seed: 7}, outage: true})
 	}
 }
 
@@ -28,8 +27,7 @@ func BenchmarkSimulatedDayWithTraffic(b *testing.B) {
 func BenchmarkSimulatedDayWithTrafficTraced(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		spec := traffic.Spec{Seed: 7, Reqtrace: &reqtrace.Spec{}}
-		runTrafficDay(b, spec, nil, true)
+		runDay(b, dayOpts{spec: &traffic.Spec{Seed: 7, Reqtrace: &reqtrace.Spec{}}, outage: true})
 	}
 }
 
@@ -42,13 +40,13 @@ func BenchmarkSimulatedDayWithTrafficTraced(b *testing.B) {
 func BenchmarkSimulatedDayTrafficHedged(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		spec := traffic.Spec{
+		spec := &traffic.Spec{
 			Seed:    7,
 			Classes: &traffic.ClassesSpec{},
 			Routing: &traffic.RoutingSpec{},
 			Hedge:   &traffic.HedgeSpec{},
 		}
-		runGrayfailDay(b, grayfailOpts{spec: spec, detect: true, slow: true, labels: true}, nil)
+		runDay(b, dayOpts{spec: spec, detect: true, slow: true, labels: true})
 	}
 }
 
@@ -58,53 +56,8 @@ func BenchmarkSimulatedDayTrafficHedged(b *testing.B) {
 func BenchmarkSimulatedDayNoTraffic(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		runFabricDay(b)
+		runDay(b, dayOpts{outage: true})
 	}
-}
-
-// runFabricDay is runTrafficDay minus the engine — the no-traffic
-// control group.
-func runFabricDay(tb testing.TB) {
-	tb.Helper()
-	clock := simclock.New(harnessStart)
-	cfg := fabric.DefaultConfig()
-	cfg.PLBSeed = 7
-	cfg.BalancingEnabled = true
-	cfg.BalanceSpread = 0.45
-	c := fabric.NewCluster(clock, 10, harnessCapacity(), cfg)
-	c.Start()
-	src := rng.New(0x7A7A)
-	for i := 0; i < 48; i++ {
-		name := fmt.Sprintf("db-%d", i)
-		if i%4 == 0 {
-			loads := map[fabric.MetricName]float64{fabric.MetricDiskGB: src.UniformRange(500, 800)}
-			_, _ = c.CreateServiceWithLoads(name, 4, 2, nil, loads)
-		} else {
-			loads := map[fabric.MetricName]float64{fabric.MetricDiskGB: src.UniformRange(200, 500)}
-			_, _ = c.CreateServiceWithLoads(name, 2, 2, nil, loads)
-		}
-	}
-	clock.Every(20*time.Minute, func(time.Time) {
-		for _, svc := range c.LiveServices() {
-			for _, rep := range svc.Replicas {
-				_ = c.ReportLoad(rep.ID, fabric.MetricDiskGB, rep.Load(fabric.MetricDiskGB)+src.UniformRange(0, 2.2))
-				_ = c.ReportLoad(rep.ID, fabric.MetricMemoryGB, src.UniformRange(1, 8))
-			}
-		}
-	})
-	crashed := []string{"node-1", "node-2", "node-3", "node-4", "node-5"}
-	clock.At(harnessStart.Add(12*time.Hour), func(time.Time) {
-		for _, id := range crashed {
-			_, _, _ = c.CrashNode(id)
-		}
-	})
-	clock.At(harnessStart.Add(13*time.Hour), func(time.Time) {
-		for _, id := range crashed {
-			_ = c.RestartNode(id)
-		}
-	})
-	clock.RunUntil(harnessStart.Add(24 * time.Hour))
-	c.Stop()
 }
 
 // TestWarmedTrafficTickZeroAlloc pins the steady-state request plane at

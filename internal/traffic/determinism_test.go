@@ -12,7 +12,7 @@ import (
 )
 
 // goldenTrafficEventStreamHash locks the traffic plane's annotation
-// stream for the seeded outage day (traffic seed 11 over the runTrafficDay
+// stream for the seeded outage day (traffic seed 11 over the runDay
 // workload). Any change to arrival draws, admission arithmetic, breaker
 // timing, retry rationing, or the workload itself shifts this hash — an
 // intentional change must re-record both constants.
@@ -21,16 +21,17 @@ const (
 	goldenTrafficEventStreamCount = 1806
 )
 
-// trafficAnnotationHash digests every traffic-plane annotation in order:
-// kind, simulated time, service, magnitudes, and detail. Seq/CauseSeq are
-// deliberately excluded, mirroring the fabric's event-stream hash —
-// causal threading may gain context without invalidating goldens.
-func trafficAnnotationHash(entries []journal.Entry) (string, int) {
+// annotationHash digests, in order, every annotation whose kind keep
+// accepts: kind, simulated time, service, magnitudes, and detail.
+// Seq/CauseSeq are deliberately excluded, mirroring the fabric's
+// event-stream hash — causal threading may gain context without
+// invalidating goldens.
+func annotationHash(entries []journal.Entry, keep func(kind string) bool) (string, int) {
 	h := sha256.New()
 	n := 0
 	for i := range entries {
 		e := &entries[i]
-		if e.Type != journal.TypeAnnotation || !trafficKind(e.Kind) {
+		if e.Type != journal.TypeAnnotation || !keep(e.Kind) {
 			continue
 		}
 		fmt.Fprintf(h, "%s|%d|%s|%g|%g|%s\n", e.Kind, e.T, e.Service, e.Value, e.Limit, e.Detail)
@@ -47,7 +48,7 @@ func TestTrafficEventStreamDeterminism(t *testing.T) {
 	run := func() []journal.Entry {
 		var buf bytes.Buffer
 		w := journal.NewWriter(&buf)
-		runTrafficDay(t, traffic.Spec{Seed: 11}, w, true)
+		runDay(t, dayOpts{spec: &traffic.Spec{Seed: 11}, outage: true, w: w})
 		if err := w.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
@@ -60,8 +61,8 @@ func TestTrafficEventStreamDeterminism(t *testing.T) {
 
 	first := run()
 	second := run()
-	h1, n1 := trafficAnnotationHash(first)
-	h2, n2 := trafficAnnotationHash(second)
+	h1, n1 := annotationHash(first, trafficKind)
+	h2, n2 := annotationHash(second, trafficKind)
 	if h1 != h2 || n1 != n2 {
 		t.Fatalf("same-seed traffic streams diverge: %s/%d vs %s/%d", h1, n1, h2, n2)
 	}

@@ -69,21 +69,6 @@ const (
 	colocLatencyFactor = 0.01
 )
 
-// anchorRank orders anchor classes by how exceptional they are, mirroring
-// the alert engine: a chaos injection outranks the violations cascading
-// from it, so request errors chain to the true incident.
-var anchorRank = [...]string{
-	"chaos", "crash", "quorum", "upgrade", "drain", "forced", "resize",
-	"violation", "balance",
-}
-
-// anchor is the most recent causal anchor seen for one class.
-type anchor struct {
-	seq  uint64
-	kind fabric.CauseKind
-	time time.Time
-}
-
 // Stats summarizes the plane's activity for the run result.
 type Stats struct {
 	Arrivals        int64 // open-loop requests generated
@@ -153,9 +138,10 @@ type Engine struct {
 	// svc is the per-service front-end state, indexed by fabric.Service
 	// Slot; the drop listener zeroes a slot before the fabric reuses it.
 	svc []svcState
-	// anchors holds the latest anchor per class, indexed like anchorRank
-	// (a zero seq means none seen yet).
-	anchors [len(anchorRank)]anchor
+	// anchors holds the latest causal anchor per class. The plane's own
+	// annotations are not anchors, so a shed can never be "explained" by
+	// another shed.
+	anchors journal.Anchors
 
 	ticker  *simclock.Ticker
 	flusher *simclock.Ticker
@@ -250,7 +236,7 @@ func (e *Engine) Start(from time.Time) {
 		return
 	}
 	e.started = true
-	e.cluster.SubscribeAnnotations(e.onAnnotation)
+	e.cluster.SubscribeAnnotations(e.anchors.Observe)
 	e.cluster.Subscribe(e.onEvent)
 	e.ticker = e.clock.Every(e.tickEvery, e.tick)
 	e.flusher = e.clock.Every(time.Hour, e.flush)
@@ -301,28 +287,6 @@ func (e *Engine) Stats() Stats {
 // off) so serving layers can query the kept-trace ring.
 func (e *Engine) Recorder() *reqtrace.Recorder { return e.rec }
 
-// onAnnotation tracks causal anchors, mirroring the alert engine. The
-// traffic plane's own annotations are not anchors (AnchorClass returns
-// "" for them), so a shed can never be "explained" by another shed.
-func (e *Engine) onAnnotation(a fabric.Annotation) {
-	class := journal.AnchorClass(a.Kind)
-	if class == "" {
-		return
-	}
-	kind := a.Cause
-	if kind == fabric.CauseNone {
-		if k, ok := fabric.ParseCause(class); ok {
-			kind = k
-		}
-	}
-	for i, c := range anchorRank {
-		if c == class {
-			e.anchors[i] = anchor{seq: a.Seq, kind: kind, time: a.Time}
-			return
-		}
-	}
-}
-
 // onEvent drops per-service state when the service goes away, so the
 // next service the fabric gives the slot starts fresh.
 func (e *Engine) onEvent(ev fabric.Event) {
@@ -345,16 +309,6 @@ func (e *Engine) state(s *fabric.Service) *svcState {
 		st.br = NewBreaker(e.spec.Breaker)
 	}
 	return st
-}
-
-// bestAnchor returns the most exceptional anchor within the horizon.
-func (e *Engine) bestAnchor(now time.Time) (uint64, fabric.CauseKind) {
-	for i := range e.anchors {
-		if a := &e.anchors[i]; a.seq != 0 && now.Sub(a.time) <= anchorHorizon {
-			return a.seq, a.kind
-		}
-	}
-	return 0, fabric.CauseNone
 }
 
 // annotate emits one traffic annotation bracketed to the given cause.
@@ -465,7 +419,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 		e.stats.Shed += int64(shed)
 		e.hourShed += int64(shed)
 		e.hourFailed += int64(shed)
-		aSeq, aKind := e.bestAnchor(now)
+		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		e.annotate(KindRequestShed, now, s.Name, float64(shed), float64(demand), "admission-overflow", aSeq, aKind)
 		if e.rec != nil {
 			e.traceFail(now, s.Name, reqtrace.OutcomeShed, int64(shed), 0, aSeq, aKind)
@@ -488,7 +442,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 		e.stats.BreakerRejected += int64(rejected)
 		e.hourFailed += int64(rejected)
 		if e.rec != nil {
-			aSeq, aKind := e.bestAnchor(now)
+			aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 			e.traceFail(now, s.Name, reqtrace.OutcomeRejected, int64(rejected), 0, aSeq, aKind)
 		}
 	}
@@ -546,7 +500,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 	st.retryTokens -= float64(granted)
 	if short := desired - granted; short > 0 {
 		e.stats.RetriesDenied += int64(short)
-		aSeq, aKind := e.bestAnchor(now)
+		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		e.annotate(KindRetryBudgetExhausted, now, s.Name, float64(short), float64(desired), "", aSeq, aKind)
 	}
 	e.stats.Retries += int64(granted)
@@ -569,7 +523,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 	if errors > 0 {
 		e.stats.Errors += int64(errors)
 		e.hourFailed += int64(errors)
-		aSeq, aKind := e.bestAnchor(now)
+		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		e.annotate(KindRequestErrors, now, s.Name, float64(errors), float64(pass), health.String(), aSeq, aKind)
 		if e.rec != nil {
 			// Retried-then-failed attempts belong to the error group.
@@ -591,7 +545,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 	switch post := st.br.State(); {
 	case post == BreakerOpen && preRecord != BreakerOpen:
 		e.stats.BreakerOpens++
-		aSeq, aKind := e.bestAnchor(now)
+		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		if aSeq == 0 && st.openSeq != 0 {
 			// Re-opened beyond the anchor horizon: chain the lifecycle.
 			aSeq, aKind = st.openSeq, st.openKind
@@ -631,13 +585,13 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 		e.stats.Hedges += e.tickHedges
 		e.stats.HedgeWins += e.tickHedgeWins
 		e.stats.Dispatched += e.tickHedges // speculative attempts are real load
-		aSeq, aKind := e.bestAnchor(now)
+		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		e.annotate(KindRequestHedged, now, s.Name, float64(e.tickHedges),
 			float64(e.tickHedges+e.tickHedgeDeny), e.hedgeAltNode, aSeq, aKind)
 	}
 	if e.tickHedgeDeny > 0 {
 		e.stats.HedgesDenied += e.tickHedgeDeny
-		aSeq, aKind := e.bestAnchor(now)
+		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		e.annotate(KindHedgeBudgetExhausted, now, s.Name, float64(e.tickHedgeDeny),
 			float64(e.tickHedges+e.tickHedgeDeny), "", aSeq, aKind)
 	}
@@ -852,7 +806,7 @@ func (e *Engine) traceOK(now time.Time, svc string, count int64, v, queueMs, bac
 	e.traceGroup++
 	if kept, ok := e.rec.Finish(reqtrace.OutcomeOK, count, v, retries, group, bucketFirst); ok {
 		e.hourHist.setExemplar(v, kept.ID)
-		aSeq, aKind := e.bestAnchor(now)
+		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		e.emitTrace(now, svc, kept, aSeq, aKind)
 	}
 }
@@ -880,7 +834,7 @@ func (e *Engine) traceHedged(now time.Time, svc string, count int64, v float64, 
 	e.traceGroup++
 	if kept, ok := e.rec.Finish(reqtrace.OutcomeOK, count, v, 0, group, bucketFirst); ok {
 		e.hourHist.setExemplar(v, kept.ID)
-		aSeq, aKind := e.bestAnchor(now)
+		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		e.emitTrace(now, svc, kept, aSeq, aKind)
 	}
 }
@@ -946,7 +900,7 @@ func (e *Engine) traceHour(now time.Time, p99 float64, violation bool) {
 	detail := fmt.Sprintf("p99-bucket=%d exemplar=%s violation=%d samples=%d", b, exID, v, e.hourHist.total)
 	aSeq, aKind := uint64(0), fabric.CauseNone
 	if violation {
-		aSeq, aKind = e.bestAnchor(now)
+		aSeq, aKind, _ = e.anchors.Best(now, anchorHorizon)
 	}
 	e.annotate(KindTraceHour, now, "", p99, e.spec.SLOP99Ms, detail, aSeq, aKind)
 }

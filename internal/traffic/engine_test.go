@@ -24,14 +24,24 @@ func harnessCapacity() map[fabric.MetricName]float64 {
 	}
 }
 
-// runTrafficDay drives a 10-node cluster hosting 48 services through 24
-// simulated hours with a traffic engine attached. The disk loads are
-// sized so the correlated outage (five nodes crashing at noon, restarting
-// an hour later) exceeds the survivors' capacity: replicas strand on dead
-// nodes, services lose every intact copy, and the traffic plane must shed
-// load, trip breakers, and ration retries. Everything is seeded, so a
-// (spec, outage) pair maps to exactly one journal byte stream.
-func runTrafficDay(tb testing.TB, spec traffic.Spec, w *journal.Writer, outage bool) traffic.Stats {
+// dayOpts configures one run of the harness day.
+type dayOpts struct {
+	spec   *traffic.Spec   // the engine's spec; nil runs no engine (the no-traffic control)
+	outage bool            // crash node-1..node-5 at noon, restart them an hour later
+	detect bool            // enable the fabric's slow-node detector
+	slow   bool            // attach grayfailSlowFn as the engine's fail-slow view
+	labels bool            // label every 4th service Premium/BC
+	w      *journal.Writer // journal the day when set
+}
+
+// runDay drives a 10-node cluster hosting 48 services through 24
+// simulated hours. The disk loads are sized so the correlated outage
+// (five nodes crashing at noon, restarting an hour later) exceeds the
+// survivors' capacity: replicas strand on dead nodes, services lose every
+// intact copy, and the traffic plane must shed load, trip breakers, and
+// ration retries. Everything is seeded, so one set of options maps to
+// exactly one journal byte stream.
+func runDay(tb testing.TB, o dayOpts) (traffic.Stats, fabric.SlowNodeStats) {
 	tb.Helper()
 	clock := simclock.New(harnessStart)
 	cfg := fabric.DefaultConfig()
@@ -39,27 +49,42 @@ func runTrafficDay(tb testing.TB, spec traffic.Spec, w *journal.Writer, outage b
 	cfg.BalancingEnabled = true
 	cfg.BalanceSpread = 0.45
 	c := fabric.NewCluster(clock, 10, harnessCapacity(), cfg)
-	if w != nil {
-		w.Meta("traffic-day", harnessStart, map[string]string{
-			"seed": fmt.Sprint(spec.Seed),
+	if o.detect {
+		c.EnableSlowNodeDetection(fabric.SlowNodeConfig{
+			EWMAAlpha:     0.2,
+			Threshold:     1.75,
+			MinSamples:    8,
+			Sustain:       20 * time.Minute,
+			Probation:     4 * time.Hour,
+			DrainAfter:    20 * time.Minute,
+			MaxDrainMoves: 4,
+			DrainHeadroom: 0.05,
 		})
-		w.Attach(c)
+	}
+	if o.w != nil {
+		attrs := map[string]string{}
+		if o.spec != nil {
+			attrs["seed"] = fmt.Sprint(o.spec.Seed)
+		}
+		o.w.Meta("traffic-day", harnessStart, attrs)
+		o.w.Attach(c)
 	}
 	c.Start()
 
 	src := rng.New(0x7A7A)
 	for i := 0; i < 48; i++ {
 		name := fmt.Sprintf("db-%d", i)
+		replicas, diskLo, diskHi := 2, 200.0, 500.0
+		var labels map[string]string
 		if i%4 == 0 {
-			loads := map[fabric.MetricName]float64{fabric.MetricDiskGB: src.UniformRange(500, 800)}
-			if _, err := c.CreateServiceWithLoads(name, 4, 2, nil, loads); err != nil {
-				tb.Fatalf("create %s: %v", name, err)
+			replicas, diskLo, diskHi = 4, 500, 800
+			if o.labels {
+				labels = map[string]string{"edition": "Premium/BC"}
 			}
-		} else {
-			loads := map[fabric.MetricName]float64{fabric.MetricDiskGB: src.UniformRange(200, 500)}
-			if _, err := c.CreateServiceWithLoads(name, 2, 2, nil, loads); err != nil {
-				tb.Fatalf("create %s: %v", name, err)
-			}
+		}
+		loads := map[fabric.MetricName]float64{fabric.MetricDiskGB: src.UniformRange(diskLo, diskHi)}
+		if _, err := c.CreateServiceWithLoads(name, replicas, 2, labels, loads); err != nil {
+			tb.Fatalf("create %s: %v", name, err)
 		}
 	}
 	clock.Every(20*time.Minute, func(time.Time) {
@@ -71,13 +96,19 @@ func runTrafficDay(tb testing.TB, spec traffic.Spec, w *journal.Writer, outage b
 		}
 	})
 
-	eng, err := traffic.NewEngine(clock, c, &spec, nil, obs.New(obs.Options{}), nil)
-	if err != nil {
-		tb.Fatalf("NewEngine: %v", err)
+	var eng *traffic.Engine
+	if o.spec != nil {
+		var err error
+		if eng, err = traffic.NewEngine(clock, c, o.spec, nil, obs.New(obs.Options{}), nil); err != nil {
+			tb.Fatalf("NewEngine: %v", err)
+		}
+		if o.slow {
+			eng.SetSlowFactor(grayfailSlowFn)
+		}
+		eng.Start(harnessStart)
 	}
-	eng.Start(harnessStart)
 
-	if outage {
+	if o.outage {
 		crashed := []string{"node-1", "node-2", "node-3", "node-4", "node-5"}
 		clock.At(harnessStart.Add(12*time.Hour), func(time.Time) {
 			for _, id := range crashed {
@@ -93,8 +124,11 @@ func runTrafficDay(tb testing.TB, spec traffic.Spec, w *journal.Writer, outage b
 
 	clock.RunUntil(harnessStart.Add(24 * time.Hour))
 	c.Stop()
+	if eng == nil {
+		return traffic.Stats{}, c.SlowNodeStats()
+	}
 	eng.Stop()
-	return eng.Stats()
+	return eng.Stats(), c.SlowNodeStats()
 }
 
 // trafficKind reports whether an annotation kind belongs to the traffic
@@ -117,7 +151,7 @@ func TestSameSeedIdenticalJournals(t *testing.T) {
 	run := func(seed uint64) []byte {
 		var buf bytes.Buffer
 		w := journal.NewWriter(&buf)
-		runTrafficDay(t, traffic.Spec{Seed: seed}, w, true)
+		runDay(t, dayOpts{spec: &traffic.Spec{Seed: seed}, outage: true, w: w})
 		if err := w.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
@@ -160,8 +194,7 @@ func TestSameSeedIdenticalJournals(t *testing.T) {
 func TestRetryStormBudgetBound(t *testing.T) {
 	var buf bytes.Buffer
 	w := journal.NewWriter(&buf)
-	spec := traffic.Spec{Seed: 7}
-	st := runTrafficDay(t, spec, w, true)
+	st, _ := runDay(t, dayOpts{spec: &traffic.Spec{Seed: 7}, outage: true, w: w})
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -251,7 +284,7 @@ func TestRetryStormBudgetBound(t *testing.T) {
 // nothing is shed, no breaker ever opens, and the error rate stays
 // negligible (mid-build failover windows are the only failure source).
 func TestQuietDayNoFailures(t *testing.T) {
-	st := runTrafficDay(t, traffic.Spec{Seed: 7}, nil, false)
+	st, _ := runDay(t, dayOpts{spec: &traffic.Spec{Seed: 7}})
 	t.Logf("stats: %+v", st)
 	if st.Arrivals == 0 {
 		t.Fatal("no arrivals")

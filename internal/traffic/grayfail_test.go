@@ -2,19 +2,12 @@ package traffic_test
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"toto/internal/fabric"
-	"toto/internal/obs"
 	"toto/internal/obs/journal"
-	"toto/internal/rng"
-	"toto/internal/simclock"
 	"toto/internal/traffic"
 )
 
@@ -50,104 +43,6 @@ func grayfailSlowFn(node string, now time.Time) float64 {
 	}
 }
 
-// grayfailOpts configures one run of the gray-failure harness.
-type grayfailOpts struct {
-	spec   traffic.Spec
-	detect bool // enable the fabric's slow-node detector
-	slow   bool // attach grayfailSlowFn as the fail-slow view
-	outage bool // the noon crash outage instead (shed-order runs)
-	labels bool // label every 4th service Premium/BC
-}
-
-// runGrayfailDay is runTrafficDay's gray-failure sibling: the same
-// 10-node, 48-service, 24-hour workload, with a fail-slow node (or the
-// crash outage), optional premium labels, and optional slow-node
-// detection wired into the fabric.
-func runGrayfailDay(tb testing.TB, opts grayfailOpts, w *journal.Writer) (traffic.Stats, fabric.SlowNodeStats) {
-	tb.Helper()
-	clock := simclock.New(harnessStart)
-	cfg := fabric.DefaultConfig()
-	cfg.PLBSeed = 7
-	cfg.BalancingEnabled = true
-	cfg.BalanceSpread = 0.45
-	c := fabric.NewCluster(clock, 10, harnessCapacity(), cfg)
-	if opts.detect {
-		c.EnableSlowNodeDetection(fabric.SlowNodeConfig{
-			EWMAAlpha:     0.2,
-			Threshold:     1.75,
-			MinSamples:    8,
-			Sustain:       20 * time.Minute,
-			Probation:     4 * time.Hour,
-			DrainAfter:    20 * time.Minute,
-			MaxDrainMoves: 4,
-			DrainHeadroom: 0.05,
-		})
-	}
-	if w != nil {
-		w.Meta("grayfail-day", harnessStart, map[string]string{
-			"seed": fmt.Sprint(opts.spec.Seed),
-		})
-		w.Attach(c)
-	}
-	c.Start()
-
-	src := rng.New(0x7A7A)
-	for i := 0; i < 48; i++ {
-		name := fmt.Sprintf("db-%d", i)
-		var labels map[string]string
-		if opts.labels && i%4 == 0 {
-			labels = map[string]string{"edition": "Premium/BC"}
-		}
-		if i%4 == 0 {
-			loads := map[fabric.MetricName]float64{fabric.MetricDiskGB: src.UniformRange(500, 800)}
-			if _, err := c.CreateServiceWithLoads(name, 4, 2, labels, loads); err != nil {
-				tb.Fatalf("create %s: %v", name, err)
-			}
-		} else {
-			loads := map[fabric.MetricName]float64{fabric.MetricDiskGB: src.UniformRange(200, 500)}
-			if _, err := c.CreateServiceWithLoads(name, 2, 2, labels, loads); err != nil {
-				tb.Fatalf("create %s: %v", name, err)
-			}
-		}
-	}
-	clock.Every(20*time.Minute, func(time.Time) {
-		for _, svc := range c.LiveServices() {
-			for _, rep := range svc.Replicas {
-				_ = c.ReportLoad(rep.ID, fabric.MetricDiskGB, rep.Load(fabric.MetricDiskGB)+src.UniformRange(0, 2.2))
-				_ = c.ReportLoad(rep.ID, fabric.MetricMemoryGB, src.UniformRange(1, 8))
-			}
-		}
-	})
-
-	eng, err := traffic.NewEngine(clock, c, &opts.spec, nil, obs.New(obs.Options{}), nil)
-	if err != nil {
-		tb.Fatalf("NewEngine: %v", err)
-	}
-	if opts.slow {
-		eng.SetSlowFactor(grayfailSlowFn)
-	}
-	eng.Start(harnessStart)
-
-	if opts.outage {
-		crashed := []string{"node-1", "node-2", "node-3", "node-4", "node-5"}
-		clock.At(harnessStart.Add(12*time.Hour), func(time.Time) {
-			for _, id := range crashed {
-				_, _, _ = c.CrashNode(id)
-			}
-		})
-		clock.At(harnessStart.Add(13*time.Hour), func(time.Time) {
-			for _, id := range crashed {
-				_ = c.RestartNode(id)
-			}
-		})
-	}
-
-	clock.RunUntil(harnessStart.Add(24 * time.Hour))
-	c.Stop()
-	eng.Stop()
-	return eng.Stats(), c.SlowNodeStats()
-}
-
 // grayfailKind extends the traffic vocabulary with the hedge and
 // slow-node annotation kinds the gray-failure path adds.
 func grayfailKind(kind string) bool {
@@ -159,26 +54,10 @@ func grayfailKind(kind string) bool {
 	return trafficKind(kind)
 }
 
-// grayfailStreamHash digests the gray-failure day's annotation stream
-// with the same field format as trafficAnnotationHash.
-func grayfailStreamHash(entries []journal.Entry) (string, int) {
-	h := sha256.New()
-	n := 0
-	for i := range entries {
-		e := &entries[i]
-		if e.Type != journal.TypeAnnotation || !grayfailKind(e.Kind) {
-			continue
-		}
-		fmt.Fprintf(h, "%s|%d|%s|%g|%g|%s\n", e.Kind, e.T, e.Service, e.Value, e.Limit, e.Detail)
-		n++
-	}
-	return hex.EncodeToString(h.Sum(nil)), n
-}
-
 // mitigatedSpec is the full gray-failure resilience configuration the
 // golden and mitigation tests run with.
-func mitigatedSpec(seed uint64) traffic.Spec {
-	return traffic.Spec{
+func mitigatedSpec(seed uint64) *traffic.Spec {
+	return &traffic.Spec{
 		Seed:     seed,
 		SLOP99Ms: 55,
 		Classes:  &traffic.ClassesSpec{},
@@ -194,7 +73,7 @@ func TestGrayfailDayDeterminism(t *testing.T) {
 	run := func() []journal.Entry {
 		var buf bytes.Buffer
 		w := journal.NewWriter(&buf)
-		runGrayfailDay(t, grayfailOpts{spec: mitigatedSpec(29), detect: true, slow: true, labels: true}, w)
+		runDay(t, dayOpts{spec: mitigatedSpec(29), detect: true, slow: true, labels: true, w: w})
 		if err := w.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
@@ -206,8 +85,8 @@ func TestGrayfailDayDeterminism(t *testing.T) {
 	}
 	first := run()
 	second := run()
-	h1, n1 := grayfailStreamHash(first)
-	h2, n2 := grayfailStreamHash(second)
+	h1, n1 := annotationHash(first, grayfailKind)
+	h2, n2 := annotationHash(second, grayfailKind)
 	if h1 != h2 || n1 != n2 {
 		t.Fatalf("same-seed grayfail streams diverge: %s/%d vs %s/%d", h1, n1, h2, n2)
 	}
@@ -240,12 +119,12 @@ func TestGrayfailDayDeterminism(t *testing.T) {
 // routing + quarantine measurably reduce the run p99 and the SLO
 // violation count versus the unmitigated twin.
 func TestGrayfailMitigationReducesTail(t *testing.T) {
-	unmit, _ := runGrayfailDay(t, grayfailOpts{
-		spec: traffic.Spec{Seed: 29, SLOP99Ms: 55}, slow: true, labels: true,
-	}, nil)
-	mit, slow := runGrayfailDay(t, grayfailOpts{
+	unmit, _ := runDay(t, dayOpts{
+		spec: &traffic.Spec{Seed: 29, SLOP99Ms: 55}, slow: true, labels: true,
+	})
+	mit, slow := runDay(t, dayOpts{
 		spec: mitigatedSpec(29), detect: true, slow: true, labels: true,
-	}, nil)
+	})
 	t.Logf("unmitigated: p99=%.1fms sloViolations=%d", unmit.P99Ms, unmit.SLOViolationHours)
 	t.Logf("mitigated:   p99=%.1fms sloViolations=%d hedges=%d wins=%d denied=%d slow=%+v",
 		mit.P99Ms, mit.SLOViolationHours, mit.Hedges, mit.HedgeWins, mit.HedgesDenied, slow)
@@ -280,12 +159,12 @@ func TestGrayfailMitigationReducesTail(t *testing.T) {
 // unhedged twin — hedge tokens and retry tokens never mix — while the
 // arrival stream and failure accounting stay identical.
 func TestHedgingLeavesRetryBudgetUntouched(t *testing.T) {
-	plain, _ := runGrayfailDay(t, grayfailOpts{
-		spec: traffic.Spec{Seed: 31, SLOP99Ms: 55}, slow: true,
-	}, nil)
-	hedged, _ := runGrayfailDay(t, grayfailOpts{
-		spec: traffic.Spec{Seed: 31, SLOP99Ms: 55, Hedge: &traffic.HedgeSpec{}}, slow: true,
-	}, nil)
+	plain, _ := runDay(t, dayOpts{
+		spec: &traffic.Spec{Seed: 31, SLOP99Ms: 55}, slow: true,
+	})
+	hedged, _ := runDay(t, dayOpts{
+		spec: &traffic.Spec{Seed: 31, SLOP99Ms: 55, Hedge: &traffic.HedgeSpec{}}, slow: true,
+	})
 
 	if hedged.Arrivals != plain.Arrivals || hedged.Admitted != plain.Admitted {
 		t.Errorf("hedging perturbed the arrival stream: %d/%d vs %d/%d",
@@ -317,8 +196,8 @@ func TestHedgingLeavesRetryBudgetUntouched(t *testing.T) {
 func TestTrafficClassShedOrder(t *testing.T) {
 	var buf bytes.Buffer
 	w := journal.NewWriter(&buf)
-	spec := traffic.Spec{Seed: 13, Classes: &traffic.ClassesSpec{}}
-	st, _ := runGrayfailDay(t, grayfailOpts{spec: spec, outage: true, labels: true}, w)
+	spec := &traffic.Spec{Seed: 13, Classes: &traffic.ClassesSpec{}}
+	st, _ := runDay(t, dayOpts{spec: spec, outage: true, labels: true, w: w})
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}

@@ -2,9 +2,6 @@ package traffic_test
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -24,8 +21,8 @@ const (
 	goldenTracedStreamCount = 3778
 )
 
-func tracedSpec() traffic.Spec {
-	return traffic.Spec{
+func tracedSpec() *traffic.Spec {
+	return &traffic.Spec{
 		Seed:     11,
 		Reqtrace: &reqtrace.Spec{SampleOneIn: 200, RingSize: 64},
 	}
@@ -37,22 +34,6 @@ func traceKind(kind string) bool {
 	return kind == traffic.KindRequestTrace || kind == traffic.KindTraceHour
 }
 
-// traceStreamHash digests the trace annotations with the same field
-// format trafficAnnotationHash uses for the plane's.
-func traceStreamHash(entries []journal.Entry) (string, int) {
-	h := sha256.New()
-	n := 0
-	for i := range entries {
-		e := &entries[i]
-		if e.Type != journal.TypeAnnotation || !traceKind(e.Kind) {
-			continue
-		}
-		fmt.Fprintf(h, "%s|%d|%s|%g|%g|%s\n", e.Kind, e.T, e.Service, e.Value, e.Limit, e.Detail)
-		n++
-	}
-	return hex.EncodeToString(h.Sum(nil)), n
-}
-
 // TestTracedRunLeavesPlaneUntouched is the inertness contract from the
 // other side: with tracing ENABLED, the traffic plane's annotation
 // stream still matches the untraced golden byte for byte, and every
@@ -61,9 +42,9 @@ func traceStreamHash(entries []journal.Entry) (string, int) {
 func TestTracedRunLeavesPlaneUntouched(t *testing.T) {
 	var untracedBuf, tracedBuf bytes.Buffer
 	uw := journal.NewWriter(&untracedBuf)
-	untracedStats := runTrafficDay(t, traffic.Spec{Seed: 11}, uw, true)
+	untracedStats, _ := runDay(t, dayOpts{spec: &traffic.Spec{Seed: 11}, outage: true, w: uw})
 	tw := journal.NewWriter(&tracedBuf)
-	tracedStats := runTrafficDay(t, tracedSpec(), tw, true)
+	tracedStats, _ := runDay(t, dayOpts{spec: tracedSpec(), outage: true, w: tw})
 
 	untraced, err := journal.Read(&untracedBuf)
 	if err != nil {
@@ -74,8 +55,8 @@ func TestTracedRunLeavesPlaneUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	uh, un := trafficAnnotationHash(untraced)
-	th, tn := trafficAnnotationHash(traced)
+	uh, un := annotationHash(untraced, trafficKind)
+	th, tn := annotationHash(traced, trafficKind)
 	if uh != th || un != tn {
 		t.Errorf("tracing perturbed the traffic plane: untraced %s/%d, traced %s/%d", uh, un, th, tn)
 	}
@@ -103,7 +84,7 @@ func TestTracedEventStreamDeterminism(t *testing.T) {
 	run := func() []journal.Entry {
 		var buf bytes.Buffer
 		w := journal.NewWriter(&buf)
-		runTrafficDay(t, tracedSpec(), w, true)
+		runDay(t, dayOpts{spec: tracedSpec(), outage: true, w: w})
 		entries, err := journal.Read(&buf)
 		if err != nil {
 			t.Fatal(err)
@@ -111,8 +92,8 @@ func TestTracedEventStreamDeterminism(t *testing.T) {
 		return entries
 	}
 	first, second := run(), run()
-	h1, n1 := traceStreamHash(first)
-	h2, n2 := traceStreamHash(second)
+	h1, n1 := annotationHash(first, traceKind)
+	h2, n2 := annotationHash(second, traceKind)
 	if h1 != h2 || n1 != n2 {
 		t.Fatalf("trace stream not reproducible: %s/%d vs %s/%d", h1, n1, h2, n2)
 	}
@@ -138,7 +119,7 @@ func TestTracedEventStreamDeterminism(t *testing.T) {
 func TestTracedJournalContract(t *testing.T) {
 	var buf bytes.Buffer
 	w := journal.NewWriter(&buf)
-	stats := runTrafficDay(t, tracedSpec(), w, true)
+	stats, _ := runDay(t, dayOpts{spec: tracedSpec(), outage: true, w: w})
 	entries, err := journal.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
