@@ -81,7 +81,7 @@ func newDebugMux(sess *obs.Session, jw *journal.Writer, eng *alert.Engine, rec *
 		}
 		w.Header().Set("Content-Type", "application/json")
 		traces := rec.Snapshot(q)
-		st := rec.Stats()
+		st := rec.LiveStats()
 		_ = json.NewEncoder(w).Encode(struct {
 			Stats  reqtrace.Stats   `json:"stats"`
 			Traces []reqtrace.Trace `json:"traces"`

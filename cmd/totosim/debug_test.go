@@ -100,16 +100,17 @@ func TestDebugMuxTracesEndpoint(t *testing.T) {
 	}
 	rec.Bind(1, rng.New(1).Split("reqtrace"))
 	for i := 0; i < 3; i++ {
-		tr := rec.Begin(int64(i), "db-0")
-		tr.Add(reqtrace.SpanArrival, 0, 0)
-		tr.AddDispatch(0, float64(10+i), "node-1", 0.4)
 		outcome := reqtrace.OutcomeOK
 		if i == 2 {
 			outcome = reqtrace.OutcomeError
 		}
-		if _, ok := rec.Finish(outcome, 5, float64(10+i), 0, i, true); !ok {
+		if !rec.Keep(outcome, true) {
 			t.Fatalf("trace %d dropped", i)
 		}
+		tr := reqtrace.Trace{Time: int64(i), Service: "db-0", Outcome: outcome, Count: 5, LatencyMs: float64(10 + i)}
+		tr.Add(reqtrace.SpanArrival, 0, 0)
+		tr.AddDispatch(0, float64(10+i), "node-1", 0.4)
+		rec.Record(&tr, i)
 	}
 	mux := newDebugMux(&obs.Session{}, nil, nil, rec)
 	srv := httptest.NewServer(mux)

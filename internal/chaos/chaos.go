@@ -720,7 +720,7 @@ func (e *Engine) failSlow(now time.Time, f Fault) {
 	ids := make([]string, len(targets))
 	for i, n := range targets {
 		e.slowNodes[n.ID] = &slowWindow{start: now, onset: onset, hold: hold, rec: rec, factor: f.Factor}
-		e.cluster.NoteSlowNodeAnchor(n.ID, seq)
+		e.cluster.NoteSlowNodeAnchor(n, seq)
 		e.stats.SlowNodesInjected++
 		ids[i] = n.ID
 	}

@@ -120,7 +120,6 @@ type slowNodeState struct {
 type slowNodeDetector struct {
 	c      *Cluster
 	cfg    SlowNodeConfig
-	byID   map[string]int // node ID → Node.idx
 	state  []slowNodeState
 	median []float64 // sorted-EWMA scratch, reused across checks
 	stats  SlowNodeStats
@@ -155,16 +154,11 @@ func (c *Cluster) EnableSlowNodeDetection(cfg SlowNodeConfig) {
 	if cfg.DrainHeadroom <= 0 {
 		cfg.DrainHeadroom = def.DrainHeadroom
 	}
-	d := &slowNodeDetector{
+	c.slowDet = &slowNodeDetector{
 		c:     c,
 		cfg:   cfg,
-		byID:  make(map[string]int, len(c.nodes)),
 		state: make([]slowNodeState, len(c.nodes)),
 	}
-	for _, n := range c.nodes {
-		d.byID[n.ID] = n.idx
-	}
-	c.slowDet = d
 }
 
 // SlowNodeDetectionEnabled reports whether the detector is installed.
@@ -180,20 +174,19 @@ func (c *Cluster) SlowNodeStats() SlowNodeStats {
 }
 
 // ObserveNodeLatency feeds one observed service-latency contribution
-// (milliseconds) for the node into its health EWMA. The request plane
-// calls this once per service tick with the serving node's realized
-// latency. A nil detector makes it a two-instruction no-op, so traffic
-// runs without detection pay nothing.
-func (c *Cluster) ObserveNodeLatency(nodeID string, ms float64) {
+// (milliseconds) for node n into its health EWMA. The request plane
+// calls this once per service tick for every replica node. A nil
+// detector makes it a two-instruction no-op, so traffic runs without
+// detection pay nothing; a node that is not this cluster's is ignored.
+func (c *Cluster) ObserveNodeLatency(n *Node, ms float64) {
 	d := c.slowDet
 	if d == nil || ms <= 0 {
 		return
 	}
-	idx, ok := d.byID[nodeID]
-	if !ok {
+	st := d.stateOf(n)
+	if st == nil {
 		return
 	}
-	st := &d.state[idx]
 	if st.samples == 0 {
 		st.ewma = ms
 	} else {
@@ -203,17 +196,26 @@ func (c *Cluster) ObserveNodeLatency(nodeID string, ms float64) {
 }
 
 // NoteSlowNodeAnchor records the journal Seq of the chaos injection that
-// made nodeID slow, so the detection annotation — whenever it fires —
-// chains back to the injection and attribution roots at chaos. Safe (and
-// a no-op) when detection is not enabled.
-func (c *Cluster) NoteSlowNodeAnchor(nodeID string, seq uint64) {
+// made n slow, so the detection annotation — whenever it fires — chains
+// back to the injection and attribution roots at chaos. Safe (and a
+// no-op) when detection is not enabled or n is not this cluster's.
+func (c *Cluster) NoteSlowNodeAnchor(n *Node, seq uint64) {
 	d := c.slowDet
 	if d == nil {
 		return
 	}
-	if idx, ok := d.byID[nodeID]; ok {
-		d.state[idx].anchorSeq = seq
+	if st := d.stateOf(n); st != nil {
+		st.anchorSeq = seq
 	}
+}
+
+// stateOf returns n's detector state, or nil when n is not one of the
+// detector's cluster nodes.
+func (d *slowNodeDetector) stateOf(n *Node) *slowNodeState {
+	if n == nil || n.idx >= len(d.state) || d.c.nodes[n.idx] != n {
+		return nil
+	}
+	return &d.state[n.idx]
 }
 
 // clusterMedian returns the median latency EWMA across up, unquarantined

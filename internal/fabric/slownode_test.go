@@ -30,15 +30,15 @@ func slowTestCluster(t *testing.T, nodes int) (*Cluster, *simclock.Clock) {
 }
 
 // feedLatencies gives every node `count` observations of `ms`, except
-// `slowID` which observes slowMs.
-func feedLatencies(c *Cluster, count int, ms, slowMs float64, slowID string) {
+// `slow` (nil for none) which observes slowMs.
+func feedLatencies(c *Cluster, count int, ms, slowMs float64, slow *Node) {
 	for i := 0; i < count; i++ {
 		for _, n := range c.Nodes() {
 			v := ms
-			if n.ID == slowID {
+			if n == slow {
 				v = slowMs
 			}
-			c.ObserveNodeLatency(n.ID, v)
+			c.ObserveNodeLatency(n, v)
 		}
 	}
 }
@@ -66,10 +66,10 @@ func TestSlowNodeLifecycle(t *testing.T) {
 	// The chaos engine would note the injection anchor before slowness
 	// becomes observable.
 	const anchorSeq = 7777
-	c.NoteSlowNodeAnchor(slow.ID, anchorSeq)
+	c.NoteSlowNodeAnchor(slow, anchorSeq)
 
 	// node-0 serves at 4× the cluster's latency.
-	feedLatencies(c, 6, 10, 40, slow.ID)
+	feedLatencies(c, 6, 10, 40, slow)
 	c.Start()
 	defer c.Stop()
 
@@ -132,7 +132,7 @@ func TestSlowNodeLifecycle(t *testing.T) {
 	if slow.Quarantined(clock.Now()) {
 		t.Fatal("quarantine did not lapse after Probation")
 	}
-	feedLatencies(c, 6, 10, 10, "")
+	feedLatencies(c, 6, 10, 10, nil)
 	clock.RunUntil(testStart.Add(52 * time.Minute))
 	rec := findAnnotation(anns, "slow-node-recovered")
 	if rec == nil {
@@ -167,7 +167,7 @@ func TestSlowNodeQuarantineExcludesTargets(t *testing.T) {
 		}
 	}
 	slow := c.Nodes()[0]
-	feedLatencies(c, 6, 10, 50, slow.ID)
+	feedLatencies(c, 6, 10, 50, slow)
 	c.Start()
 	defer c.Stop()
 	clock.RunUntil(testStart.Add(16 * time.Minute))
@@ -211,7 +211,7 @@ func TestSlowNodeQuarantineExcludesTargets(t *testing.T) {
 	// After probation the node is eligible again: as the emptiest node it
 	// is the natural target for the next balancing move.
 	clock.RunUntil(testStart.Add(50 * time.Minute))
-	feedLatencies(c, 6, 10, 10, "")
+	feedLatencies(c, 6, 10, 10, nil)
 	clock.RunUntil(testStart.Add(56 * time.Minute))
 	now = clock.Now()
 	if slow.Quarantined(now) {
@@ -245,14 +245,61 @@ func TestSlowNodeObservationInert(t *testing.T) {
 	if c.SlowNodeDetectionEnabled() {
 		t.Fatal("detection enabled by default")
 	}
+	n := c.Nodes()[0]
 	if allocs := testing.AllocsPerRun(200, func() {
-		c.ObserveNodeLatency("node-0", 25)
-		c.NoteSlowNodeAnchor("node-0", 42)
+		c.ObserveNodeLatency(n, 25)
+		c.NoteSlowNodeAnchor(n, 42)
 	}); allocs != 0 {
 		t.Errorf("inert observation allocates %v/op", allocs)
 	}
 	if got := c.SlowNodeStats(); got != (SlowNodeStats{}) {
 		t.Errorf("stats without detector = %+v", got)
+	}
+}
+
+// TestSlowNodeObservationByNode: with detection on, observations and
+// anchors land in the observed node's own state at zero allocations,
+// and a node the detector does not know — another cluster's node at the
+// same index, or nil — changes nothing.
+func TestSlowNodeObservationByNode(t *testing.T) {
+	c, _ := slowTestCluster(t, 4)
+	other, _ := slowTestCluster(t, 4)
+	d := c.slowDet
+	n := c.Nodes()[2]
+	foreign := other.Nodes()[2]
+
+	c.ObserveNodeLatency(foreign, 99)
+	c.NoteSlowNodeAnchor(foreign, 7)
+	c.ObserveNodeLatency(nil, 99)
+	c.NoteSlowNodeAnchor(nil, 7)
+	for i, st := range d.state {
+		if st != (slowNodeState{}) {
+			t.Fatalf("a foreign or nil node touched node %d's state: %+v", i, st)
+		}
+	}
+	if got := other.slowDet.state[2]; got != (slowNodeState{}) {
+		t.Fatalf("observing through c touched the other cluster's detector: %+v", got)
+	}
+
+	c.NoteSlowNodeAnchor(n, 42)
+	c.ObserveNodeLatency(n, 10)
+	c.ObserveNodeLatency(n, 20)
+	st := d.state[2]
+	if st.samples != 2 || st.ewma != 10+0.2*(20-10) || st.anchorSeq != 42 {
+		t.Fatalf("node-2 state = %+v, want 2 samples, ewma 12, anchor 42", st)
+	}
+	for i, o := range d.state {
+		if i != 2 && o != (slowNodeState{}) {
+			t.Fatalf("observing node-2 touched node %d: %+v", i, o)
+		}
+	}
+
+	if allocs := testing.AllocsPerRun(200, func() {
+		c.ObserveNodeLatency(n, 25)
+		c.NoteSlowNodeAnchor(n, 42)
+		c.ObserveNodeLatency(foreign, 25)
+	}); allocs != 0 {
+		t.Errorf("enabled observation allocates %v/op", allocs)
 	}
 }
 
@@ -281,7 +328,7 @@ func TestSlowNodeDrainDefersWithoutHeadroom(t *testing.T) {
 		}
 	}
 	slow := c.Nodes()[0]
-	feedLatencies(c, 6, 10, 60, slow.ID)
+	feedLatencies(c, 6, 10, 60, slow)
 	c.Start()
 	defer c.Stop()
 	clock.RunUntil(testStart.Add(time.Hour))

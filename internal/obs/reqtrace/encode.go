@@ -23,7 +23,7 @@ import (
 // traffic engine reuses one buffer across traces, so a kept trace costs
 // exactly one string allocation (the annotation Detail).
 func AppendDetail(buf []byte, tr *Trace) []byte {
-	buf = append(buf, IDString(tr.ID)...)
+	buf = appendID(buf, tr.ID)
 	buf = append(buf, '|')
 	buf = append(buf, tr.Outcome.String()...)
 	buf = append(buf, '|')

@@ -1,20 +1,22 @@
 // Package reqtrace is per-request distributed tracing for the simulated
-// traffic plane. Every served request group carries a span tree —
-// arrival → queue wait → admission → breaker decision → dispatch
-// (node, utilization at dispatch) → retry backoff → completion or
-// failure — assembled in place from pooled buffers so the traffic hot
-// path never allocates for a trace it ends up dropping.
+// traffic plane. A served request group's span tree — arrival → queue
+// wait → admission → breaker decision → dispatch (node, utilization at
+// dispatch) → retry backoff → completion or failure — is built only
+// after the sampler has kept the group, so the traffic hot path builds
+// and allocates nothing for the traces it drops.
 //
-// Sampling is tail-based and deterministic: the keep decision is made at
-// trace completion, when the outcome and latency are known. The sampler
-// keeps 100% of failed traces (errors, sheds, breaker rejections), the
-// first trace landing in each latency-histogram bucket per observation
-// hour (so every non-empty bucket — the p99 bucket of an SLO-violating
-// hour included — carries an exemplar), and 1-in-N successes drawn from
-// a dedicated internal/rng stream split off the traffic seed. Because
-// the stream is independent and the decision order is fixed by the
-// simulation goroutine, a traced run is bit-reproducible and the
-// modeled request stream is bit-identical to the untraced run.
+// Sampling is tail-based and deterministic: the keep decision uses what
+// a group's completion knows — its outcome and whether it is the first
+// in its latency bucket — and the engine knows both before it builds a
+// single span. The sampler keeps 100% of failed traces (errors, sheds,
+// breaker rejections), the first trace landing in each latency-histogram
+// bucket per observation hour (so every non-empty bucket — the p99
+// bucket of an SLO-violating hour included — carries an exemplar), and
+// 1-in-N successes drawn from a dedicated internal/rng stream split off
+// the traffic seed. Because the stream is independent and the decision
+// order is fixed by the simulation goroutine, a traced run is
+// bit-reproducible and the modeled request stream is bit-identical to
+// the untraced run.
 //
 // The engine is aggregate — it serves request groups, not individual
 // requests — so one Trace represents Count requests that took the same
@@ -111,8 +113,23 @@ type Trace struct {
 	Spans     []Span  `json:"spans"`
 }
 
-// IDString formats a trace ID the way every surface prints it.
-func IDString(id uint64) string { return fmt.Sprintf("%016x", id) }
+// IDString formats a trace ID the way every surface prints it: 16
+// zero-padded lowercase hex digits.
+func IDString(id uint64) string {
+	var b [16]byte
+	return string(appendID(b[:0], id))
+}
+
+// appendID appends id as 16 zero-padded lowercase hex digits.
+func appendID(buf []byte, id uint64) []byte {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[id&0xf]
+		id >>= 4
+	}
+	return append(buf, b[:]...)
+}
 
 // TraceID derives the deterministic ID of a trace from its identity:
 // the sampler seed, arrival time, service, outcome, and the group's
@@ -210,12 +227,12 @@ func NewSampler(spec Spec, rnd *rng.Source) *Sampler {
 	return &Sampler{oneIn: spec.SampleOneIn, rnd: rnd}
 }
 
-// Keep decides whether a completed trace is kept. Failed outcomes are
-// always kept. Successful groups are kept when they are the first to
-// land in their latency bucket this hour (bucketFirst — the exemplar
-// guarantee) or when the 1-in-N draw selects them; the draw happens for
-// every successful group so the decision stream depends only on the
-// deterministic group order, never on bucket state.
+// Keep decides whether an offered request group's trace is kept. Failed
+// outcomes are always kept. Successful groups are kept when they are
+// the first to land in their latency bucket this hour (bucketFirst —
+// the exemplar guarantee) or when the 1-in-N draw selects them; the
+// draw happens for every successful group so the decision stream
+// depends only on the deterministic group order, never on bucket state.
 func (s *Sampler) Keep(outcome Outcome, bucketFirst bool) bool {
 	s.stats.Considered++
 	if outcome.Failed() {
@@ -248,24 +265,22 @@ func (s *Sampler) Keep(outcome Outcome, bucketFirst bool) bool {
 // Stats returns a copy of the sampler's counters.
 func (s *Sampler) Stats() Stats { return s.stats }
 
-// Recorder assembles traces allocation-free and retains kept ones in a
-// bounded ring for the live /traces endpoint. The assembly side (Begin/
-// span appends/Finish) runs on the simulation goroutine only; the ring
-// and stats are mutex-guarded so an HTTP goroutine may snapshot them
-// mid-run.
+// Recorder runs the keep decision for every offered request group and
+// retains the kept traces in a bounded ring for the live /traces
+// endpoint. Keep and Record run on the simulation goroutine only; the
+// engine builds a group's trace only after Keep returned true, so a
+// dropped group costs one sampler decision and nothing else. The ring,
+// and a copy of the sampler counters published with each kept trace,
+// are mutex-guarded so an HTTP goroutine may read them mid-run.
 type Recorder struct {
 	spec    Spec
 	sampler *Sampler
 	seed    uint64
 
-	// cur is the in-progress trace. Its Spans backing array is reused
-	// across groups, so a dropped trace costs zero allocations.
-	cur Trace
-
 	mu   sync.Mutex
 	ring []Trace
 	next int
-	kept int64
+	live Stats // sampler counters as of the newest kept trace
 }
 
 // NewRecorder validates the spec and builds an unbound recorder. Bind
@@ -280,7 +295,6 @@ func NewRecorder(spec *Spec) (*Recorder, error) {
 	resolved := spec.withDefaults()
 	return &Recorder{
 		spec: resolved,
-		cur:  Trace{Spans: make([]Span, 0, 8)},
 		ring: make([]Trace, 0, resolved.RingSize),
 	}, nil
 }
@@ -292,24 +306,7 @@ func (r *Recorder) Bind(seed uint64, rnd *rng.Source) {
 	r.sampler = NewSampler(r.spec, rnd)
 }
 
-// Begin resets the in-progress trace for a new request group and
-// returns it for span assembly. No allocation: the span slice's backing
-// array is reused.
-func (r *Recorder) Begin(t int64, service string) *Trace {
-	r.cur.ID = 0
-	r.cur.IDHex = ""
-	r.cur.Time = t
-	r.cur.Service = service
-	r.cur.Outcome = OutcomeOK
-	r.cur.OutcomeS = ""
-	r.cur.Count = 0
-	r.cur.LatencyMs = 0
-	r.cur.Retries = 0
-	r.cur.Spans = r.cur.Spans[:0]
-	return &r.cur
-}
-
-// Add appends a plain span to the in-progress trace.
+// Add appends a plain span to the trace.
 func (t *Trace) Add(name string, startMs, durMs float64) {
 	t.Spans = append(t.Spans, Span{Name: name, StartMs: startMs, DurMs: durMs})
 }
@@ -320,45 +317,55 @@ func (t *Trace) AddDispatch(startMs, durMs float64, node string, util float64) {
 	t.Spans = append(t.Spans, Span{Name: SpanDispatch, StartMs: startMs, DurMs: durMs, Node: node, Util: util})
 }
 
-// Finish completes the in-progress trace and runs the tail-based keep
-// decision. group indexes the trace within its (time, service, outcome)
-// tick so IDs stay unique when one tick emits several groups. When kept,
-// the trace's ID is assigned and a deep copy enters the ring; the
-// returned pointer (still the pooled buffer) is only valid until the
-// next Begin.
-func (r *Recorder) Finish(outcome Outcome, count int64, latencyMs float64, retries, group int, bucketFirst bool) (*Trace, bool) {
-	r.cur.Outcome = outcome
-	r.cur.OutcomeS = outcome.String()
-	r.cur.Count = count
-	r.cur.LatencyMs = latencyMs
-	r.cur.Retries = retries
-	if !r.sampler.Keep(outcome, bucketFirst) {
-		return nil, false
-	}
-	r.cur.ID = TraceID(r.seed, r.cur.Time, r.cur.Service, outcome, group)
-	r.cur.IDHex = IDString(r.cur.ID)
-	cp := r.cur
-	cp.Spans = append([]Span(nil), r.cur.Spans...)
-	r.mu.Lock()
-	if len(r.ring) < r.spec.RingSize {
-		r.ring = append(r.ring, cp)
-	} else {
-		r.ring[r.next] = cp
-		r.next = (r.next + 1) % r.spec.RingSize
-	}
-	r.kept++
-	r.mu.Unlock()
-	return &r.cur, true
+// Keep runs the tail-based keep decision for one offered request group
+// (see Sampler.Keep). The engine offers every group, in its fixed serve
+// order, before building anything; only a kept group's trace is built
+// and passed to Record.
+func (r *Recorder) Keep(outcome Outcome, bucketFirst bool) bool {
+	return r.sampler.Keep(outcome, bucketFirst)
 }
 
-// Stats returns the sampler counters. Safe to call from any goroutine
-// once the run has stopped; mid-run callers get a racy-but-consistent
-// snapshot via the ring mutex.
+// Record enters a kept trace into the ring. tr holds the group's time,
+// service, outcome, count, latency, retries and spans. Record stamps
+// its outcome name and its ID, which is derived from the seed, time,
+// service, outcome and group. group is the group's index within its
+// (time, service) tick, so IDs stay unique when one tick emits several
+// groups. The ring's copy shares tr.Spans, so the caller must not
+// modify the spans afterwards.
+func (r *Recorder) Record(tr *Trace, group int) {
+	tr.ID = TraceID(r.seed, tr.Time, tr.Service, tr.Outcome, group)
+	tr.IDHex = IDString(tr.ID)
+	tr.OutcomeS = tr.Outcome.String()
+	r.mu.Lock()
+	if len(r.ring) < r.spec.RingSize {
+		r.ring = append(r.ring, *tr)
+	} else {
+		r.ring[r.next] = *tr
+		r.next = (r.next + 1) % r.spec.RingSize
+	}
+	r.live = r.sampler.stats
+	r.mu.Unlock()
+}
+
+// Stats returns the sampler's counters. Call it from the simulation
+// goroutine, or from any goroutine once the run has stopped; a reader
+// running alongside the simulation uses LiveStats.
 func (r *Recorder) Stats() Stats {
 	if r.sampler == nil {
 		return Stats{}
 	}
 	return r.sampler.Stats()
+}
+
+// LiveStats returns the sampler's counters as published with the newest
+// kept trace. Safe for concurrent use with the simulation goroutine: the
+// counters move on every offered group without a lock, so a mid-run
+// reader sees them as of the last Record, which lags the live counters
+// only by the groups dropped since.
+func (r *Recorder) LiveStats() Stats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.live
 }
 
 // Query filters a ring snapshot.

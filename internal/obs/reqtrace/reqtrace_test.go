@@ -1,6 +1,9 @@
 package reqtrace
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"toto/internal/rng"
@@ -171,8 +174,9 @@ func TestSamplerDrawIndependentOfBucketState(t *testing.T) {
 }
 
 // TestRecorderRingAndSnapshot: ring rotation keeps the newest RingSize
-// traces, Finish deep-copies spans out of the pooled buffer, and
-// Snapshot's filters and ordering behave.
+// traces, Record stamps each kept trace's ID and outcome name, the
+// published counters follow the kept traces, and Snapshot's filters and
+// ordering behave.
 func TestRecorderRingAndSnapshot(t *testing.T) {
 	rec, err := NewRecorder(&Spec{SampleOneIn: 1, RingSize: 4})
 	if err != nil {
@@ -184,20 +188,22 @@ func TestRecorderRingAndSnapshot(t *testing.T) {
 		if i%2 == 1 {
 			svc = "svc-b"
 		}
-		tr := rec.Begin(int64(i), svc)
-		tr.Add(SpanArrival, 0, 0)
-		tr.AddDispatch(0, float64(i), "node-1", 0.5)
 		outcome := OutcomeOK
 		if i == 9 {
 			outcome = OutcomeError
 		}
-		kept, ok := rec.Finish(outcome, 10, float64(i), 0, i, true)
-		if !ok || kept == nil {
+		if !rec.Keep(outcome, true) {
 			t.Fatalf("trace %d not kept (SampleOneIn=1, bucketFirst)", i)
 		}
-		if kept.ID == 0 || kept.IDHex != IDString(kept.ID) {
-			t.Fatalf("trace %d has no ID", i)
+		tr := Trace{Time: int64(i), Service: svc, Outcome: outcome, Count: 10, LatencyMs: float64(i)}
+		tr.Add(SpanArrival, 0, 0)
+		tr.AddDispatch(0, float64(i), "node-1", 0.5)
+		rec.Record(&tr, i)
+		if tr.ID != TraceID(9, int64(i), svc, outcome, i) || tr.IDHex != IDString(tr.ID) ||
+			tr.OutcomeS != outcome.String() {
+			t.Fatalf("trace %d not stamped: %+v", i, tr)
 		}
+		tr.Service = "mutated" // the ring holds its own copy of the header
 	}
 
 	all := rec.Snapshot(Query{})
@@ -209,14 +215,22 @@ func TestRecorderRingAndSnapshot(t *testing.T) {
 		if tr.Time != int64(6+i) {
 			t.Fatalf("ring order: slot %d has time %d", i, tr.Time)
 		}
+		if tr.Service == "mutated" || tr.IDHex == "" {
+			t.Fatalf("ring trace %d aliases the caller's trace: %+v", i, tr)
+		}
 		if len(tr.Spans) != 2 || tr.Spans[1].Node != "node-1" {
 			t.Fatalf("ring trace %d lost its spans: %+v", i, tr.Spans)
 		}
 	}
-	// The pooled buffer was reused; the ring copies must be independent.
-	rec.Begin(99, "scratch").Add(SpanShed, 1, 2)
-	if again := rec.Snapshot(Query{}); again[0].Spans[0].Name != SpanArrival {
-		t.Fatal("ring trace aliases the pooled span buffer")
+
+	// The mid-run counters are published with each kept trace: a group
+	// offered after the last Record shows in Stats, not yet in LiveStats.
+	if live, st := rec.LiveStats(), rec.Stats(); live != st || st.Kept != 10 {
+		t.Fatalf("published counters %+v, sampler %+v, want both at 10 kept", live, st)
+	}
+	rec.Keep(OutcomeOK, false)
+	if live, st := rec.LiveStats(), rec.Stats(); live.Considered != 10 || st.Considered != 11 {
+		t.Fatalf("published %d considered, sampler %d; want 10 and 11", live.Considered, st.Considered)
 	}
 
 	if got := rec.Snapshot(Query{Service: "svc-b"}); len(got) != 2 {
@@ -235,6 +249,94 @@ func TestRecorderRingAndSnapshot(t *testing.T) {
 	newest := rec.Snapshot(Query{Limit: 2})
 	if len(newest) != 2 || newest[0].Time != 8 || newest[1].Time != 9 {
 		t.Fatalf("arrival-order limit should keep newest: %+v", newest)
+	}
+}
+
+// TestRecorderConcurrentReaders is the /traces contract: while the
+// simulation goroutine offers groups and records kept traces, another
+// goroutine may snapshot the ring and read the published counters, and
+// every counter copy it reads is whole (Kept+Dropped == Considered) and
+// never runs backwards. Run under -race.
+func TestRecorderConcurrentReaders(t *testing.T) {
+	rec, err := NewRecorder(&Spec{SampleOneIn: 3, RingSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Bind(1, rng.New(1).Split("reqtrace"))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			if !rec.Keep(OutcomeOK, false) {
+				continue
+			}
+			tr := Trace{Time: int64(i), Service: "svc", Count: 1, LatencyMs: float64(i),
+				Spans: []Span{{Name: SpanArrival}, {Name: SpanComplete, StartMs: float64(i)}}}
+			rec.Record(&tr, 0)
+		}
+	}()
+	var last Stats
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		st := rec.LiveStats()
+		if st.Kept+st.Dropped != st.Considered || st.Considered < last.Considered || st.Kept < last.Kept {
+			t.Fatalf("mid-run counters torn or running backwards: %+v after %+v", st, last)
+		}
+		last = st
+		for _, tr := range rec.Snapshot(Query{Slowest: true}) {
+			if len(tr.Spans) != 2 || tr.IDHex != IDString(tr.ID) {
+				t.Fatalf("snapshot trace incomplete: %+v", tr)
+			}
+		}
+	}
+	if st := rec.Stats(); st.Kept == 0 || rec.LiveStats().Kept != st.Kept {
+		t.Fatalf("after the run: published %+v, sampler %+v", rec.LiveStats(), st)
+	}
+}
+
+// TestIDStringMatchesSprintf: the hand-rolled hex writer is exactly
+// fmt's %016x, at the edges and on seeded random IDs, and AppendDetail
+// writes it without fmt.
+func TestIDStringMatchesSprintf(t *testing.T) {
+	check := func(id uint64) {
+		want := fmt.Sprintf("%016x", id)
+		if got := IDString(id); got != want {
+			t.Fatalf("IDString(%d) = %q, want %q", id, got, want)
+		}
+		tr := Trace{ID: id}
+		if got := EncodeDetail(&tr); !strings.HasPrefix(got, want+"|") {
+			t.Fatalf("EncodeDetail of ID %d = %q, want prefix %q", id, got, want)
+		}
+	}
+	for _, id := range []uint64{0, 1, 1 << 63, math.MaxUint64} {
+		check(id)
+	}
+	r := rng.New(16)
+	for i := 0; i < 100000; i++ {
+		check(r.Uint64())
+	}
+}
+
+// TestAppendDetailZeroAlloc pins the encode half of a kept trace's cost:
+// into a warm buffer, AppendDetail allocates nothing, so the Detail
+// string is the journal entry's only allocation.
+func TestAppendDetailZeroAlloc(t *testing.T) {
+	tr := Trace{ID: 0xdeadbeefcafe1234, Outcome: OutcomeOK, Count: 812, LatencyMs: 3.0000000000000004,
+		Retries: 1, Spans: []Span{
+			{Name: SpanArrival},
+			{Name: SpanBackoff, DurMs: 1.25},
+			{Name: SpanDispatch, StartMs: 1.25, DurMs: 1.7500000000000004, Node: "node-7", Util: 0.8499999999999999},
+			{Name: SpanComplete, StartMs: 3.0000000000000004},
+		}}
+	buf := AppendDetail(nil, &tr)
+	if n := testing.AllocsPerRun(100, func() {
+		buf = AppendDetail(buf[:0], &tr)
+	}); n != 0 {
+		t.Errorf("AppendDetail into a warm buffer allocates %.1f", n)
 	}
 }
 

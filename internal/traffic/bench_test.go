@@ -2,6 +2,7 @@ package traffic_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -60,10 +61,10 @@ func BenchmarkSimulatedDayNoTraffic(b *testing.B) {
 	}
 }
 
-// TestWarmedTrafficTickZeroAlloc pins the steady-state request plane at
-// zero allocations: once every live service has its front-end state, a
-// tick's sweeps, admission, dispatch and histogram adds allocate nothing.
-func TestWarmedTrafficTickZeroAlloc(t *testing.T) {
+// warmTraffic serves spec on a 10-node cluster hosting 48 services for
+// two simulated hours, so every live service has its front-end state.
+func warmTraffic(t *testing.T, spec *traffic.Spec) (*simclock.Clock, *traffic.Engine) {
+	t.Helper()
 	clock := simclock.New(harnessStart)
 	c := fabric.NewCluster(clock, 10, harnessCapacity(), fabric.DefaultConfig())
 	c.Start()
@@ -72,12 +73,20 @@ func TestWarmedTrafficTickZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := traffic.NewEngine(clock, c, &traffic.Spec{Seed: 7}, nil, nil, nil)
+	eng, err := traffic.NewEngine(clock, c, spec, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Start(harnessStart)
 	clock.RunUntil(harnessStart.Add(2 * time.Hour))
+	return clock, eng
+}
+
+// TestWarmedTrafficTickZeroAlloc pins the steady-state request plane at
+// zero allocations: once every live service has its front-end state, a
+// tick's sweeps, admission, dispatch and histogram adds allocate nothing.
+func TestWarmedTrafficTickZeroAlloc(t *testing.T) {
+	clock, eng := warmTraffic(t, &traffic.Spec{Seed: 7})
 	if allocs := testing.AllocsPerRun(30, func() {
 		clock.RunUntil(clock.Now().Add(time.Minute))
 	}); allocs != 0 {
@@ -85,6 +94,46 @@ func TestWarmedTrafficTickZeroAlloc(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Arrivals == 0 {
 		t.Fatal("no traffic was generated")
+	}
+}
+
+// TestWarmedTracedTickAllocsPerKeptTrace pins the traced tick's cost to
+// the traces it keeps: the sampler decides before a span is built, so a
+// warmed minute in which no group is kept allocates nothing, and every
+// kept trace costs exactly allocsPerKeptTrace — its span slice, its hex
+// ID and its journal Detail string. Windows holding the hourly flush,
+// whose verdict line is formatted, are skipped.
+func TestWarmedTracedTickAllocsPerKeptTrace(t *testing.T) {
+	const allocsPerKeptTrace = 3
+	clock, eng := warmTraffic(t, &traffic.Spec{Seed: 7, Reqtrace: &reqtrace.Spec{}})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var quiet, keeping int
+	var ms runtime.MemStats
+	for m := 0; m < 180; m++ {
+		to := clock.Now().Add(time.Minute)
+		kept := eng.Recorder().Stats().Kept
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		clock.RunUntil(to)
+		runtime.ReadMemStats(&ms)
+		if to.Minute() == 0 {
+			continue // the hourly flush
+		}
+		allocs := ms.Mallocs - before
+		n := eng.Recorder().Stats().Kept - kept
+		if allocs != uint64(n*allocsPerKeptTrace) {
+			t.Fatalf("minute ending %s kept %d traces and allocated %d, want %d",
+				to.Format("15:04"), n, allocs, n*allocsPerKeptTrace)
+		}
+		if n == 0 {
+			quiet++
+		} else {
+			keeping++
+		}
+	}
+	t.Logf("%d quiet minutes, %d keeping minutes", quiet, keeping)
+	if quiet == 0 || keeping == 0 {
+		t.Fatalf("%d quiet and %d keeping minutes; the pin needs both", quiet, keeping)
 	}
 }
 
@@ -121,7 +170,7 @@ func TestNoTrafficZeroAlloc(t *testing.T) {
 	// per-tick latency observation hook the traffic plane would call is
 	// a free no-op on the no-grayfail path.
 	if allocs := testing.AllocsPerRun(200, func() {
-		c.ObserveNodeLatency("node-0", 5)
+		c.ObserveNodeLatency(c.Nodes()[0], 5)
 	}); allocs != 0 {
 		t.Errorf("ObserveNodeLatency allocates %.1f per call with detection off", allocs)
 	}

@@ -114,6 +114,9 @@ type svcState struct {
 	// journal seq and root cause, so half-open and closed chain to it.
 	openSeq  uint64
 	openKind fabric.CauseKind
+	// premium is the service's traffic class, resolved once per tick
+	// (the control plane may rewrite the class label between ticks).
+	premium bool
 }
 
 // Engine drives the traffic plane on the simulation clock. It must only
@@ -360,14 +363,17 @@ func (e *Engine) tick(now time.Time) {
 	}
 	// Traffic classes: premium services admit first, so the shared token
 	// bucket drains in class order and overload sheds standard traffic
-	// before premium — the shed order is the admission order.
+	// before premium — the shed order is the admission order. The first
+	// sweep resolves every service's class for the tick.
 	e.cluster.EachLiveService(func(s *fabric.Service) {
-		if e.isPremium(s) {
+		st := e.state(s)
+		st.premium = e.isPremium(s)
+		if st.premium {
 			e.serveOne(now, s, shape)
 		}
 	})
 	e.cluster.EachLiveService(func(s *fabric.Service) {
-		if !e.isPremium(s) {
+		if !e.state(s).premium {
 			e.serveOne(now, s, shape)
 		}
 	})
@@ -384,7 +390,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 	e.lastNode, e.lastUtil = "", 0
 	e.curHedge = nil
 	e.tickHedges, e.tickHedgeDeny, e.tickHedgeWins = 0, 0, 0
-	premium := e.isPremium(s)
+	premium := st.premium
 
 	mean := e.spec.PerCoreRPS * s.TotalReservedCores() * shape * e.spec.TickSeconds
 	n := 0
@@ -407,7 +413,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 	overflow := demand - take
 	st.queued = overflow
 	depth := e.spec.QueueDepth
-	if premium && e.spec.Classes != nil {
+	if premium {
 		// The premium admission weight: a deeper overflow queue, so
 		// premium spillover waits out a burst that sheds standard load.
 		depth = int(float64(depth) * e.spec.Classes.PremiumWeight)
@@ -721,67 +727,90 @@ func (e *Engine) observeCell(now time.Time, svc string, k int64, mult, ms, queue
 				hv = v
 			}
 			e.tickHedges += granted
+			b := e.hourHist.add(hv, granted)
 			if e.rec != nil {
-				e.traceHedged(now, svc, granted, hv, win)
+				e.traceHedged(now, svc, b, granted, hv, win)
 			}
-			e.hourHist.add(hv, granted)
 			k -= granted
 		}
 	}
 	if k <= 0 {
 		return
 	}
+	b := e.hourHist.add(v, k)
 	if e.rec != nil {
-		e.traceOK(now, svc, k, v, queueMs*mult, backMs*mult, retries)
+		e.traceOK(now, svc, b, k, v, queueMs*mult, backMs*mult, retries)
 	}
-	e.hourHist.add(v, k)
 }
 
-// traceFail assembles and offers a failure trace (shed or breaker-
-// rejected group) to the sampler. Failures are always kept.
-func (e *Engine) traceFail(now time.Time, svc string, outcome reqtrace.Outcome, count int64, latMs float64, aSeq uint64, aKind fabric.CauseKind) {
-	tr := e.rec.Begin(now.UnixNano(), svc)
-	tr.Add(reqtrace.SpanArrival, 0, 0)
-	tr.Add(reqtrace.SpanAdmission, 0, 0)
-	if outcome == reqtrace.OutcomeRejected {
-		tr.Add(reqtrace.SpanBreaker, 0, 0)
-		tr.Add(reqtrace.SpanReject, 0, 0)
-	} else {
-		tr.Add(reqtrace.SpanShed, 0, 0)
-	}
-	group := e.traceGroup
+// offer runs the tail sampler's keep decision for the next request group
+// of the current (tick, service) and returns the group's index, which
+// every group takes, kept or not, so a trace's ID does not depend on
+// which groups before it were kept. Only a kept group's trace is built.
+func (e *Engine) offer(outcome reqtrace.Outcome, bucketFirst bool) (group int, keep bool) {
+	group = e.traceGroup
 	e.traceGroup++
-	if kept, ok := e.rec.Finish(outcome, count, latMs, 0, group, false); ok {
-		e.emitTrace(now, svc, kept, aSeq, aKind)
-	}
+	return group, e.rec.Keep(outcome, bucketFirst)
 }
 
-// traceError assembles the trace for a group of dispatched requests
-// that finally failed; retried reports how many of them burned a retry.
+// traceFail offers a failure group (shed or breaker-rejected) to the
+// sampler, which keeps every failure, and records its trace.
+func (e *Engine) traceFail(now time.Time, svc string, outcome reqtrace.Outcome, count int64, latMs float64, aSeq uint64, aKind fabric.CauseKind) {
+	group, keep := e.offer(outcome, false)
+	if !keep {
+		return
+	}
+	tr := reqtrace.Trace{Time: now.UnixNano(), Service: svc, Outcome: outcome, Count: count, LatencyMs: latMs}
+	if outcome == reqtrace.OutcomeRejected {
+		tr.Spans = []reqtrace.Span{{Name: reqtrace.SpanArrival}, {Name: reqtrace.SpanAdmission},
+			{Name: reqtrace.SpanBreaker}, {Name: reqtrace.SpanReject}}
+	} else {
+		tr.Spans = []reqtrace.Span{{Name: reqtrace.SpanArrival}, {Name: reqtrace.SpanAdmission},
+			{Name: reqtrace.SpanShed}}
+	}
+	e.recordTrace(now, &tr, group, aSeq, aKind)
+}
+
+// traceError offers the group of dispatched requests that finally
+// failed; retried reports how many of them burned a retry.
 func (e *Engine) traceError(now time.Time, svc string, count int64, meanMs float64, retried int, aSeq uint64, aKind fabric.CauseKind) {
-	tr := e.rec.Begin(now.UnixNano(), svc)
-	tr.Add(reqtrace.SpanArrival, 0, 0)
-	tr.Add(reqtrace.SpanAdmission, 0, 0)
-	tr.Add(reqtrace.SpanBreaker, 0, 0)
-	tr.AddDispatch(0, meanMs, e.lastNode, e.lastUtil)
-	tr.Add(reqtrace.SpanError, meanMs, 0)
+	group, keep := e.offer(reqtrace.OutcomeError, false)
+	if !keep {
+		return
+	}
 	retries := 0
 	if retried > 0 {
 		retries = 1
 	}
-	group := e.traceGroup
-	e.traceGroup++
-	if kept, ok := e.rec.Finish(reqtrace.OutcomeError, count, meanMs, retries, group, false); ok {
-		e.emitTrace(now, svc, kept, aSeq, aKind)
-	}
+	tr := reqtrace.Trace{Time: now.UnixNano(), Service: svc, Outcome: reqtrace.OutcomeError,
+		Count: count, LatencyMs: meanMs, Retries: retries, Spans: []reqtrace.Span{
+			{Name: reqtrace.SpanArrival},
+			{Name: reqtrace.SpanAdmission},
+			{Name: reqtrace.SpanBreaker},
+			{Name: reqtrace.SpanDispatch, DurMs: meanMs, Node: e.lastNode, Util: e.lastUtil},
+			{Name: reqtrace.SpanError, StartMs: meanMs},
+		}}
+	e.recordTrace(now, &tr, group, aSeq, aKind)
 }
 
-// traceOK assembles a success trace for one latency-spread cell. The
-// first trace into an empty histogram bucket is always kept as that
-// bucket's exemplar; otherwise the deterministic 1-in-N sampler rules.
-func (e *Engine) traceOK(now time.Time, svc string, count int64, v, queueMs, backMs float64, retries int) {
-	bucketFirst := e.hourHist.needsExemplar(v)
-	tr := e.rec.Begin(now.UnixNano(), svc)
+// traceOK offers the success group of one latency-spread cell, whose
+// latency v landed in histogram bucket b. The first trace into a bucket
+// without an exemplar is always kept as that bucket's exemplar;
+// otherwise the deterministic 1-in-N sampler rules.
+func (e *Engine) traceOK(now time.Time, svc string, b int, count int64, v, queueMs, backMs float64, retries int) {
+	group, keep := e.offer(reqtrace.OutcomeOK, e.hourHist.needsExemplar(b))
+	if !keep {
+		return
+	}
+	spans := 5
+	if queueMs > 0 {
+		spans++
+	}
+	if backMs > 0 {
+		spans++
+	}
+	tr := reqtrace.Trace{Time: now.UnixNano(), Service: svc, Outcome: reqtrace.OutcomeOK,
+		Count: count, LatencyMs: v, Retries: retries, Spans: make([]reqtrace.Span, 0, spans)}
 	tr.Add(reqtrace.SpanArrival, 0, 0)
 	off := 0.0
 	if queueMs > 0 {
@@ -802,49 +831,52 @@ func (e *Engine) traceOK(now time.Time, svc string, count int64, v, queueMs, bac
 	}
 	tr.AddDispatch(off, svcMs, e.lastNode, e.lastUtil)
 	tr.Add(reqtrace.SpanComplete, v, 0)
-	group := e.traceGroup
-	e.traceGroup++
-	if kept, ok := e.rec.Finish(reqtrace.OutcomeOK, count, v, retries, group, bucketFirst); ok {
-		e.hourHist.setExemplar(v, kept.ID)
-		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
-		e.emitTrace(now, svc, kept, aSeq, aKind)
-	}
+	e.recordExemplar(now, &tr, group, b)
 }
 
-// traceHedged assembles a success trace for a hedged latency-spread
-// cell: the dispatch raced a speculative attempt launched at the hedge
-// delay, and v is whichever path finished first. On a win the hedge span
-// carries the alternate's service time; on a loss it is zero-duration —
-// launched, but beaten by the original.
-func (e *Engine) traceHedged(now time.Time, svc string, count int64, v float64, win bool) {
-	bucketFirst := e.hourHist.needsExemplar(v)
-	tr := e.rec.Begin(now.UnixNano(), svc)
-	tr.Add(reqtrace.SpanArrival, 0, 0)
-	tr.Add(reqtrace.SpanAdmission, 0, 0)
-	tr.Add(reqtrace.SpanBreaker, 0, 0)
+// traceHedged offers the success group of a hedged latency-spread cell:
+// the dispatch raced a speculative attempt launched at the hedge delay,
+// and v, in histogram bucket b, is whichever path finished first. On a
+// win the hedge span carries the alternate's service time; on a loss it
+// is zero-duration — launched, but beaten by the original.
+func (e *Engine) traceHedged(now time.Time, svc string, b int, count int64, v float64, win bool) {
+	group, keep := e.offer(reqtrace.OutcomeOK, e.hourHist.needsExemplar(b))
+	if !keep {
+		return
+	}
+	dispatchMs, hedgeMs := v, 0.0
 	if win {
-		tr.AddDispatch(0, e.hedgeDelayMs, e.lastNode, e.lastUtil)
-		tr.Add(reqtrace.SpanHedge, e.hedgeDelayMs, v-e.hedgeDelayMs)
-	} else {
-		tr.AddDispatch(0, v, e.lastNode, e.lastUtil)
-		tr.Add(reqtrace.SpanHedge, e.hedgeDelayMs, 0)
+		dispatchMs, hedgeMs = e.hedgeDelayMs, v-e.hedgeDelayMs
 	}
-	tr.Add(reqtrace.SpanComplete, v, 0)
-	group := e.traceGroup
-	e.traceGroup++
-	if kept, ok := e.rec.Finish(reqtrace.OutcomeOK, count, v, 0, group, bucketFirst); ok {
-		e.hourHist.setExemplar(v, kept.ID)
-		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
-		e.emitTrace(now, svc, kept, aSeq, aKind)
-	}
+	tr := reqtrace.Trace{Time: now.UnixNano(), Service: svc, Outcome: reqtrace.OutcomeOK,
+		Count: count, LatencyMs: v, Spans: []reqtrace.Span{
+			{Name: reqtrace.SpanArrival},
+			{Name: reqtrace.SpanAdmission},
+			{Name: reqtrace.SpanBreaker},
+			{Name: reqtrace.SpanDispatch, DurMs: dispatchMs, Node: e.lastNode, Util: e.lastUtil},
+			{Name: reqtrace.SpanHedge, StartMs: e.hedgeDelayMs, DurMs: hedgeMs},
+			{Name: reqtrace.SpanComplete, StartMs: v},
+		}}
+	e.recordExemplar(now, &tr, group, b)
 }
 
-// emitTrace journals one kept trace inside the causal bracket of the
-// incident that explains it, reusing the engine's encode buffer so a
-// kept trace costs one allocation (the Detail string).
-func (e *Engine) emitTrace(now time.Time, svc string, tr *reqtrace.Trace, aSeq uint64, aKind fabric.CauseKind) {
+// recordExemplar records a kept success trace, registers it as bucket
+// b's exemplar when the bucket has none, and journals it inside the
+// causal bracket of the best live anchor.
+func (e *Engine) recordExemplar(now time.Time, tr *reqtrace.Trace, group, b int) {
+	aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
+	e.recordTrace(now, tr, group, aSeq, aKind)
+	e.hourHist.setExemplar(b, tr.LatencyMs, tr.ID)
+}
+
+// recordTrace enters a kept trace into the recorder's ring and journals
+// it inside the causal bracket of the incident that explains it,
+// reusing the engine's encode buffer so the journal entry costs one
+// allocation (the Detail string).
+func (e *Engine) recordTrace(now time.Time, tr *reqtrace.Trace, group int, aSeq uint64, aKind fabric.CauseKind) {
+	e.rec.Record(tr, group)
 	e.detailBuf = reqtrace.AppendDetail(e.detailBuf[:0], tr)
-	e.annotate(KindRequestTrace, now, svc, float64(tr.Count), tr.LatencyMs, string(e.detailBuf), aSeq, aKind)
+	e.annotate(KindRequestTrace, now, tr.Service, float64(tr.Count), tr.LatencyMs, string(e.detailBuf), aSeq, aKind)
 }
 
 // flush closes one observation hour: latency quantiles and rates go to

@@ -7,7 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"toto/internal/controlplane"
+	"toto/internal/fabric"
 	"toto/internal/obs/journal"
+	"toto/internal/obs/reqtrace"
+	"toto/internal/simclock"
+	"toto/internal/slo"
 	"toto/internal/traffic"
 )
 
@@ -235,5 +240,65 @@ func TestTrafficClassShedOrder(t *testing.T) {
 	}
 	if premRate >= stdRate/2 {
 		t.Errorf("shed order not honored: premium %.2f/core vs standard %.2f/core", premRate, stdRate)
+	}
+}
+
+// TestTrafficClassFollowsLabelRewrite: a service's class is resolved
+// every tick, not once per service life. Keyed on the slo label, which
+// the control plane rewrites when it resizes a database, a service
+// scaled into the premium SLO is served ahead of the standard ones on
+// the very next tick, and back in name order once scaled down again.
+func TestTrafficClassFollowsLabelRewrite(t *testing.T) {
+	clock := simclock.New(harnessStart)
+	c := fabric.NewCluster(clock, 4, harnessCapacity(), fabric.DefaultConfig())
+	cp := controlplane.New(c, slo.Gen5())
+	for _, db := range []string{"db-a", "db-b", "db-c"} {
+		if _, err := cp.CreateDatabase(db, "GP_Gen5_2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Start()
+	spec := &traffic.Spec{
+		Seed:     5,
+		Classes:  &traffic.ClassesSpec{Label: controlplane.LabelSLO, PremiumEditions: []string{"GP_Gen5_8"}},
+		Reqtrace: &reqtrace.Spec{SampleOneIn: 1},
+	}
+	eng, err := traffic.NewEngine(clock, c, spec, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every group is kept, so the request-trace annotations list each
+	// tick's services in serve order.
+	var order []string
+	c.SubscribeAnnotations(func(a fabric.Annotation) {
+		if a.Kind == traffic.KindRequestTrace && (len(order) == 0 || order[len(order)-1] != a.Service) {
+			order = append(order, a.Service)
+		}
+	})
+	eng.Start(harnessStart)
+	tick := func() string {
+		order = order[:0]
+		clock.RunUntil(clock.Now().Add(time.Minute))
+		return strings.Join(order, ",")
+	}
+	scale := func(db, to string) {
+		if _, _, err := cp.ScaleDatabase(db, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got := tick(); got != "db-a,db-b,db-c" {
+		t.Fatalf("all standard: served %s, want name order", got)
+	}
+	scale("db-c", "GP_Gen5_8")
+	if got := tick(); got != "db-c,db-a,db-b" {
+		t.Fatalf("after db-c scaled to premium: served %s, want db-c first", got)
+	}
+	if got := tick(); got != "db-c,db-a,db-b" {
+		t.Fatalf("second premium tick: served %s, want db-c first", got)
+	}
+	scale("db-c", "GP_Gen5_2")
+	if got := tick(); got != "db-a,db-b,db-c" {
+		t.Fatalf("after db-c scaled back: served %s, want name order", got)
 	}
 }

@@ -123,10 +123,16 @@ func (e *Engine) nodeLoadMs(n *fabric.Node) (float64, float64) {
 // and the utilization.
 func (e *Engine) nodeServiceMs(n *fabric.Node, now time.Time) (float64, float64) {
 	ms, util := e.nodeLoadMs(n)
+	return e.slowed(ms, n, now), util
+}
+
+// slowed applies n's current slow factor, when a fail-slow hook is
+// attached, to a load-expected service time ms.
+func (e *Engine) slowed(ms float64, n *fabric.Node, now time.Time) float64 {
 	if e.slowFn != nil {
 		ms *= e.slowFn(n.ID, now)
 	}
-	return ms, util
+	return ms
 }
 
 // feedSlowNodeDetector reports every replica node's load-normalized
@@ -144,9 +150,9 @@ func (e *Engine) nodeServiceMs(n *fabric.Node, now time.Time) (float64, float64)
 func (e *Engine) feedSlowNodeDetector(s *fabric.Service, now time.Time) {
 	for _, r := range s.Replicas {
 		if n := r.Node; n != nil && n.Up() {
-			observed, _ := e.nodeServiceMs(n, now)
 			expected, _ := e.nodeLoadMs(n)
-			e.cluster.ObserveNodeLatency(n.ID, observed/expected*e.spec.BaseLatencyMs)
+			observed := e.slowed(expected, n, now)
+			e.cluster.ObserveNodeLatency(n, observed/expected*e.spec.BaseLatencyMs)
 		}
 	}
 }

@@ -111,33 +111,36 @@ func (h *hist) enableExemplars() {
 	}
 }
 
-// add records n observations at ms.
-func (h *hist) add(ms float64, n int64) {
-	if n <= 0 {
-		return
-	}
+// add records n observations at ms and returns ms's bucket, so a caller
+// that also needs the bucket (the tracer's exemplar check) looks it up
+// once.
+func (h *hist) add(ms float64, n int64) int {
 	if math.IsNaN(ms) || ms < 0 {
 		ms = 0
 	}
-	h.counts[BucketIndex(ms)] += n
-	h.total += n
-	h.sum += ms * float64(n)
+	b := BucketIndex(ms)
+	if n > 0 {
+		h.counts[b] += n
+		h.total += n
+		h.sum += ms * float64(n)
+	}
+	return b
 }
 
-// needsExemplar reports whether the bucket for ms has no exemplar yet.
-// False when exemplars are disabled.
-func (h *hist) needsExemplar(ms float64) bool {
-	return h.ex != nil && h.ex[BucketIndex(ms)].id == 0
+// needsExemplar reports whether bucket b has no exemplar yet. False
+// when exemplars are disabled.
+func (h *hist) needsExemplar(b int) bool {
+	return h.ex != nil && h.ex[b].id == 0
 }
 
-// setExemplar attaches a kept trace to ms's bucket; the first trace
-// into a bucket wins so the exemplar is the one the sampler kept for
-// that reason.
-func (h *hist) setExemplar(ms float64, id uint64) {
+// setExemplar attaches a kept trace at latency ms to ms's bucket b; the
+// first trace into a bucket wins so the exemplar is the one the sampler
+// kept for that reason.
+func (h *hist) setExemplar(b int, ms float64, id uint64) {
 	if h.ex == nil || id == 0 {
 		return
 	}
-	if e := &h.ex[BucketIndex(ms)]; e.id == 0 {
+	if e := &h.ex[b]; e.id == 0 {
 		e.id = id
 		e.ms = ms
 	}

@@ -178,7 +178,9 @@ func TestHistAddIgnoresNonPositiveCounts(t *testing.T) {
 	if h.total != 0 || h.sum != 0 {
 		t.Fatalf("non-positive adds leaked: total=%d sum=%g", h.total, h.sum)
 	}
-	h.add(5, 2)
+	if b := h.add(5, 2); b != BucketIndex(5) {
+		t.Fatalf("add(5,2) returned bucket %d, want %d", b, BucketIndex(5))
+	}
 	if h.total != 2 || h.sum != 10 {
 		t.Fatalf("add(5,2): total=%d sum=%g", h.total, h.sum)
 	}
@@ -189,25 +191,25 @@ func TestHistAddIgnoresNonPositiveCounts(t *testing.T) {
 // table, and mergeExemplars adopts only into empty buckets.
 func TestHistExemplars(t *testing.T) {
 	var h hist
-	if h.needsExemplar(5) {
+	if h.needsExemplar(BucketIndex(5)) {
 		t.Fatal("needsExemplar must be false with exemplars disabled")
 	}
-	h.setExemplar(5, 42) // no-op, must not panic
+	h.setExemplar(BucketIndex(5), 5, 42) // no-op, must not panic
 	if h.exemplarAt(BucketIndex(5)) != (exemplar{}) {
 		t.Fatal("disabled hist returned an exemplar")
 	}
 
 	h.enableExemplars()
 	h.enableExemplars() // idempotent
-	if !h.needsExemplar(5) {
+	if !h.needsExemplar(BucketIndex(5)) {
 		t.Fatal("empty bucket should need an exemplar")
 	}
-	h.setExemplar(5, 0) // id 0 is "none", must not claim the slot
-	if !h.needsExemplar(5) {
+	h.setExemplar(BucketIndex(5), 5, 0) // id 0 is "none", must not claim the slot
+	if !h.needsExemplar(BucketIndex(5)) {
 		t.Fatal("id 0 must not claim a bucket")
 	}
-	h.setExemplar(5, 42)
-	h.setExemplar(5.1, 99) // same bucket: first wins
+	h.setExemplar(BucketIndex(5), 5, 42)
+	h.setExemplar(BucketIndex(5.1), 5.1, 99) // same bucket: first wins
 	if got := h.exemplarAt(BucketIndex(5)); got.id != 42 || got.ms != 5 {
 		t.Fatalf("exemplar = %+v, want id 42 ms 5", got)
 	}
@@ -217,8 +219,8 @@ func TestHistExemplars(t *testing.T) {
 
 	var other hist
 	other.enableExemplars()
-	other.setExemplar(5, 7)    // h already has bucket(5) -> not adopted
-	other.setExemplar(500, 11) // h lacks bucket(500) -> adopted
+	other.setExemplar(BucketIndex(5), 5, 7)      // h already has bucket(5) -> not adopted
+	other.setExemplar(BucketIndex(500), 500, 11) // h lacks bucket(500) -> adopted
 	h.mergeExemplars(&other)
 	if got := h.exemplarAt(BucketIndex(5)); got.id != 42 {
 		t.Fatalf("mergeExemplars overwrote a held bucket: %+v", got)
@@ -235,7 +237,7 @@ func TestHistExemplars(t *testing.T) {
 	if h.ex == nil {
 		t.Fatal("reset dropped the exemplar table")
 	}
-	if !h.needsExemplar(5) {
+	if !h.needsExemplar(BucketIndex(5)) {
 		t.Fatal("reset must clear exemplars")
 	}
 }
@@ -248,7 +250,7 @@ func TestHistMergeSkipsExemplars(t *testing.T) {
 	a.enableExemplars()
 	b.enableExemplars()
 	b.add(5, 4)
-	b.setExemplar(5, 9)
+	b.setExemplar(BucketIndex(5), 5, 9)
 
 	copied := a // value copy: shares a.ex
 	copied.merge(&b)
@@ -277,8 +279,7 @@ func TestHistAddZeroAlloc(t *testing.T) {
 	h.enableExemplars()
 	if n := testing.AllocsPerRun(1000, func() {
 		ms *= 1.01
-		h.add(ms, 3)
-		h.setExemplar(ms, 7)
+		h.setExemplar(h.add(ms, 3), ms, 7)
 	}); n != 0 {
 		t.Errorf("hist.add with exemplars allocates %.1f per call", n)
 	}
