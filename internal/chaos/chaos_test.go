@@ -117,7 +117,7 @@ func chaosRun(t *testing.T, spec *Spec) (hash string, stats Stats) {
 	clock.Every(30*time.Minute, func(now time.Time) {
 		for _, svc := range c.LiveServices() {
 			for _, rep := range svc.Replicas {
-				_ = c.ReportLoad(rep.ID, fabric.MetricDiskGB, rep.Load(fabric.MetricDiskGB)+src.UniformRange(0, 6))
+				_ = c.ReportLoad(rep, fabric.MetricDiskGB, rep.Load(fabric.MetricDiskGB)+src.UniformRange(0, 6))
 			}
 		}
 		// Periodic metastore write, standing in for the model-refresh

@@ -76,7 +76,7 @@ func TestSeededCreateIsDiskAware(t *testing.T) {
 	cp := newCP(t, 2)
 	// Fill one node's disk.
 	fill, _ := cp.CreateDatabase("fill", "GP_Gen5_2")
-	cp.Cluster().ReportLoad(fill.Replicas[0].ID, fabric.MetricDiskGB, 8000)
+	cp.Cluster().ReportLoad(fill.Replicas[0], fabric.MetricDiskGB, 8000)
 	full := fill.Replicas[0].Node
 
 	// A seeded single-replica GP create with a large known tempDB load

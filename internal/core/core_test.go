@@ -107,7 +107,7 @@ func TestModelInjectionReachesAllManagers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range o.Cluster.Nodes() {
-		mgr := o.Manager(n.ID)
+		mgr := o.Manager(n)
 		if mgr == nil || mgr.Models() == nil {
 			t.Fatalf("manager on %s has no models after WriteModels", n.ID)
 		}
@@ -132,7 +132,7 @@ func TestModelRefreshPicksUpOverwrite(t *testing.T) {
 	o.Cluster.Naming().Put(models.NamingKey, data)
 	o.Clock.RunUntil(sc.Start.Add(16 * time.Minute))
 	for _, n := range o.Cluster.Nodes() {
-		if o.Manager(n.ID).Models().Frozen {
+		if o.Manager(n).Models().Frozen {
 			t.Fatalf("manager on %s still frozen after refresh interval", n.ID)
 		}
 	}

@@ -17,7 +17,9 @@ const (
 
 // TestModelXMLDecodedOncePerWrite walks the experiment protocol with a
 // mid-run model rewrite and a malformed blob, and checks that the XML is
-// decoded once per written version and shared by every reader.
+// decoded once per written version and shared by every reader, and that
+// the persisted disk loads read through the same memo are parsed at most
+// once per written value.
 func TestModelXMLDecodedOncePerWrite(t *testing.T) {
 	sc := shortScenario(t, 1.0)
 	o, err := NewOrchestrator(sc)
@@ -43,7 +45,7 @@ func TestModelXMLDecodedOncePerWrite(t *testing.T) {
 		t.Helper()
 		var set *models.ModelSet
 		for _, n := range o.Cluster.Nodes() {
-			got := o.Manager(n.ID).Models()
+			got := o.Manager(n).Models()
 			if set == nil {
 				set = got
 			}
@@ -54,8 +56,8 @@ func TestModelXMLDecodedOncePerWrite(t *testing.T) {
 		if withPop && o.PopMgr.Models() != set {
 			t.Fatalf("%s: population manager holds %p, want the shared %p", stage, o.PopMgr.Models(), set)
 		}
-		if naming.Decodes() != writes {
-			t.Fatalf("%s: %d decodes for %d model writes", stage, naming.Decodes(), writes)
+		if naming.Decodes(models.NamingKey) != writes {
+			t.Fatalf("%s: %d decodes for %d model writes", stage, naming.Decodes(models.NamingKey), writes)
 		}
 		return set
 	}
@@ -92,7 +94,7 @@ func TestModelXMLDecodedOncePerWrite(t *testing.T) {
 	if got := shared("rewrite", true); got == live || got.RingShare != rewrite.RingShare {
 		t.Fatalf("rewrite not picked up: ring share %v, want %v", got.RingShare, rewrite.RingShare)
 	}
-	active := o.Manager(o.Cluster.Nodes()[0].ID).Models()
+	active := o.Manager(o.Cluster.Nodes()[0]).Models()
 
 	// A malformed blob is decoded (and rejected) once; the RgManagers keep
 	// the previous models and the Population Manager skips churn.
@@ -108,6 +110,18 @@ func TestModelXMLDecodedOncePerWrite(t *testing.T) {
 	put(data)
 	o.Clock.RunUntil(now.Add(6 * time.Hour))
 	shared("repaired", true)
+
+	// Every Put other than the model writes stored a persisted load; the
+	// load keys of every database ever created were parsed no more often.
+	parses := int64(0)
+	for _, svc := range o.Cluster.Services() {
+		parses += naming.Decodes("toto/load/" + svc.Name + "/diskGB")
+	}
+	if loadWrites := naming.CurrentVersion() - writes; parses == 0 || parses > loadWrites {
+		t.Errorf("persisted loads parsed %d times for %d written values", parses, loadWrites)
+	} else {
+		t.Logf("persisted loads parsed %d times for %d written values", parses, loadWrites)
+	}
 
 	if got := naming.Reads(); got != pinnedProtocolNamingReads {
 		t.Errorf("Naming reads = %d, want %d (pinned before the decode memo)", got, pinnedProtocolNamingReads)

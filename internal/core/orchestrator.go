@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"toto/internal/controlplane"
@@ -36,17 +38,36 @@ type Orchestrator struct {
 	Recorder *telemetry.Recorder
 	Pools    *pools.Manager
 
-	managers map[string]*rgmanager.Manager
-	dbinfo   map[string]rgmanager.DBInfo
-	// diskGBSeconds integrates each database's primary disk usage over
-	// time, feeding the storage-revenue term.
-	diskGBSeconds map[string]float64
-	lastReport    time.Time
+	// managers holds each node's RgManager at the node's Index; store is
+	// their shared process memory.
+	managers []*rgmanager.Manager
+	store    *rgmanager.Store
+	// dbs holds each registered live database at its service's Slot.
+	dbs []dbEntry
+	// droppedGBSeconds keeps the disk integral of dropped databases (see
+	// dbEntry.diskGBSeconds) for the revenue score.
+	droppedGBSeconds map[string]float64
+	lastReport       time.Time
 
 	tickers   []*simclock.Ticker
 	obs       *obs.Obs
 	collector *timeseries.Collector
 	alerts    *alert.Engine
+}
+
+// dbEntry is the orchestrator's record of one registered live database.
+// It sits at the service's slot, and slots recycle, so svc guards it:
+// entry returns it for svc alone.
+type dbEntry struct {
+	svc  *fabric.Service
+	info rgmanager.DBInfo
+	// pool marks an elastic pool, whose disk reports sum its members;
+	// members holds their metadata in name order.
+	pool    bool
+	members []*rgmanager.DBInfo
+	// diskGBSeconds integrates the primary's reported disk over time,
+	// feeding the storage-revenue term.
+	diskGBSeconds float64
 }
 
 // NewOrchestrator builds (but does not start) a deployment for scenario.
@@ -92,24 +113,23 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	}
 
 	o := &Orchestrator{
-		Scenario:      s,
-		Clock:         clock,
-		Cluster:       cluster,
-		Control:       controlplane.New(cluster, s.Catalog),
-		managers:      make(map[string]*rgmanager.Manager),
-		dbinfo:        make(map[string]rgmanager.DBInfo),
-		diskGBSeconds: make(map[string]float64),
-		lastReport:    s.Start,
-		obs:           s.Obs,
+		Scenario:         s,
+		Clock:            clock,
+		Cluster:          cluster,
+		Control:          controlplane.New(cluster, s.Catalog),
+		store:            rgmanager.NewStore(s.Obs),
+		droppedGBSeconds: make(map[string]float64),
+		lastReport:       s.Start,
+		obs:              s.Obs,
 	}
 
 	// One RgManager per node, each with a unique seed split from the
 	// model seed (§5.2).
 	seedRoot := rng.New(s.Seeds.Models)
 	for _, n := range cluster.Nodes() {
-		mgr := rgmanager.New(n.ID, cluster.Naming(), seedRoot.Split(n.ID).Uint64())
+		mgr := rgmanager.New(n, cluster.Naming(), o.store, seedRoot.Split(n.ID).Uint64())
 		mgr.SetObs(s.Obs)
-		o.managers[n.ID] = mgr
+		o.managers = append(o.managers, mgr)
 	}
 
 	o.Recorder = telemetry.NewRecorder(clock, cluster, s.TelemetryInterval, s.NodeTelemetryInterval, func(svc *fabric.Service) slo.Edition {
@@ -134,49 +154,99 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	})
 	o.PopMgr.SetPoolOps(poolOps{o})
 
-	// Evict per-node in-memory model state when a replica leaves a node,
-	// and clear persisted state when a database is dropped.
+	// Evict in-memory model state when a replica leaves a node, and all
+	// of a database's state when it is dropped.
 	cluster.Subscribe(func(ev fabric.Event) {
 		switch ev.Kind {
 		case fabric.EventFailover, fabric.EventBalanceMove:
-			if mgr, ok := o.managers[ev.From]; ok {
-				svc := ev.Service
-				if ev.Replica.Index >= 0 && ev.Replica.Index < len(svc.Replicas) {
-					mgr.Evict(ev.Replica, svc.Replicas[ev.Replica.Index].Incarnation-1)
-				}
+			if i := ev.Replica.Index; i >= 0 && i < len(ev.Service.Replicas) {
+				rep := ev.Service.Replicas[i]
+				o.store.Evict(rep, rep.Incarnation-1)
 			}
 		case fabric.EventServiceDropped:
-			rgmanager.ClearPersisted(cluster.Naming(), ev.Service.Name)
-			if p, ok := o.Pools.Pool(ev.Service.Name); ok {
-				for _, member := range p.Members() {
-					rgmanager.ClearPersisted(cluster.Naming(), member.DB)
-				}
-			}
+			o.dropDB(ev.Service)
 		}
 	})
 	return o, nil
 }
 
 // Manager returns the RgManager of one node (for tests and tools).
-func (o *Orchestrator) Manager(nodeID string) *rgmanager.Manager { return o.managers[nodeID] }
+func (o *Orchestrator) Manager(n *fabric.Node) *rgmanager.Manager { return o.managers[n.Index()] }
 
-// DBInfo returns the registered metadata for a database.
+// DBInfo returns the registered metadata of a live database.
 func (o *Orchestrator) DBInfo(db string) (rgmanager.DBInfo, bool) {
-	info, ok := o.dbinfo[db]
-	return info, ok
+	if e := o.entryNamed(db); e != nil {
+		return e.info, true
+	}
+	return rgmanager.DBInfo{}, false
 }
 
 // DiskGBSeconds returns the integral of a database's disk usage (GB·s).
-func (o *Orchestrator) DiskGBSeconds(db string) float64 { return o.diskGBSeconds[db] }
+func (o *Orchestrator) DiskGBSeconds(db string) float64 {
+	if e := o.entryNamed(db); e != nil {
+		return e.diskGBSeconds
+	}
+	return o.droppedGBSeconds[db]
+}
+
+// entry returns svc's registered database, or nil if svc is not
+// registered (or no longer live).
+func (o *Orchestrator) entry(svc *fabric.Service) *dbEntry {
+	if i := svc.Slot(); i < len(o.dbs) && o.dbs[i].svc == svc {
+		return &o.dbs[i]
+	}
+	return nil
+}
+
+// entryNamed returns the registered live database named db, or nil.
+func (o *Orchestrator) entryNamed(db string) *dbEntry {
+	if svc, ok := o.Cluster.Service(db); ok {
+		return o.entry(svc)
+	}
+	return nil
+}
+
+// dropDB clears a dropped database's persisted loads, evicts its
+// replicas' in-memory state and retires its entry, keeping its disk
+// integral for the revenue score.
+func (o *Orchestrator) dropDB(svc *fabric.Service) {
+	naming := o.Cluster.Naming()
+	rgmanager.ClearPersisted(naming, svc.Name)
+	if p, ok := o.Pools.Pool(svc.Name); ok {
+		for _, member := range p.Members() {
+			rgmanager.ClearPersisted(naming, member.DB)
+		}
+	}
+	o.store.Drop(svc)
+	if e := o.entry(svc); e != nil {
+		o.droppedGBSeconds[svc.Name] = e.diskGBSeconds
+		*e = dbEntry{}
+	}
+}
 
 // RegisterDatabase records the metadata the RgManagers need to evaluate
 // models for a database created outside the Population Manager (tools
 // and repro harnesses drive the control plane directly).
 func (o *Orchestrator) RegisterDatabase(svc *fabric.Service, sl slo.SLO) { o.registerDB(svc, sl) }
 
-// registerDB records the metadata the RgManagers need for a database.
+// registerDB records the metadata the RgManagers need for a live
+// database, at its service's slot. A dropped service is never reported
+// and its slot may already be another's, so it is not registered.
 func (o *Orchestrator) registerDB(svc *fabric.Service, sl slo.SLO) {
-	o.dbinfo[svc.Name] = rgmanager.DBInfo{
+	if !svc.Alive() {
+		return
+	}
+	i := svc.Slot()
+	if i >= len(o.dbs) {
+		o.dbs = append(o.dbs, make([]dbEntry, i+1-len(o.dbs))...)
+	}
+	e := &o.dbs[i]
+	if e.svc != svc {
+		// A re-created name continues its predecessor's disk integral.
+		*e = dbEntry{svc: svc, pool: pools.IsPoolService(svc), diskGBSeconds: o.droppedGBSeconds[svc.Name]}
+		delete(o.droppedGBSeconds, svc.Name)
+	}
+	e.info = rgmanager.DBInfo{
 		Name:        svc.Name,
 		Edition:     sl.Edition,
 		Created:     svc.Created,
@@ -195,16 +265,16 @@ func (o *Orchestrator) seedInitialLoad(svc *fabric.Service, sl slo.SLO, diskGB f
 	if diskGB > sl.MaxDiskGB {
 		diskGB = sl.MaxDiskGB
 	}
-	info := o.dbinfo[svc.Name]
+	e := o.entry(svc)
 	for _, rep := range svc.Replicas {
 		if rep.Node == nil {
 			continue
 		}
-		if err := o.Cluster.ReportLoad(rep.ID, fabric.MetricDiskGB, diskGB); err != nil {
+		if err := o.Cluster.ReportLoad(rep, fabric.MetricDiskGB, diskGB); err != nil {
 			continue
 		}
-		if mgr, ok := o.managers[rep.Node.ID]; ok {
-			mgr.SeedLoad(rep, info, fabric.MetricDiskGB, diskGB)
+		if e != nil {
+			o.managers[rep.Node.Index()].SeedLoad(rep, &e.info, diskGB)
 		}
 	}
 }
@@ -333,34 +403,27 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 	// EachLiveService keeps this 20-minute sweep allocation-free; reports
 	// never create or drop services, which the sweep forbids.
 	o.Cluster.EachLiveService(func(svc *fabric.Service) {
-		info, ok := o.dbinfo[svc.Name]
-		if !ok {
+		e := o.entry(svc)
+		if e == nil {
 			return
-		}
-		var members []rgmanager.DBInfo
-		if pools.IsPoolService(svc) {
-			members = o.poolMemberInfos(svc.Name)
 		}
 		var primaryLoad float64
 		eachPrimaryFirst(svc, func(rep *fabric.Replica) {
 			if rep.Node == nil {
 				return
 			}
-			mgr := o.managers[rep.Node.ID]
-			if mgr == nil {
-				return
-			}
+			mgr := o.managers[rep.Node.Index()]
 			var value float64
 			var modeled bool
-			if members != nil {
-				value, modeled = mgr.ReportPoolDisk(rep, info, members, now)
+			if e.pool {
+				value, modeled = mgr.ReportPoolDisk(rep, &e.info, e.members, now)
 			} else {
-				value, modeled = mgr.ReportDisk(rep, info, now)
+				value, modeled = mgr.ReportDisk(rep, &e.info, now)
 			}
 			if !modeled {
 				return // no model: the replica reports actual usage
 			}
-			if err := o.Cluster.ReportLoad(rep.ID, fabric.MetricDiskGB, value); err != nil {
+			if err := o.Cluster.ReportLoad(rep, fabric.MetricDiskGB, value); err != nil {
 				return
 			}
 			reports++
@@ -369,7 +432,7 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 			}
 		})
 		if dt > 0 {
-			o.diskGBSeconds[svc.Name] += primaryLoad * dt
+			e.diskGBSeconds += primaryLoad * dt
 		}
 	})
 	sp.End(obs.Int("reports", reports))
@@ -380,24 +443,21 @@ func (o *Orchestrator) reportMemory(now time.Time) {
 	sp := o.obs.Span("core.report_memory")
 	reports := 0
 	o.Cluster.EachLiveService(func(svc *fabric.Service) {
-		info, ok := o.dbinfo[svc.Name]
-		if !ok {
+		e := o.entry(svc)
+		if e == nil {
 			return
 		}
 		for _, rep := range svc.Replicas {
 			if rep.Node == nil {
 				continue
 			}
-			mgr := o.managers[rep.Node.ID]
-			if mgr == nil {
-				continue
-			}
-			if value, modeled := mgr.ReportMemory(rep, info, now); modeled {
-				_ = o.Cluster.ReportLoad(rep.ID, fabric.MetricMemoryGB, value)
+			mgr := o.managers[rep.Node.Index()]
+			if value, modeled := mgr.ReportMemory(rep, &e.info, now); modeled {
+				_ = o.Cluster.ReportLoad(rep, fabric.MetricMemoryGB, value)
 				reports++
 			}
-			if value, modeled := mgr.ReportCPU(rep, info, svc.ReservedCoresPerReplica, now); modeled {
-				_ = o.Cluster.ReportLoad(rep.ID, fabric.MetricCPUUsedCores, value)
+			if value, modeled := mgr.ReportCPU(rep, &e.info, svc.ReservedCoresPerReplica, now); modeled {
+				_ = o.Cluster.ReportLoad(rep, fabric.MetricCPUUsedCores, value)
 				reports++
 			}
 		}
@@ -482,30 +542,6 @@ func editionSlug(e slo.Edition) string {
 	return "gp"
 }
 
-// poolMemberInfos builds the per-member metadata a pool's disk report
-// needs.
-func (o *Orchestrator) poolMemberInfos(pool string) []rgmanager.DBInfo {
-	p, ok := o.Pools.Pool(pool)
-	if !ok {
-		return []rgmanager.DBInfo{}
-	}
-	edition := slo.StandardGP
-	if info, ok := o.dbinfo[pool]; ok {
-		edition = info.Edition
-	}
-	members := p.Members()
-	out := make([]rgmanager.DBInfo, 0, len(members))
-	for _, m := range members {
-		out = append(out, rgmanager.DBInfo{
-			Name:      m.DB,
-			Edition:   edition,
-			Created:   m.Added,
-			MaxDiskGB: m.MaxDiskGB,
-		})
-	}
-	return out
-}
-
 // CreatePool provisions an elastic pool and registers its metadata.
 func (o *Orchestrator) CreatePool(name, sloName string) error {
 	p, err := o.Pools.CreatePool(name, sloName)
@@ -523,31 +559,38 @@ func (o *Orchestrator) AddPoolMember(pool, db string, maxDiskGB, initialDiskGB f
 	if err := o.Pools.AddMember(pool, db, maxDiskGB, o.Clock.Now()); err != nil {
 		return err
 	}
-	svc, ok := o.Cluster.Service(pool)
-	if !ok || !svc.Alive() {
+	e := o.entryNamed(pool)
+	if e == nil {
 		return fmt.Errorf("core: pool service %s missing", pool)
 	}
-	poolInfo := o.dbinfo[pool]
-	member := rgmanager.DBInfo{Name: db, Edition: poolInfo.Edition, Created: o.Clock.Now(), MaxDiskGB: maxDiskGB}
+	member := &rgmanager.DBInfo{Name: db, Edition: e.info.Edition, Created: o.Clock.Now(), MaxDiskGB: maxDiskGB}
+	i, _ := slices.BinarySearchFunc(e.members, db, cmpDBName)
+	e.members = slices.Insert(e.members, i, member)
 	if initialDiskGB > maxDiskGB && maxDiskGB > 0 {
 		initialDiskGB = maxDiskGB
 	}
-	for _, rep := range svc.Replicas {
+	for _, rep := range e.svc.Replicas {
 		if rep.Node == nil {
 			continue
 		}
-		if mgr, ok := o.managers[rep.Node.ID]; ok {
-			mgr.SeedMemberLoad(rep, poolInfo, member, initialDiskGB)
-		}
+		o.managers[rep.Node.Index()].SeedMemberLoad(rep, &e.info, member, initialDiskGB)
 	}
 	return nil
 }
+
+// cmpDBName orders pool members by name, the order their disks sum in.
+func cmpDBName(info *rgmanager.DBInfo, db string) int { return strings.Compare(info.Name, db) }
 
 // RemovePoolMember drops a member database from its pool and clears its
 // persisted state.
 func (o *Orchestrator) RemovePoolMember(pool, db string) error {
 	if err := o.Pools.RemoveMember(pool, db); err != nil {
 		return err
+	}
+	if e := o.entryNamed(pool); e != nil {
+		if i, ok := slices.BinarySearchFunc(e.members, db, cmpDBName); ok {
+			e.members = slices.Delete(e.members, i, i+1)
+		}
 	}
 	rgmanager.ClearPersisted(o.Cluster.Naming(), db)
 	return nil
@@ -560,10 +603,10 @@ func (o *Orchestrator) ScaleDatabase(db, newSLOName string) (fabric.ResizeOutcom
 	if err != nil {
 		return outcome, err
 	}
-	info := o.dbinfo[db]
-	info.MaxDiskGB = next.MaxDiskGB
-	info.MaxMemoryGB = next.MemoryGB
-	o.dbinfo[db] = info
+	if e := o.entryNamed(db); e != nil {
+		e.info.MaxDiskGB = next.MaxDiskGB
+		e.info.MaxMemoryGB = next.MemoryGB
+	}
 	o.Recorder.RecordScale(db, outcome.OldCores, outcome.NewCores, outcome.Moves, outcome.Latency)
 	return outcome, nil
 }

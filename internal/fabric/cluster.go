@@ -207,10 +207,12 @@ type Cluster struct {
 	live        []*Service
 	liveGen     uint64
 	liveChanged string
-	// freeSlots holds the slots of dropped services for reuse; nextSlot
-	// is the lowest slot never assigned (see Service.Slot).
+	// bySlot maps each slot to the live service holding it (nil while
+	// free), so ReportLoad checks liveness and ownership with one pointer
+	// compare; freeSlots holds the slots of dropped services for reuse
+	// (see Service.Slot).
+	bySlot    []*Service
 	freeSlots []int
-	nextSlot  int
 
 	// upgrade is the in-flight domain-upgrade walker, nil otherwise (see
 	// upgrade.go).
@@ -564,9 +566,10 @@ func (c *Cluster) addLive(svc *Service) {
 	if n := len(c.freeSlots); n > 0 {
 		svc.slot = c.freeSlots[n-1]
 		c.freeSlots = c.freeSlots[:n-1]
+		c.bySlot[svc.slot] = svc
 	} else {
-		svc.slot = c.nextSlot
-		c.nextSlot++
+		svc.slot = len(c.bySlot)
+		c.bySlot = append(c.bySlot, svc)
 	}
 	c.liveGen++
 	c.liveChanged = svc.Name
@@ -578,6 +581,7 @@ func (c *Cluster) removeLive(svc *Service) {
 	if i, ok := slices.BinarySearchFunc(c.live, svc.Name, cmpServiceName); ok {
 		c.live = slices.Delete(c.live, i, i+1)
 	}
+	c.bySlot[svc.slot] = nil
 	c.freeSlots = append(c.freeSlots, svc.slot)
 	c.liveGen++
 	c.liveChanged = svc.Name
@@ -656,13 +660,16 @@ func (c *Cluster) DropService(name string) error {
 	return nil
 }
 
-// ReportLoad records replica id's current value for metric m, as reported
-// through RgManager (§3.2). Reporting for a dropped or unknown replica is
-// an error.
-func (c *Cluster) ReportLoad(id ReplicaID, m MetricName, value float64) error {
-	r, err := c.replica(id)
-	if err != nil {
-		return err
+// ReportLoad records replica r's current value for metric m, as reported
+// through RgManager (§3.2). Reporting for a nil replica, a replica of a
+// dropped service or one of another cluster is an error; the check is one
+// compare against the slot table, with no lookup by name.
+func (c *Cluster) ReportLoad(r *Replica, m MetricName, value float64) error {
+	if r == nil {
+		return fmt.Errorf("%w: nil replica", ErrNoSuchService)
+	}
+	if svc := r.service; svc == nil || svc.slot >= len(c.bySlot) || c.bySlot[svc.slot] != svc {
+		return fmt.Errorf("%w: %s", ErrNoSuchService, r.ID.Service)
 	}
 	if m == MetricCores {
 		return errors.New("fabric: core reservation is static and cannot be reported")
@@ -676,7 +683,7 @@ func (c *Cluster) ReportLoad(id ReplicaID, m MetricName, value float64) error {
 	// A lost report leaves the PLB acting on the node's last-known-good
 	// loads; degraded mode bounds how long it will keep doing so (see
 	// the staleness check in fixViolations).
-	if c.injector != nil && c.injector.ReportLost(id, m) {
+	if c.injector != nil && c.injector.ReportLost(r.ID, m) {
 		c.reportsLost++
 		c.metrics.reportsLost.Inc()
 		return nil

@@ -114,7 +114,7 @@ func TestDuplicateName(t *testing.T) {
 func TestDropServiceFreesResources(t *testing.T) {
 	c := newTestCluster(t, 2, 1.0)
 	svc, _ := c.CreateService("x", 1, 8, nil)
-	if err := c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, 100); err != nil {
+	if err := c.ReportLoad(svc.Replicas[0], MetricDiskGB, 100); err != nil {
 		t.Fatal(err)
 	}
 	if c.DiskUsage() != 100 {
@@ -141,18 +141,41 @@ func TestDropServiceFreesResources(t *testing.T) {
 func TestReportLoadValidation(t *testing.T) {
 	c := newTestCluster(t, 2, 1.0)
 	svc, _ := c.CreateService("x", 1, 2, nil)
-	id := svc.Replicas[0].ID
-	if err := c.ReportLoad(id, MetricCores, 5); err == nil {
+	r := svc.Replicas[0]
+	if err := c.ReportLoad(r, MetricCores, 5); err == nil {
 		t.Error("reporting the static cores metric succeeded")
 	}
-	if err := c.ReportLoad(id, MetricDiskGB, -1); err == nil {
+	if err := c.ReportLoad(r, MetricDiskGB, -1); err == nil {
 		t.Error("negative load accepted")
 	}
-	if err := c.ReportLoad(ReplicaID{Service: "nope"}, MetricDiskGB, 1); err == nil {
-		t.Error("unknown service accepted")
+	if err := c.ReportLoad(r, MetricName(NumMetrics), 1); err == nil {
+		t.Error("invalid metric accepted")
 	}
-	if err := c.ReportLoad(ReplicaID{Service: "x", Index: 9}, MetricDiskGB, 1); err == nil {
-		t.Error("out-of-range replica accepted")
+	if err := c.ReportLoad(nil, MetricDiskGB, 1); !errors.Is(err, ErrNoSuchService) {
+		t.Errorf("nil replica: err = %v", err)
+	}
+	other := newTestCluster(t, 2, 1.0)
+	foreign, _ := other.CreateService("x", 1, 2, nil)
+	if err := c.ReportLoad(foreign.Replicas[0], MetricDiskGB, 1); !errors.Is(err, ErrNoSuchService) {
+		t.Errorf("another cluster's replica (same name and slot): err = %v", err)
+	}
+	if err := c.DropService("x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReportLoad(r, MetricDiskGB, 1); !errors.Is(err, ErrNoSuchService) {
+		t.Errorf("dropped service: err = %v", err)
+	}
+	// The recycled slot now belongs to a new service of the same name;
+	// the dropped service's replica still may not report through it.
+	again, _ := c.CreateService("x", 1, 2, nil)
+	if again.Slot() != svc.Slot() {
+		t.Fatalf("slot not recycled: %d, was %d", again.Slot(), svc.Slot())
+	}
+	if err := c.ReportLoad(r, MetricDiskGB, 1); !errors.Is(err, ErrNoSuchService) {
+		t.Errorf("dropped service in a recycled slot: err = %v", err)
+	}
+	if err := c.ReportLoad(again.Replicas[0], MetricDiskGB, 1); err != nil {
+		t.Errorf("the slot's new owner: %v", err)
 	}
 }
 
@@ -160,7 +183,7 @@ func TestCreateServiceWithLoadsVisibleToPlacement(t *testing.T) {
 	c := newTestCluster(t, 2, 1.0)
 	// Fill node disk asymmetrically.
 	a, _ := c.CreateService("fill", 1, 1, nil)
-	c.ReportLoad(a.Replicas[0].ID, MetricDiskGB, 8000)
+	c.ReportLoad(a.Replicas[0], MetricDiskGB, 8000)
 	fullNode := a.Replicas[0].Node
 
 	svc, err := c.CreateServiceWithLoads("big", 1, 1, nil, map[MetricName]float64{MetricDiskGB: 3000})
@@ -188,7 +211,7 @@ func TestDiskViolationTriggersFailover(t *testing.T) {
 	// Force both onto the same node by reporting through the same node's
 	// replicas; instead directly overload a's node.
 	node := a.Replicas[0].Node
-	c.ReportLoad(a.Replicas[0].ID, MetricDiskGB, 8000)
+	c.ReportLoad(a.Replicas[0], MetricDiskGB, 8000)
 	var other *Service
 	if b.Replicas[0].Node == node {
 		other = b
@@ -200,7 +223,7 @@ func TestDiskViolationTriggersFailover(t *testing.T) {
 			other, _ = c.CreateService(name, 1, 2, nil)
 		}
 	}
-	c.ReportLoad(other.Replicas[0].ID, MetricDiskGB, 500) // 8500 > 8192
+	c.ReportLoad(other.Replicas[0], MetricDiskGB, 500) // 8500 > 8192
 
 	c.Clock().RunUntil(testStart.Add(10 * time.Minute))
 

@@ -108,8 +108,8 @@ func simulatedDayEventStreamCfg(plbSeed uint64, balanceSpread, fastGrow float64)
 				grow = fastGrow
 			}
 			for _, rep := range svc.Replicas {
-				_ = c.ReportLoad(rep.ID, MetricDiskGB, rep.Load(MetricDiskGB)+src.UniformRange(0, grow))
-				_ = c.ReportLoad(rep.ID, MetricMemoryGB, src.UniformRange(1, 8))
+				_ = c.ReportLoad(rep, MetricDiskGB, rep.Load(MetricDiskGB)+src.UniformRange(0, grow))
+				_ = c.ReportLoad(rep, MetricMemoryGB, src.UniformRange(1, 8))
 			}
 		}
 	})
@@ -249,8 +249,8 @@ func simulatedDayChaosEventStream(plbSeed, chaosSeed uint64) (hash string, event
 				grow = 80.0
 			}
 			for _, rep := range svc.Replicas {
-				_ = c.ReportLoad(rep.ID, MetricDiskGB, rep.Load(MetricDiskGB)+src.UniformRange(0, grow))
-				_ = c.ReportLoad(rep.ID, MetricMemoryGB, src.UniformRange(1, 8))
+				_ = c.ReportLoad(rep, MetricDiskGB, rep.Load(MetricDiskGB)+src.UniformRange(0, grow))
+				_ = c.ReportLoad(rep, MetricMemoryGB, src.UniformRange(1, 8))
 			}
 		}
 	})
@@ -421,8 +421,8 @@ func simulatedDayTopologyEventStream(plbSeed uint64) (hash string, events int, k
 				grow = 80.0
 			}
 			for _, rep := range svc.Replicas {
-				_ = c.ReportLoad(rep.ID, MetricDiskGB, rep.Load(MetricDiskGB)+src.UniformRange(0, grow))
-				_ = c.ReportLoad(rep.ID, MetricMemoryGB, src.UniformRange(1, 8))
+				_ = c.ReportLoad(rep, MetricDiskGB, rep.Load(MetricDiskGB)+src.UniformRange(0, grow))
+				_ = c.ReportLoad(rep, MetricMemoryGB, src.UniformRange(1, 8))
 			}
 		}
 	})

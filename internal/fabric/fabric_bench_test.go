@@ -114,7 +114,7 @@ func BenchmarkScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, float64(i%100)*20)
+		c.ReportLoad(svc.Replicas[0], MetricDiskGB, float64(i%100)*20)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -134,7 +134,7 @@ func BenchmarkPLBScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, float64(i%100)*20)
+		c.ReportLoad(svc.Replicas[0], MetricDiskGB, float64(i%100)*20)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -151,11 +151,11 @@ func BenchmarkReportLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	id := svc.Replicas[0].ID
+	r := svc.Replicas[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.ReportLoad(id, MetricDiskGB, float64(i%5000)); err != nil {
+		if err := c.ReportLoad(r, MetricDiskGB, float64(i%5000)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,7 +226,7 @@ func SimulatedDay(iter int, cfg Config, setup func(*simclock.Clock, *Cluster)) {
 		hour++
 		c.CreateService(fmt.Sprintf("churn-%d-%d", iter, hour), 1, 2, nil)
 		c.EachLiveService(func(svc *Service) {
-			c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, float64(hour)*3)
+			c.ReportLoad(svc.Replicas[0], MetricDiskGB, float64(hour)*3)
 		})
 	})
 	clock.RunUntil(testStart.Add(24 * time.Hour))
@@ -267,11 +267,11 @@ func TestDisabledObsFabricZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := svc.Replicas[0].ID
+	r := svc.Replicas[0]
 	load := 0.0
 	if n := testing.AllocsPerRun(200, func() {
 		load += 1
-		if err := c.ReportLoad(id, MetricDiskGB, load); err != nil {
+		if err := c.ReportLoad(r, MetricDiskGB, load); err != nil {
 			t.Fatal(err)
 		}
 		c.plb.scan(testStart)

@@ -295,11 +295,11 @@ func TestReportLostLeavesLastKnownGood(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := svc.Replicas[0]
-	if err := c.ReportLoad(r.ID, MetricDiskGB, 100); err != nil {
+	if err := c.ReportLoad(r, MetricDiskGB, 100); err != nil {
 		t.Fatal(err)
 	}
 	c.SetFaultInjector(&stubInjector{reportLost: func(ReplicaID, MetricName) bool { return true }})
-	if err := c.ReportLoad(r.ID, MetricDiskGB, 999); err != nil {
+	if err := c.ReportLoad(r, MetricDiskGB, 999); err != nil {
 		t.Fatal(err)
 	}
 	if r.Loads[MetricDiskGB] != 100 || r.Node.Load(MetricDiskGB) != 100 {
@@ -336,7 +336,7 @@ func degradedTestCluster(t *testing.T) (*Cluster, *simclock.Clock) {
 				t.Fatal(err)
 			}
 		}
-		if err := c.ReportLoad(r.ID, MetricDiskGB, 5000); err != nil {
+		if err := c.ReportLoad(r, MetricDiskGB, 5000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -405,7 +405,7 @@ func TestDegradedModeSkipsStaleNodes(t *testing.T) {
 	// A fresh report on one hot node re-arms it for the next scan.
 	svc := c.Services()[0]
 	r := svc.Replicas[0]
-	if err := c.ReportLoad(r.ID, MetricDiskGB, 5000); err != nil {
+	if err := c.ReportLoad(r, MetricDiskGB, 5000); err != nil {
 		t.Fatal(err)
 	}
 	c.plb.scan(clock.Now())

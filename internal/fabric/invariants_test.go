@@ -60,7 +60,7 @@ func TestInvariantsUnderRandomOperations(t *testing.T) {
 					svc, ok := c.Service(names[src.Intn(len(names))])
 					if ok && svc.Alive() {
 						r := svc.Replicas[src.Intn(len(svc.Replicas))]
-						c.ReportLoad(r.ID, MetricDiskGB, src.UniformRange(0, 3000))
+						c.ReportLoad(r, MetricDiskGB, src.UniformRange(0, 3000))
 					}
 				}
 			case 5: // forced move
@@ -122,7 +122,7 @@ func TestInvariantsUnderViolationPressure(t *testing.T) {
 			// targets and the PLB actually moves replicas.
 			rate := float64(i%5) * 60
 			grow := r.Loads[MetricDiskGB] + src.UniformRange(0, rate)
-			c.ReportLoad(r.ID, MetricDiskGB, grow)
+			c.ReportLoad(r, MetricDiskGB, grow)
 		}
 		clock.RunUntil(clock.Now().Add(time.Hour))
 		checkInvariants(t, c)

@@ -22,7 +22,8 @@ func liveByFilter(c *Cluster) []*Service {
 // TestLiveIndexProperty drives random create, drop and re-create-same-name
 // sequences and checks after every operation that EachLiveService walks
 // exactly the filtered, name-sorted service set, that the copies and the
-// count agree, and that slots are unique among live services.
+// count agree, and that slots are unique among live services and held
+// by exactly them in the slot table.
 func TestLiveIndexProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		c := newTestCluster(t, 8, 1.0)
@@ -56,11 +57,23 @@ func TestLiveIndexProperty(t *testing.T) {
 						seed, op, other, want[i].Name, want[i].Slot())
 				}
 				slots[want[i].Slot()] = want[i].Name
+				if c.bySlot[want[i].Slot()] != want[i] {
+					t.Fatalf("seed %d op %d: slot table misses %s", seed, op, want[i].Name)
+				}
+			}
+			held := 0
+			for _, s := range c.bySlot {
+				if s != nil {
+					held++
+				}
+			}
+			if held != len(want) {
+				t.Fatalf("seed %d op %d: slot table holds %d services, want %d live", seed, op, held, len(want))
 			}
 		}
 		// Recycling keeps the slot space as small as the peak live count.
-		if c.nextSlot > 40 {
-			t.Errorf("seed %d: %d slots handed out for at most 40 live services", seed, c.nextSlot)
+		if len(c.bySlot) > 40 {
+			t.Errorf("seed %d: %d slots handed out for at most 40 live services", seed, len(c.bySlot))
 		}
 	}
 }

@@ -25,7 +25,7 @@ type NamingService struct {
 	entries map[string]namingEntry
 	version int64
 	reads   int64
-	decodes int64
+	decodes map[string]int64
 
 	// registry counters (nil-safe no-ops when observability is off)
 	cReads        *obs.Counter
@@ -57,7 +57,7 @@ type namingEntry struct {
 
 // NewNamingService returns an empty metastore.
 func NewNamingService() *NamingService {
-	return &NamingService{entries: make(map[string]namingEntry)}
+	return &NamingService{entries: make(map[string]namingEntry), decodes: make(map[string]int64)}
 }
 
 // instrument attaches registry counters for reads, writes, write
@@ -199,7 +199,7 @@ func Decoded[T any](n *NamingService, key string, decode func([]byte) (T, error)
 	// the memo is installed only if no write replaced the entry meanwhile.
 	value, err = decode(e.value)
 	n.mu.Lock()
-	n.decodes++
+	n.decodes[key]++
 	if cur, ok := n.entries[key]; ok && cur.version == e.version {
 		cur.memoized, cur.decoded, cur.decodeErr = true, value, err
 		n.entries[key] = cur
@@ -208,12 +208,12 @@ func Decoded[T any](n *NamingService, key string, decode func([]byte) (T, error)
 	return value, true, err
 }
 
-// Decodes returns how many times Decoded ran a decoder: once per written
-// version that was read through it.
-func (n *NamingService) Decodes() int64 {
+// Decodes returns how many times Decoded ran a decoder on key: once per
+// written version of it that was read through Decoded.
+func (n *NamingService) Decodes(key string) int64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.decodes
+	return n.decodes[key]
 }
 
 // Delete removes key. Deleting an absent key is a no-op.

@@ -139,7 +139,13 @@ func TestNamingDecodedMemoizesPerVersion(t *testing.T) {
 			t.Fatalf("malformed value: ok=%v err=%v", ok, err)
 		}
 	}
-	if calls != 4 || n.Decodes() != 4 {
-		t.Errorf("calls=%d Decodes=%d, want 4 each", calls, n.Decodes())
+	if calls != 4 || n.Decodes("k") != 4 {
+		t.Errorf("calls=%d Decodes=%d, want 4 each", calls, n.Decodes("k"))
+	}
+	// The count is per key.
+	n.Put("other", []byte("x"))
+	Decoded(n, "other", decode)
+	if n.Decodes("k") != 4 || n.Decodes("other") != 1 || n.Decodes("absent") != 0 {
+		t.Errorf("Decodes k=%d other=%d absent=%d, want 4, 1, 0", n.Decodes("k"), n.Decodes("other"), n.Decodes("absent"))
 	}
 }

@@ -102,8 +102,8 @@ func TestChooseVictimClearsViolation(t *testing.T) {
 			n0.attach(r)
 		}
 	}
-	c.ReportLoad(small.Replicas[0].ID, MetricDiskGB, 300)
-	c.ReportLoad(big.Replicas[0].ID, MetricDiskGB, 8000) // total 8300 > 8192
+	c.ReportLoad(small.Replicas[0], MetricDiskGB, 300)
+	c.ReportLoad(big.Replicas[0], MetricDiskGB, 8000) // total 8300 > 8192
 
 	// Deterministic victim path (probe many times to dodge the 10%
 	// exploration branch): the smallest replica that clears the overage
@@ -145,8 +145,8 @@ func TestChooseTargetNilWhenNoCapacity(t *testing.T) {
 	a, _ := c.CreateService("a", 1, 2, nil)
 	b, _ := c.CreateService("b", 1, 2, nil)
 	// Saturate both nodes' disk.
-	c.ReportLoad(a.Replicas[0].ID, MetricDiskGB, 8192)
-	c.ReportLoad(b.Replicas[0].ID, MetricDiskGB, 8192)
+	c.ReportLoad(a.Replicas[0], MetricDiskGB, 8192)
+	c.ReportLoad(b.Replicas[0], MetricDiskGB, 8192)
 	if target := c.plb.chooseTarget(a.Replicas[0]); target != nil {
 		t.Errorf("found target %s on a disk-saturated cluster", target.ID)
 	}
@@ -169,8 +169,8 @@ func TestBalancingMovesFromHotToCold(t *testing.T) {
 			n0.attach(r)
 		}
 	}
-	c.ReportLoad(a.Replicas[0].ID, MetricDiskGB, 3000)
-	c.ReportLoad(b.Replicas[0].ID, MetricDiskGB, 1000)
+	c.ReportLoad(a.Replicas[0], MetricDiskGB, 3000)
+	c.ReportLoad(b.Replicas[0], MetricDiskGB, 1000)
 	// Spread = (4000 - 0)/8192 = 0.49 > 0.2: balancing should move one.
 	c.Clock().RunUntil(testStart.Add(10 * time.Minute))
 	if c.BalanceMoveCount() == 0 {
@@ -189,7 +189,7 @@ func TestDegradationAccrues(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 	svc, _ := c.CreateService("x", 1, 2, nil)
-	c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, 9000) // violation, unfixable
+	c.ReportLoad(svc.Replicas[0], MetricDiskGB, 9000) // violation, unfixable
 	c.Clock().RunUntil(testStart.Add(time.Hour))
 	want := 12 * cfg.ScanInterval // 12 scans in an hour
 	if svc.Downtime != want {
@@ -205,7 +205,7 @@ func TestNoDegradationWhenDisabled(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 	svc, _ := c.CreateService("x", 1, 2, nil)
-	c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, 9000)
+	c.ReportLoad(svc.Replicas[0], MetricDiskGB, 9000)
 	c.Clock().RunUntil(testStart.Add(time.Hour))
 	if svc.Downtime != 0 {
 		t.Errorf("downtime = %v with degradation disabled", svc.Downtime)

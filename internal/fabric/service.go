@@ -421,6 +421,10 @@ func (n *Node) applyLoadDelta(m MetricName, delta float64) {
 	n.totals[m] += delta
 }
 
+// Index returns the node's position in Cluster.Nodes, a dense handle for
+// per-node side tables.
+func (n *Node) Index() int { return n.idx }
+
 // ReplicaCount returns the number of replicas currently on the node.
 func (n *Node) ReplicaCount() int { return len(n.replicas) }
 

@@ -148,8 +148,12 @@ type DiskUsageModel struct {
 
 // EvalContext carries everything a stateless model evaluation needs.
 type EvalContext struct {
-	// DB is the database name; it seeds per-database randomness.
-	DB string
+	// Key is NewDBKey(seed, database name): the model seed from the XML
+	// (§5.2: seeds are specified through the XML and fixed per
+	// experiment) or a node's seed, hashed with the database whose
+	// per-database randomness it seeds. Callers compute it once per
+	// database and seed rather than on every evaluation.
+	Key DBKey
 	// Created is the database's creation time.
 	Created time.Time
 	// Now is the evaluation time.
@@ -158,9 +162,6 @@ type EvalContext struct {
 	Prev float64
 	// MaxGB caps the value at the SLO's maximum allowable disk.
 	MaxGB float64
-	// Seed is the model seed from the XML (§5.2: seeds are specified
-	// through the XML and fixed per experiment).
-	Seed uint64
 }
 
 // FNV-1a (64-bit) parameters. The per-database hashes below run the
@@ -178,25 +179,26 @@ func fnv1a[T string | []byte](h uint64, b T) uint64 {
 	return h
 }
 
-// dbKey is the FNV-1a state after hashing "seed/db/", the prefix every
+// DBKey is the FNV-1a state after hashing "seed/db/", the prefix every
 // per-database draw shares. Completing it with a decimal bucket gives the
 // hash of "seed/db/bucket" that seeds a random stream; completing it with
 // a salt gives "seed/db/salt" for stable subset selection. The streams
 // depend only on (seed, db, bucket), so replays and cross-node evaluations
 // agree.
-type dbKey uint64
+type DBKey uint64
 
-func newDBKey(seed uint64, db string) dbKey {
+// NewDBKey hashes the "seed/db/" prefix of one database's draws.
+func NewDBKey(seed uint64, db string) DBKey {
 	var buf [20]byte
 	h := fnv1a(fnvOffset64, strconv.AppendUint(buf[:0], seed, 10))
 	h = fnv1a(h, "/")
 	h = fnv1a(h, db)
-	return dbKey(fnv1a(h, "/"))
+	return DBKey(fnv1a(h, "/"))
 }
 
 // bucketSeed returns the seed of the database's random stream at one
 // report bucket: the hash of "seed/db/bucket".
-func (k dbKey) bucketSeed(bucket int64) uint64 {
+func (k DBKey) bucketSeed(bucket int64) uint64 {
 	var buf [20]byte
 	return fnv1a(uint64(k), strconv.AppendInt(buf[:0], bucket, 10))
 }
@@ -204,19 +206,19 @@ func (k dbKey) bucketSeed(bucket int64) uint64 {
 // hash01 maps the key and a salt to a uniform value in [0,1) used for
 // stable subset selection (does this database exhibit high initial
 // growth? rapid growth?).
-func (k dbKey) hash01(salt string) float64 {
+func (k DBKey) hash01(salt string) float64 {
 	return float64(fnv1a(uint64(k), salt)>>11) / (1 << 53)
 }
 
 // hasInitialGrowth reports whether the database keyed by k belongs to the
 // high-initial-growth subset under this model.
-func (m *DiskUsageModel) hasInitialGrowth(k dbKey) bool {
+func (m *DiskUsageModel) hasInitialGrowth(k DBKey) bool {
 	return m.Initial != nil && m.Initial.Probability > 0 && k.hash01("initial") < m.Initial.Probability
 }
 
 // hasRapidGrowth reports whether the database keyed by k follows the
 // rapid-growth state machine under this model.
-func (m *DiskUsageModel) hasRapidGrowth(k dbKey) bool {
+func (m *DiskUsageModel) hasRapidGrowth(k DBKey) bool {
 	return m.Rapid != nil && m.Rapid.Probability > 0 && k.hash01("rapid") < m.Rapid.Probability
 }
 
@@ -231,17 +233,16 @@ func (m *DiskUsageModel) Next(ctx EvalContext) float64 {
 	if ctx.Now.After(ctx.Created) {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
-	key := newDBKey(ctx.Seed, ctx.DB)
-	src := rng.New(key.bucketSeed(bucket))
+	src := rng.New(ctx.Key.bucketSeed(bucket))
 
 	delta := m.Steady.Sample(src, ctx.Now)
 
 	// Initial creation growth: total bin-sampled growth spread uniformly
 	// over the reports inside the initial window.
-	if m.hasInitialGrowth(key) {
+	if m.hasInitialGrowth(ctx.Key) {
 		elapsed := ctx.Now.Sub(ctx.Created)
 		if elapsed >= 0 && elapsed < m.Initial.Duration {
-			total := SampleBins(rng.New(key.bucketSeed(-1)), m.Initial.Bins)
+			total := SampleBins(rng.New(ctx.Key.bucketSeed(-1)), m.Initial.Bins)
 			reports := float64(m.Initial.Duration / m.ReportInterval)
 			if reports < 1 {
 				reports = 1
@@ -253,10 +254,10 @@ func (m *DiskUsageModel) Next(ctx EvalContext) float64 {
 	// Predictable rapid growth: spike/drop magnitudes are sampled once
 	// per cycle (stream keyed by cycle index) and spread uniformly over
 	// the phase's reports; the drop returns what the spike added.
-	if m.hasRapidGrowth(key) {
+	if m.hasRapidGrowth(ctx.Key) {
 		state, _ := m.Rapid.StateAt(ctx.Created, ctx.Now)
 		cycle := m.Rapid.cycleIndex(ctx.Created, ctx.Now)
-		magnitude := SampleBins(rng.New(key.bucketSeed(-1000-cycle)), m.Rapid.IncreaseBins)
+		magnitude := SampleBins(rng.New(ctx.Key.bucketSeed(-1000-cycle)), m.Rapid.IncreaseBins)
 		switch state {
 		case StateRapidIncrease:
 			reports := float64(m.Rapid.IncreaseDur / m.ReportInterval)
@@ -319,7 +320,7 @@ func (m *MemoryModel) next(ctx EvalContext, secondary bool) float64 {
 	if m.ReportInterval > 0 && ctx.Now.After(ctx.Created) {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
-	src := rng.New(newDBKey(ctx.Seed, ctx.DB).bucketSeed(bucket + 1_000_000))
+	src := rng.New(ctx.Key.bucketSeed(bucket + 1_000_000))
 	target := m.Target.Sample(src, ctx.Now)
 	if secondary && m.SecondaryFactor > 0 {
 		target *= m.SecondaryFactor
@@ -362,7 +363,7 @@ type CPUModel struct {
 
 // isIdle reports whether the database keyed by k belongs to the stable
 // idle subpopulation.
-func (m *CPUModel) isIdle(k dbKey) bool {
+func (m *CPUModel) isIdle(k DBKey) bool {
 	return m.IdleFraction > 0 && k.hash01("cpu-idle") < m.IdleFraction
 }
 
@@ -374,15 +375,14 @@ func (m *CPUModel) Next(ctx EvalContext) float64 { return m.next(ctx, false) }
 func (m *CPUModel) NextSecondary(ctx EvalContext) float64 { return m.next(ctx, true) }
 
 func (m *CPUModel) next(ctx EvalContext, secondary bool) float64 {
-	key := newDBKey(ctx.Seed, ctx.DB)
-	if m.isIdle(key) {
+	if m.isIdle(ctx.Key) {
 		return 0
 	}
 	bucket := int64(0)
 	if m.ReportInterval > 0 && ctx.Now.After(ctx.Created) {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
-	src := rng.New(key.bucketSeed(bucket + 2_000_000))
+	src := rng.New(ctx.Key.bucketSeed(bucket + 2_000_000))
 	frac := m.TargetFraction.Sample(src, ctx.Now)
 	if frac < 0 {
 		frac = 0

@@ -9,8 +9,8 @@ import (
 )
 
 // oracleBucketSeed and oracleHash01 are the fmt-based formulas the inline
-// FNV-1a hashing replaced; every simulated byte depends on the two
-// agreeing.
+// FNV-1a hashing replaced; every simulated byte depends on NewDBKey and
+// the two agreeing.
 func oracleBucketSeed(seed uint64, db string, bucket int64) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s/%d", seed, db, bucket)
@@ -33,7 +33,7 @@ func TestDBKeyMatchesFmtOracle(t *testing.T) {
 	salts := []string{"initial", "rapid", "cpu-idle", ""}
 	for _, seed := range seeds {
 		for _, db := range dbs {
-			key := newDBKey(seed, db)
+			key := NewDBKey(seed, db)
 			for _, b := range buckets {
 				if got, want := key.bucketSeed(b), oracleBucketSeed(seed, db, b); got != want {
 					t.Errorf("bucketSeed(%d, %q, %d) = %#x, want %#x", seed, db, b, got, want)
@@ -60,7 +60,7 @@ func TestModelNextAllocatesNothing(t *testing.T) {
 	}
 	mem := &MemoryModel{Target: disk.Steady, WarmRate: 0.5, ColdStartGB: 1, ReportInterval: 20 * time.Minute}
 	cpu := &CPUModel{TargetFraction: disk.Steady, IdleFraction: 0.1, ReportInterval: 20 * time.Minute}
-	ctx := EvalContext{DB: "db-gp-000042", Created: monday, Now: monday.Add(20 * time.Minute), Prev: 100, MaxGB: 1000, Seed: 7}
+	ctx := EvalContext{Key: NewDBKey(7, "db-gp-000042"), Created: monday, Now: monday.Add(20 * time.Minute), Prev: 100, MaxGB: 1000}
 	for name, next := range map[string]func(EvalContext) float64{
 		"DiskUsageModel.Next": disk.Next,
 		"MemoryModel.Next":    mem.Next,

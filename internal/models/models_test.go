@@ -173,12 +173,11 @@ func testDiskModel(persisted bool) *DiskUsageModel {
 func TestDiskModelStatelessDeterminism(t *testing.T) {
 	m := testDiskModel(true)
 	ctx := EvalContext{
-		DB:      "db-1",
+		Key:     NewDBKey(7, "db-1"),
 		Created: monday,
 		Now:     monday.Add(40 * time.Minute),
 		Prev:    100,
 		MaxGB:   1000,
-		Seed:    7,
 	}
 	a := m.Next(ctx)
 	b := m.Next(ctx) // same inputs, same output: the model is stateless
@@ -187,13 +186,13 @@ func TestDiskModelStatelessDeterminism(t *testing.T) {
 	}
 	// A different database diverges.
 	ctx2 := ctx
-	ctx2.DB = "db-2"
+	ctx2.Key = NewDBKey(7, "db-2")
 	if m.Next(ctx2) == a {
 		t.Error("different databases produced identical deltas")
 	}
 	// A different seed diverges.
 	ctx3 := ctx
-	ctx3.Seed = 8
+	ctx3.Key = NewDBKey(8, "db-1")
 	if m.Next(ctx3) == a {
 		t.Error("different seeds produced identical deltas")
 	}
@@ -204,12 +203,11 @@ func TestDiskModelGrowsFromPrev(t *testing.T) {
 	v := 50.0
 	for i := 1; i <= 100; i++ {
 		v = m.Next(EvalContext{
-			DB:      "x",
+			Key:     NewDBKey(1, "x"),
 			Created: monday,
 			Now:     monday.Add(time.Duration(i) * 20 * time.Minute),
 			Prev:    v,
 			MaxGB:   1000,
-			Seed:    1,
 		})
 	}
 	// 100 steps at ~0.05GB each: roughly +5GB.
@@ -220,14 +218,14 @@ func TestDiskModelGrowsFromPrev(t *testing.T) {
 
 func TestDiskModelClamps(t *testing.T) {
 	m := testDiskModel(false)
-	if v := m.Next(EvalContext{DB: "x", Created: monday, Now: monday.Add(time.Hour), Prev: 999.99, MaxGB: 1000, Seed: 1}); v > 1000 {
+	if v := m.Next(EvalContext{Key: NewDBKey(1, "x"), Created: monday, Now: monday.Add(time.Hour), Prev: 999.99, MaxGB: 1000}); v > 1000 {
 		t.Errorf("exceeded max: %v", v)
 	}
 	// Strong negative cell never drives below zero.
 	neg := NewHourlyNormal()
 	neg.Set(HourBucket{Hour: 1}, NormalParam{Mean: -50, Sigma: 1})
 	m2 := &DiskUsageModel{Steady: neg, ReportInterval: 20 * time.Minute}
-	if v := m2.Next(EvalContext{DB: "x", Created: monday, Now: monday.Add(time.Hour), Prev: 10, Seed: 1}); v < 0 {
+	if v := m2.Next(EvalContext{Key: NewDBKey(1, "x"), Created: monday, Now: monday.Add(time.Hour), Prev: 10}); v < 0 {
 		t.Errorf("negative usage: %v", v)
 	}
 }
@@ -242,7 +240,7 @@ func TestInitialGrowthSubsetSelection(t *testing.T) {
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if m.hasInitialGrowth(newDBKey(1, dbName(i))) {
+		if m.hasInitialGrowth(NewDBKey(1, dbName(i))) {
 			hits++
 		}
 	}
@@ -252,7 +250,7 @@ func TestInitialGrowthSubsetSelection(t *testing.T) {
 	}
 	// Selection is stable per database.
 	for i := 0; i < 50; i++ {
-		if m.hasInitialGrowth(newDBKey(1, "db-7")) != m.hasInitialGrowth(newDBKey(1, "db-7")) {
+		if m.hasInitialGrowth(NewDBKey(1, "db-7")) != m.hasInitialGrowth(NewDBKey(1, "db-7")) {
 			t.Fatal("selection not stable")
 		}
 	}
@@ -271,12 +269,12 @@ func TestInitialGrowthAddsLoad(t *testing.T) {
 	}
 	// First report at +20min is inside the window; growth should include
 	// a share of the 300GB.
-	v := m.Next(EvalContext{DB: "x", Created: monday, Now: monday.Add(20 * time.Minute), Prev: 0, MaxGB: 5000, Seed: 1})
+	v := m.Next(EvalContext{Key: NewDBKey(1, "x"), Created: monday, Now: monday.Add(20 * time.Minute), Prev: 0, MaxGB: 5000})
 	if v < 100 {
 		t.Errorf("initial growth share = %v, want >= 100 (300GB over <=2 reports)", v)
 	}
 	// After the window the steady rate resumes.
-	d := m.Next(EvalContext{DB: "x", Created: monday, Now: monday.Add(2 * time.Hour), Prev: 300, MaxGB: 5000, Seed: 1}) - 300
+	d := m.Next(EvalContext{Key: NewDBKey(1, "x"), Created: monday, Now: monday.Add(2 * time.Hour), Prev: 300, MaxGB: 5000}) - 300
 	if d > 1 {
 		t.Errorf("post-window delta = %v, want steady-scale", d)
 	}
@@ -297,12 +295,11 @@ func TestRapidGrowthSpikeAndDrop(t *testing.T) {
 	peak, final := v, v
 	for i := 1; i <= 72; i++ { // 24h at 20-min steps
 		v = m.Next(EvalContext{
-			DB:      "etl",
+			Key:     NewDBKey(3, "etl"),
 			Created: monday,
 			Now:     monday.Add(time.Duration(i) * 20 * time.Minute),
 			Prev:    v,
 			MaxGB:   5000,
-			Seed:    3,
 		})
 		if v > peak {
 			peak = v
@@ -329,7 +326,7 @@ func TestMemoryModelWarmsTowardTarget(t *testing.T) {
 	m := &MemoryModel{Target: target, WarmRate: 0.5, ColdStartGB: 1, ReportInterval: 20 * time.Minute}
 	v := 0.0 // cold
 	for i := 1; i <= 20; i++ {
-		v = m.Next(EvalContext{DB: "x", Created: monday, Now: monday.Add(time.Duration(i) * 20 * time.Minute), Prev: v, MaxGB: 100, Seed: 1})
+		v = m.Next(EvalContext{Key: NewDBKey(1, "x"), Created: monday, Now: monday.Add(time.Duration(i) * 20 * time.Minute), Prev: v, MaxGB: 100})
 	}
 	if math.Abs(v-10) > 0.5 {
 		t.Errorf("warmed value = %v, want ~10", v)

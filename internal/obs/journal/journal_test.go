@@ -81,8 +81,8 @@ func runSimulatedDay(t *testing.T, w *journal.Writer) {
 				grow = 80.0
 			}
 			for _, rep := range svc.Replicas {
-				_ = c.ReportLoad(rep.ID, fabric.MetricDiskGB, rep.Load(fabric.MetricDiskGB)+src.UniformRange(0, grow))
-				_ = c.ReportLoad(rep.ID, fabric.MetricMemoryGB, src.UniformRange(1, 8))
+				_ = c.ReportLoad(rep, fabric.MetricDiskGB, rep.Load(fabric.MetricDiskGB)+src.UniformRange(0, grow))
+				_ = c.ReportLoad(rep, fabric.MetricMemoryGB, src.UniformRange(1, 8))
 			}
 		}
 	})

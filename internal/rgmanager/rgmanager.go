@@ -19,6 +19,15 @@
 // behaviour for Premium/BC databases. Non-persisted metrics (remote-store
 // tempDB disk, memory) live in the Manager's process memory, so a replica
 // landing on a new node starts cold, which is also production behaviour.
+//
+// Reports address their state by handle, never by name. Process memory is
+// one Store per cluster holding one record per live replica, indexed by the
+// service's slot and the replica's index and tagged with the node and
+// incarnation that wrote it. Per-database derivations (the hash keys the
+// models draw from and the Naming key of the persisted load) are cached
+// on the caller's DBInfo. Everything cached is recomputable from the
+// model seed, the node seeds, the database and the Naming Service, so the
+// Managers stay stateless in the paper's sense.
 package rgmanager
 
 import (
@@ -33,8 +42,12 @@ import (
 )
 
 // DBInfo is the database metadata a Manager needs to evaluate models for
-// one replica. The caller (Toto's orchestrator) owns the mapping from
-// fabric services to database metadata.
+// one replica. The caller (Toto's orchestrator) owns one DBInfo per
+// database for the database's life and passes it by pointer: the Managers
+// cache on it what they derive from the name — the Naming key of the
+// persisted disk load, the model-seed key (derived again if the model seed
+// changes) and, for an elastic-pool member, the member's tempDB state on
+// each pool replica. A DBInfo must not be shared between clusters.
 type DBInfo struct {
 	// Name is the database name (equals the fabric service name).
 	Name string
@@ -46,28 +59,121 @@ type DBInfo struct {
 	MaxDiskGB float64
 	// MaxMemoryGB caps reported memory at the SLO's DRAM allotment.
 	MaxMemoryGB float64
+
+	loadKey string       // Naming key of the persisted disk load; "" until first use
+	keyed   bool         // key holds NewDBKey(seed, Name)
+	seed    uint64       // the model seed key was derived from
+	key     models.DBKey // the model-seed key persisted metrics draw from
+	tempDB  []record     // pool member: tempDB disk per pool replica index
 }
 
-// loadKey addresses one non-persisted metric value for one replica
-// incarnation in the Manager's in-memory store. member is empty for
-// singleton databases and carries the member database name for elastic
-// pool members (whose per-member state lives under the pool's replica).
-type loadKey struct {
-	rep    fabric.ReplicaID
-	inc    int
-	metric fabric.MetricName
-	member string
+// namingKey returns the Naming Service key holding the database's
+// persisted disk load, building it on first use.
+func (info *DBInfo) namingKey() string {
+	if info.loadKey == "" {
+		info.loadKey = loadNamingKey(info.Name)
+	}
+	return info.loadKey
+}
+
+// modelKey returns NewDBKey(seed, info.Name), deriving it only when the
+// model seed differs from the one it was last derived from.
+func (info *DBInfo) modelKey(seed uint64) models.DBKey {
+	if !info.keyed || info.seed != seed {
+		info.key, info.seed, info.keyed = models.NewDBKey(seed, info.Name), seed, true
+	}
+	return info.key
+}
+
+// record is the in-memory (non-persisted) load state of one replica, as
+// one node's Manager last wrote it.
+type record struct {
+	live bool         // written since the last eviction
+	node int          // index of the node whose Manager wrote it
+	inc  int          // the replica incarnation it belongs to
+	key  models.DBKey // NewDBKey(node seed, database)
+	disk float64      // tempDB disk (remote-store editions)
+	mem  float64      // buffer-pool memory
+}
+
+// Store is the process memory of one cluster's Managers: one record per
+// live replica, indexed by the replica's service slot (fabric.Service.Slot)
+// and replica index. Production keeps this state inside each node's
+// RgManager process (§3.3.2); one table reproduces that exactly because
+// every record carries the node and incarnation that wrote it. A replica
+// is only ever reported by the Manager of the node hosting it, every move
+// bumps its incarnation, and a Manager that finds any other tag starts the
+// replica cold, as a fresh process would. A store serves one cluster and
+// is not safe for concurrent use.
+type Store struct {
+	slots []slotRecords
+
+	cEvictions *obs.Counter // rgmanager.evictions
+}
+
+// slotRecords holds the records of the service occupying one slot. Slots
+// recycle, so svc guards them: a new service finds no records.
+type slotRecords struct {
+	svc  *fabric.Service
+	reps []record
+}
+
+// NewStore returns an empty store; o (nil disables) counts evictions.
+func NewStore(o *obs.Obs) *Store {
+	return &Store{cEvictions: o.Counter("rgmanager.evictions")}
+}
+
+// at returns rep's record slot, claiming the service's slot for it if the
+// slot still holds a previous service's records.
+func (s *Store) at(rep *fabric.Replica) *record {
+	svc := rep.Service()
+	i := svc.Slot()
+	if i >= len(s.slots) {
+		s.slots = append(s.slots, make([]slotRecords, i+1-len(s.slots))...)
+	}
+	sl := &s.slots[i]
+	if sl.svc != svc {
+		sl.svc = svc
+		sl.reps = append(sl.reps[:0], make([]record, len(svc.Replicas))...)
+	}
+	return &sl.reps[rep.ID.Index]
+}
+
+// Evict drops the in-memory state a replica incarnation left behind. The
+// orchestrator calls it when the replica leaves a node; the record is
+// found by handle, so eviction is O(1). Forgetting to evict is safe for
+// correctness — the next report finds a stale tag and starts cold — but
+// it keeps state proportional to the live replicas.
+func (s *Store) Evict(rep *fabric.Replica, incarnation int) {
+	s.cEvictions.Inc()
+	svc := rep.Service()
+	if i := svc.Slot(); i < len(s.slots) && s.slots[i].svc == svc {
+		if r := &s.slots[i].reps[rep.ID.Index]; r.inc == incarnation {
+			*r = record{}
+		}
+	}
+}
+
+// Drop drops the in-memory state of every replica of a dropped service.
+// The pool members' tempDB state lives on their DBInfos and goes with
+// them.
+func (s *Store) Drop(svc *fabric.Service) {
+	s.cEvictions.Inc()
+	if i := svc.Slot(); i < len(s.slots) && s.slots[i].svc == svc {
+		clear(s.slots[i].reps)
+		s.slots[i].svc = nil
+	}
 }
 
 // Manager is the RgManager instance of one node.
 type Manager struct {
 	nodeID   string
+	node     int
 	naming   *fabric.NamingService
+	store    *Store
 	nodeSeed uint64
 
 	set *models.ModelSet
-
-	mem map[loadKey]float64
 
 	// Registry counters, shared by every node's Manager via the
 	// registry's get-or-create semantics; nil (free no-ops) when the
@@ -75,21 +181,22 @@ type Manager struct {
 	cRefreshes   *obs.Counter // rgmanager.model_refreshes
 	cDiskReports *obs.Counter // rgmanager.disk_reports
 	cMemReports  *obs.Counter // rgmanager.memory_reports
-	cEvictions   *obs.Counter // rgmanager.evictions
 }
 
-// New returns the Manager for node nodeID reading models from naming.
-// nodeSeed is this node's unique random seed (§5.2: "a unique seed was
-// provided to every node"); it drives sampling for non-persisted metrics,
-// whose values reset on failover anyway. Persisted metrics sample from
-// the model set's global seed so a newly promoted primary on another node
-// continues the same sequence.
-func New(nodeID string, naming *fabric.NamingService, nodeSeed uint64) *Manager {
+// New returns the Manager for node, reading models from naming and
+// keeping its process memory in store, which every Manager of the
+// cluster shares. nodeSeed is this node's unique random seed (§5.2: "a
+// unique seed was provided to every node"); it drives sampling for
+// non-persisted metrics, whose values reset on failover anyway. Persisted
+// metrics sample from the model set's global seed so a newly promoted
+// primary on another node continues the same sequence.
+func New(node *fabric.Node, naming *fabric.NamingService, store *Store, nodeSeed uint64) *Manager {
 	return &Manager{
-		nodeID:   nodeID,
+		nodeID:   node.ID,
+		node:     node.Index(),
 		naming:   naming,
+		store:    store,
 		nodeSeed: nodeSeed,
-		mem:      make(map[loadKey]float64),
 	}
 }
 
@@ -99,7 +206,6 @@ func (m *Manager) SetObs(o *obs.Obs) {
 	m.cRefreshes = o.Counter("rgmanager.model_refreshes")
 	m.cDiskReports = o.Counter("rgmanager.disk_reports")
 	m.cMemReports = o.Counter("rgmanager.memory_reports")
-	m.cEvictions = o.Counter("rgmanager.evictions")
 }
 
 // NodeID returns the node this Manager governs.
@@ -129,29 +235,54 @@ func (m *Manager) Refresh() error {
 	return nil
 }
 
+// claim returns r as this node's record of rep's current incarnation,
+// starting it cold (zero loads, keyed by this node's seed) unless it
+// already is one.
+func (m *Manager) claim(r *record, rep *fabric.Replica, db string) *record {
+	if !r.live || r.node != m.node || r.inc != rep.Incarnation {
+		*r = record{live: true, node: m.node, inc: rep.Incarnation, key: models.NewDBKey(m.nodeSeed, db)}
+	}
+	return r
+}
+
+// replicaState returns rep's in-memory state on this node.
+func (m *Manager) replicaState(rep *fabric.Replica, info *DBInfo) *record {
+	return m.claim(m.store.at(rep), rep, info.Name)
+}
+
+// memberState returns a pool member's in-memory state under pool replica
+// rep on this node.
+func (m *Manager) memberState(rep *fabric.Replica, member *DBInfo) *record {
+	if n := len(rep.Service().Replicas); len(member.tempDB) < n {
+		member.tempDB = append(member.tempDB, make([]record, n-len(member.tempDB))...)
+	}
+	return m.claim(&member.tempDB[rep.ID.Index], rep, member.Name)
+}
+
 // loadNamingKey is the Naming Service key holding the persisted disk load
 // of one database.
 func loadNamingKey(db string) string { return "toto/load/" + db + "/diskGB" }
 
-// persistedLoad reads the durable previously-reported disk value for db.
-func (m *Manager) persistedLoad(db string) (float64, bool) {
-	data, _, ok := m.naming.Get(loadNamingKey(db))
-	if !ok {
-		return 0, false
+// parseLoad decodes a persisted load value.
+func parseLoad(data []byte) (float64, error) { return strconv.ParseFloat(string(data), 64) }
+
+// persistedLoad reads the durable previously-reported disk value of db
+// (0 when none is stored). It is one counted Naming read; the value is
+// parsed once per write, by its first reader (fabric.Decoded).
+func (m *Manager) persistedLoad(db *DBInfo) float64 {
+	v, ok, err := fabric.Decoded(m.naming, db.namingKey(), parseLoad)
+	if !ok || err != nil {
+		return 0
 	}
-	v, err := strconv.ParseFloat(string(data), 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	return v
 }
 
-// persistLoad durably stores the reported disk value for db, in the
+// persistLoad durably stores the reported disk value of db, in the
 // shortest decimal form that parses back to v (the bytes fmt's %g
 // writes).
-func (m *Manager) persistLoad(db string, v float64) {
+func (m *Manager) persistLoad(db *DBInfo, v float64) {
 	var buf [32]byte
-	m.naming.Put(loadNamingKey(db), strconv.AppendFloat(buf[:0], v, 'g', -1, 64))
+	m.naming.Put(db.namingKey(), strconv.AppendFloat(buf[:0], v, 'g', -1, 64))
 }
 
 // ClearPersisted removes db's durable load entry (called when the
@@ -160,32 +291,29 @@ func ClearPersisted(naming *fabric.NamingService, db string) {
 	naming.Delete(loadNamingKey(db))
 }
 
-// SeedLoad primes the previously-reported value for a replica's metric,
-// used when bootstrapping an initial population with non-zero disk usage
+// SeedLoad primes the previously-reported disk value of a replica, used
+// when bootstrapping an initial population with non-zero disk usage
 // (§5.2: "Upon creation of each database in the initial population, the
-// disk usage was initialized"). For persisted metrics it writes through
-// to the Naming Service.
-func (m *Manager) SeedLoad(rep *fabric.Replica, info DBInfo, metric fabric.MetricName, value float64) {
-	persisted := false
+// disk usage was initialized"). A persisted disk writes through to the
+// Naming Service.
+func (m *Manager) SeedLoad(rep *fabric.Replica, info *DBInfo, diskGB float64) {
+	persisted := info.Edition.LocalStore()
 	if m.set != nil {
-		if dm, ok := m.set.Disk[info.Edition]; ok && metric == fabric.MetricDiskGB {
-			persisted = dm.Persisted
-		}
-	} else if info.Edition.LocalStore() && metric == fabric.MetricDiskGB {
-		persisted = true
+		dm, ok := m.set.Disk[info.Edition]
+		persisted = ok && dm.Persisted
 	}
 	if persisted {
-		m.persistLoad(info.Name, value)
+		m.persistLoad(info, diskGB)
 		return
 	}
-	m.mem[loadKey{rep: rep.ID, inc: rep.Incarnation, metric: metric}] = value
+	m.replicaState(rep, info).disk = diskGB
 }
 
 // ReportDisk computes the disk load the given replica should report to
 // the PLB. ok is false when no model covers this database's disk metric,
 // in which case the replica reports its actual usage (the normal,
 // non-benchmark path, §3.3.1).
-func (m *Manager) ReportDisk(rep *fabric.Replica, info DBInfo, now time.Time) (value float64, ok bool) {
+func (m *Manager) ReportDisk(rep *fabric.Replica, info *DBInfo, now time.Time) (value float64, ok bool) {
 	m.cDiskReports.Inc()
 	if m.set == nil {
 		return 0, false
@@ -196,7 +324,7 @@ func (m *Manager) ReportDisk(rep *fabric.Replica, info DBInfo, now time.Time) (v
 	}
 
 	if dm.Persisted {
-		prev, _ := m.persistedLoad(info.Name)
+		prev := m.persistedLoad(info)
 		if m.set.Frozen {
 			return prev, true
 		}
@@ -207,32 +335,28 @@ func (m *Manager) ReportDisk(rep *fabric.Replica, info DBInfo, now time.Time) (v
 			return prev, true
 		}
 		next := dm.Next(models.EvalContext{
-			DB:      info.Name,
+			Key:     info.modelKey(m.set.Seed),
 			Created: info.Created,
 			Now:     now,
 			Prev:    prev,
 			MaxGB:   info.MaxDiskGB,
-			Seed:    m.set.Seed,
 		})
-		m.persistLoad(info.Name, next)
+		m.persistLoad(info, next)
 		return next, true
 	}
 
-	key := loadKey{rep: rep.ID, inc: rep.Incarnation, metric: fabric.MetricDiskGB}
-	prev := m.mem[key] // zero for a fresh incarnation: tempDB was lost
+	r := m.replicaState(rep, info) // a fresh incarnation starts at zero: tempDB was lost
 	if m.set.Frozen {
-		return prev, true
+		return r.disk, true
 	}
-	next := dm.Next(models.EvalContext{
-		DB:      info.Name,
+	r.disk = dm.Next(models.EvalContext{
+		Key:     r.key,
 		Created: info.Created,
 		Now:     now,
-		Prev:    prev,
+		Prev:    r.disk,
 		MaxGB:   info.MaxDiskGB,
-		Seed:    m.nodeSeed,
 	})
-	m.mem[key] = next
-	return next, true
+	return r.disk, true
 }
 
 // ReportPoolDisk computes the disk load an elastic pool's replica should
@@ -242,8 +366,8 @@ func (m *Manager) ReportDisk(rep *fabric.Replica, info DBInfo, now time.Time) (v
 // their own durable entries in the Naming Service, non-persisted members
 // keep per-member in-memory state under the pool replica's incarnation
 // (so a pool failover resets the members' tempDB usage together, as one
-// SQL instance would).
-func (m *Manager) ReportPoolDisk(rep *fabric.Replica, pool DBInfo, members []DBInfo, now time.Time) (value float64, ok bool) {
+// SQL instance would). members must keep a stable order between reports.
+func (m *Manager) ReportPoolDisk(rep *fabric.Replica, pool *DBInfo, members []*DBInfo, now time.Time) (value float64, ok bool) {
 	m.cDiskReports.Inc()
 	if m.set == nil {
 		return 0, false
@@ -255,43 +379,33 @@ func (m *Manager) ReportPoolDisk(rep *fabric.Replica, pool DBInfo, members []DBI
 	total := 0.0
 	for _, member := range members {
 		if dm.Persisted {
-			prev, _ := m.persistedLoad(member.Name)
-			if m.set.Frozen {
-				total += prev
-				continue
-			}
-			if rep.Role == fabric.Secondary {
+			prev := m.persistedLoad(member)
+			if m.set.Frozen || rep.Role == fabric.Secondary {
 				total += prev
 				continue
 			}
 			next := dm.Next(models.EvalContext{
-				DB:      member.Name,
+				Key:     member.modelKey(m.set.Seed),
 				Created: member.Created,
 				Now:     now,
 				Prev:    prev,
 				MaxGB:   member.MaxDiskGB,
-				Seed:    m.set.Seed,
 			})
-			m.persistLoad(member.Name, next)
+			m.persistLoad(member, next)
 			total += next
 			continue
 		}
-		key := loadKey{rep: rep.ID, inc: rep.Incarnation, metric: fabric.MetricDiskGB, member: member.Name}
-		prev := m.mem[key]
-		if m.set.Frozen {
-			total += prev
-			continue
+		r := m.memberState(rep, member)
+		if !m.set.Frozen {
+			r.disk = dm.Next(models.EvalContext{
+				Key:     r.key,
+				Created: member.Created,
+				Now:     now,
+				Prev:    r.disk,
+				MaxGB:   member.MaxDiskGB,
+			})
 		}
-		next := dm.Next(models.EvalContext{
-			DB:      member.Name,
-			Created: member.Created,
-			Now:     now,
-			Prev:    prev,
-			MaxGB:   member.MaxDiskGB,
-			Seed:    m.nodeSeed,
-		})
-		m.mem[key] = next
-		total += next
+		total += r.disk
 	}
 	if pool.MaxDiskGB > 0 && total > pool.MaxDiskGB {
 		total = pool.MaxDiskGB
@@ -300,7 +414,7 @@ func (m *Manager) ReportPoolDisk(rep *fabric.Replica, pool DBInfo, members []DBI
 }
 
 // SeedMemberLoad primes one pool member's previously-reported disk value.
-func (m *Manager) SeedMemberLoad(rep *fabric.Replica, pool DBInfo, member DBInfo, value float64) {
+func (m *Manager) SeedMemberLoad(rep *fabric.Replica, pool *DBInfo, member *DBInfo, value float64) {
 	persisted := pool.Edition.LocalStore()
 	if m.set != nil {
 		if dm, ok := m.set.Disk[pool.Edition]; ok {
@@ -308,16 +422,16 @@ func (m *Manager) SeedMemberLoad(rep *fabric.Replica, pool DBInfo, member DBInfo
 		}
 	}
 	if persisted {
-		m.persistLoad(member.Name, value)
+		m.persistLoad(member, value)
 		return
 	}
-	m.mem[loadKey{rep: rep.ID, inc: rep.Incarnation, metric: fabric.MetricDiskGB, member: member.Name}] = value
+	m.memberState(rep, member).disk = value
 }
 
 // ReportMemory computes the memory load the replica should report, with
 // the same contract as ReportDisk. Memory is always non-persisted: a
 // newly placed replica has a cold buffer pool (§3.3.2).
-func (m *Manager) ReportMemory(rep *fabric.Replica, info DBInfo, now time.Time) (value float64, ok bool) {
+func (m *Manager) ReportMemory(rep *fabric.Replica, info *DBInfo, now time.Time) (value float64, ok bool) {
 	m.cMemReports.Inc()
 	if m.set == nil {
 		return 0, false
@@ -326,36 +440,32 @@ func (m *Manager) ReportMemory(rep *fabric.Replica, info DBInfo, now time.Time) 
 	if !exists {
 		return 0, false
 	}
-	key := loadKey{rep: rep.ID, inc: rep.Incarnation, metric: fabric.MetricMemoryGB}
-	prev := m.mem[key]
+	r := m.replicaState(rep, info)
 	if m.set.Frozen {
-		return prev, true
+		return r.mem, true
 	}
 	ctx := models.EvalContext{
-		DB:      info.Name,
+		Key:     r.key,
 		Created: info.Created,
 		Now:     now,
-		Prev:    prev,
+		Prev:    r.mem,
 		MaxGB:   info.MaxMemoryGB,
-		Seed:    m.nodeSeed,
 	}
-	var next float64
 	if rep.Role == fabric.Secondary {
 		// Secondaries of local-store databases warm smaller buffer pools
 		// than the query-serving primary (§3.3.2).
-		next = mm.NextSecondary(ctx)
+		r.mem = mm.NextSecondary(ctx)
 	} else {
-		next = mm.Next(ctx)
+		r.mem = mm.Next(ctx)
 	}
-	m.mem[key] = next
-	return next, true
+	return r.mem, true
 }
 
 // ReportCPU computes the observational CPU-usage metric (cores actually
 // consumed) for a replica. info.MaxMemoryGB is unused; the replica's
 // reserved cores are passed via reservedCores. ok is false when the
 // edition has no CPU model.
-func (m *Manager) ReportCPU(rep *fabric.Replica, info DBInfo, reservedCores float64, now time.Time) (value float64, ok bool) {
+func (m *Manager) ReportCPU(rep *fabric.Replica, info *DBInfo, reservedCores float64, now time.Time) (value float64, ok bool) {
 	if m.set == nil {
 		return 0, false
 	}
@@ -367,11 +477,10 @@ func (m *Manager) ReportCPU(rep *fabric.Replica, info DBInfo, reservedCores floa
 		return 0, true
 	}
 	ctx := models.EvalContext{
-		DB:      info.Name,
+		Key:     m.replicaState(rep, info).key,
 		Created: info.Created,
 		Now:     now,
 		MaxGB:   reservedCores, // the model's core cap
-		Seed:    m.nodeSeed,
 	}
 	if rep.Role == fabric.Secondary {
 		return cm.NextSecondary(ctx), true
@@ -379,20 +488,16 @@ func (m *Manager) ReportCPU(rep *fabric.Replica, info DBInfo, reservedCores floa
 	return cm.Next(ctx), true
 }
 
-// Evict drops all in-memory state for a replica incarnation (called when
-// a replica leaves the node or its database is dropped), including any
-// per-member pool entries. Forgetting to evict is safe for correctness —
-// incarnations never repeat — but this keeps the store from growing
-// unboundedly in long benchmarks.
-func (m *Manager) Evict(rep fabric.ReplicaID, incarnation int) {
-	m.cEvictions.Inc()
-	for key := range m.mem {
-		if key.rep == rep && key.inc == incarnation {
-			delete(m.mem, key)
+// MemEntries reports how many replica records this node's Manager holds
+// in the store (for tests and leak checks).
+func (m *Manager) MemEntries() int {
+	n := 0
+	for _, sl := range m.store.slots {
+		for _, r := range sl.reps {
+			if r.live && r.node == m.node {
+				n++
+			}
 		}
 	}
+	return n
 }
-
-// MemEntries reports the size of the in-memory store (for tests and leak
-// checks).
-func (m *Manager) MemEntries() int { return len(m.mem) }

@@ -50,6 +50,7 @@ func testModelSet() *models.ModelSet {
 // model set written into the Naming Service.
 type env struct {
 	cluster  *fabric.Cluster
+	store    *Store
 	managers map[string]*Manager
 }
 
@@ -61,9 +62,9 @@ func newEnv(t *testing.T, set *models.ModelSet) *env {
 		fabric.MetricDiskGB:   8192,
 		fabric.MetricMemoryGB: 512,
 	}, cfg)
-	e := &env{cluster: cluster, managers: make(map[string]*Manager)}
+	e := &env{cluster: cluster, store: NewStore(nil), managers: make(map[string]*Manager)}
 	for i, n := range cluster.Nodes() {
-		e.managers[n.ID] = New(n.ID, cluster.Naming(), uint64(1000+i))
+		e.managers[n.ID] = New(n, cluster.Naming(), e.store, uint64(1000+i))
 	}
 	if set != nil {
 		data, err := set.EncodeXML()
@@ -82,12 +83,12 @@ func newEnv(t *testing.T, set *models.ModelSet) *env {
 
 func (e *env) managerOf(r *fabric.Replica) *Manager { return e.managers[r.Node.ID] }
 
-func bcInfo(name string, created time.Time) DBInfo {
-	return DBInfo{Name: name, Edition: slo.PremiumBC, Created: created, MaxDiskGB: 2048, MaxMemoryGB: 20}
+func bcInfo(name string, created time.Time) *DBInfo {
+	return &DBInfo{Name: name, Edition: slo.PremiumBC, Created: created, MaxDiskGB: 2048, MaxMemoryGB: 20}
 }
 
-func gpInfo(name string, created time.Time) DBInfo {
-	return DBInfo{Name: name, Edition: slo.StandardGP, Created: created, MaxDiskGB: 64, MaxMemoryGB: 10}
+func gpInfo(name string, created time.Time) *DBInfo {
+	return &DBInfo{Name: name, Edition: slo.StandardGP, Created: created, MaxDiskGB: 64, MaxMemoryGB: 10}
 }
 
 func TestNoModelMeansActualReporting(t *testing.T) {
@@ -141,7 +142,7 @@ func TestPersistedDiskSurvivesFailover(t *testing.T) {
 	svc, _ := e.cluster.CreateService("bc1", 4, 2, nil)
 	info := bcInfo("bc1", start)
 	primary := svc.Primary()
-	e.managerOf(primary).SeedLoad(primary, info, fabric.MetricDiskGB, 500)
+	e.managerOf(primary).SeedLoad(primary, info, 500)
 
 	// Primary executes the model and persists.
 	now := start.Add(20 * time.Minute)
@@ -197,7 +198,7 @@ func TestNonPersistedDiskResetsOnFailover(t *testing.T) {
 	svc, _ := e.cluster.CreateService("gp1", 1, 2, nil)
 	info := gpInfo("gp1", start)
 	rep := svc.Replicas[0]
-	e.managerOf(rep).SeedLoad(rep, info, fabric.MetricDiskGB, 30)
+	e.managerOf(rep).SeedLoad(rep, info, 30)
 
 	now := start.Add(20 * time.Minute)
 	v1, ok := e.managerOf(rep).ReportDisk(rep, info, now)
@@ -234,7 +235,7 @@ func TestFrozenReturnsPrev(t *testing.T) {
 	svc, _ := e.cluster.CreateService("bc1", 4, 2, nil)
 	info := bcInfo("bc1", start)
 	p := svc.Primary()
-	e.managerOf(p).SeedLoad(p, info, fabric.MetricDiskGB, 700)
+	e.managerOf(p).SeedLoad(p, info, 700)
 	for i := 1; i <= 5; i++ {
 		v, ok := e.managerOf(p).ReportDisk(p, info, start.Add(time.Duration(i)*20*time.Minute))
 		if !ok || v != 700 {
@@ -274,10 +275,15 @@ func TestEvictAndMemEntries(t *testing.T) {
 	m := e.managerOf(rep)
 	m.ReportDisk(rep, info, start.Add(20*time.Minute))
 	m.ReportMemory(rep, info, start.Add(20*time.Minute))
-	if m.MemEntries() != 2 {
+	// One record holds the replica's tempDB disk and memory.
+	if m.MemEntries() != 1 {
 		t.Fatalf("mem entries = %d", m.MemEntries())
 	}
-	m.Evict(rep.ID, rep.Incarnation)
+	e.store.Evict(rep, rep.Incarnation+1) // another incarnation's: kept
+	if m.MemEntries() != 1 {
+		t.Fatalf("evicting another incarnation dropped the record: %d entries", m.MemEntries())
+	}
+	e.store.Evict(rep, rep.Incarnation)
 	if m.MemEntries() != 0 {
 		t.Errorf("entries after evict = %d", m.MemEntries())
 	}
@@ -288,7 +294,7 @@ func TestClearPersisted(t *testing.T) {
 	svc, _ := e.cluster.CreateService("bc1", 4, 2, nil)
 	info := bcInfo("bc1", start)
 	p := svc.Primary()
-	e.managerOf(p).SeedLoad(p, info, fabric.MetricDiskGB, 100)
+	e.managerOf(p).SeedLoad(p, info, 100)
 	if len(e.cluster.Naming().Keys("toto/load/")) != 1 {
 		t.Fatal("persisted load not written")
 	}
@@ -304,7 +310,7 @@ func TestMaxDiskClamp(t *testing.T) {
 	info := bcInfo("bc1", start)
 	info.MaxDiskGB = 500.05
 	p := svc.Primary()
-	e.managerOf(p).SeedLoad(p, info, fabric.MetricDiskGB, 500)
+	e.managerOf(p).SeedLoad(p, info, 500)
 	for i := 1; i <= 10; i++ {
 		v, _ := e.managerOf(p).ReportDisk(p, info, start.Add(time.Duration(i)*20*time.Minute))
 		if v > info.MaxDiskGB {
@@ -416,8 +422,8 @@ func TestManagersShareOneDecodePerVersion(t *testing.T) {
 			t.Errorf("%s holds its own decoded set", id)
 		}
 	}
-	if naming.Decodes() != 1 {
-		t.Errorf("5 managers decoded the XML %d times, want once", naming.Decodes())
+	if naming.Decodes(models.NamingKey) != 1 {
+		t.Errorf("5 managers decoded the XML %d times, want once", naming.Decodes(models.NamingKey))
 	}
 	// A malformed blob is decoded once, fails on every manager, and
 	// leaves the previous models active.
@@ -430,8 +436,8 @@ func TestManagersShareOneDecodePerVersion(t *testing.T) {
 			t.Errorf("%s dropped its models on a malformed blob", id)
 		}
 	}
-	if naming.Decodes() != 2 {
-		t.Errorf("Decodes = %d after the malformed write, want 2", naming.Decodes())
+	if naming.Decodes(models.NamingKey) != 2 {
+		t.Errorf("Decodes = %d after the malformed write, want 2", naming.Decodes(models.NamingKey))
 	}
 }
 
@@ -447,8 +453,9 @@ func TestPersistedLoadMatchesPercentG(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		vals = append(vals, src.Float64()*2048, math.Float64frombits(src.Uint64()&^(0x7ff<<52)|uint64(src.Intn(0x7ff))<<52))
 	}
+	info := &DBInfo{Name: "db"}
 	for _, v := range vals {
-		m.persistLoad("db", v)
+		m.persistLoad(info, v)
 		data, _, _ := e.cluster.Naming().Get(loadNamingKey("db"))
 		if want := fmt.Sprintf("%g", v); string(data) != want {
 			t.Fatalf("persistLoad(%v) wrote %q, %%g writes %q", v, data, want)
@@ -457,9 +464,269 @@ func TestPersistedLoadMatchesPercentG(t *testing.T) {
 		if _, err := fmt.Sscanf(string(data), "%g", &want); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := m.persistedLoad("db")
-		if !ok || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("persistedLoad(%q) = %v, %v; %%g scans %v", data, got, ok, want)
+		if got := m.persistedLoad(info); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("persistedLoad(%q) = %v; %%g scans %v", data, got, want)
 		}
+	}
+}
+
+// coldMemorySet is testModelSet with a noiseless GP memory model, so a
+// cold start is recognisable: the first report from a cold buffer pool is
+// exactly 1 + (8-1)*0.5 = 4.5 GB, and a warmed one sits near 8 GB.
+func coldMemorySet() *models.ModelSet {
+	set := testModelSet()
+	set.Memory[slo.StandardGP] = &models.MemoryModel{
+		Target:         flatHourly(8, 0),
+		WarmRate:       0.5,
+		ColdStartGB:    1,
+		ReportInterval: 20 * time.Minute,
+	}
+	return set
+}
+
+const coldMemoryGB = 4.5
+
+// warmMemory reports rep's memory rounds times and returns the last value.
+func (e *env) warmMemory(t *testing.T, rep *fabric.Replica, info *DBInfo, rounds int) float64 {
+	t.Helper()
+	var v float64
+	for i := 1; i <= rounds; i++ {
+		var ok bool
+		if v, ok = e.managerOf(rep).ReportMemory(rep, info, start.Add(time.Duration(i)*20*time.Minute)); !ok {
+			t.Fatal("no memory model")
+		}
+	}
+	return v
+}
+
+func TestRecycledSlotStartsCold(t *testing.T) {
+	e := newEnv(t, coldMemorySet())
+	old, _ := e.cluster.CreateService("gp-old", 1, 2, nil)
+	oldNode := old.Replicas[0].Node
+	if v := e.warmMemory(t, old.Replicas[0], gpInfo("gp-old", start), 10); v < 7.9 {
+		t.Fatalf("warmed memory = %v", v)
+	}
+	// Drop without telling the store: the slot's guard alone must keep
+	// the new service from inheriting the old one's records.
+	if err := e.cluster.DropService("gp-old"); err != nil {
+		t.Fatal(err)
+	}
+	svc, _ := e.cluster.CreateService("gp-new", 1, 2, nil)
+	rep := svc.Replicas[0]
+	if svc.Slot() != old.Slot() || rep.Node != oldNode || rep.Incarnation != old.Replicas[0].Incarnation {
+		t.Fatalf("gp-new got slot %d on %s, incarnation %d; the test needs gp-old's %d on %s, %d",
+			svc.Slot(), rep.Node.ID, rep.Incarnation, old.Slot(), oldNode.ID, old.Replicas[0].Incarnation)
+	}
+	if v, _ := e.managerOf(rep).ReportMemory(rep, gpInfo("gp-new", start), start.Add(time.Hour)); v != coldMemoryGB {
+		t.Errorf("recycled slot reported %v GB, want the cold start's %v", v, coldMemoryGB)
+	}
+}
+
+func TestMoveAwayAndBackStartsCold(t *testing.T) {
+	e := newEnv(t, coldMemorySet())
+	svc, _ := e.cluster.CreateService("gp1", 1, 2, nil)
+	rep := svc.Replicas[0]
+	info := gpInfo("gp1", start)
+	home := rep.Node
+	if v := e.warmMemory(t, rep, info, 10); v < 7.9 {
+		t.Fatalf("warmed memory = %v", v)
+	}
+	var away *fabric.Node
+	for _, n := range e.cluster.Nodes() {
+		if n != home {
+			away = n
+			break
+		}
+	}
+	// No eviction on either move: the incarnation tag alone must tell
+	// the returning replica from the one that warmed the buffer pool.
+	for _, target := range []*fabric.Node{away, home} {
+		if err := e.cluster.ForceMove(rep.ID, target.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep.Node != home {
+		t.Fatalf("replica on %s, want back on %s", rep.Node.ID, home.ID)
+	}
+	if v, _ := e.managerOf(rep).ReportMemory(rep, info, start.Add(5*time.Hour)); v != coldMemoryGB {
+		t.Errorf("returning replica reported %v GB, want the cold start's %v", v, coldMemoryGB)
+	}
+	if n := e.managerOf(rep).MemEntries(); n != 1 {
+		t.Errorf("home node holds %d records for one replica", n)
+	}
+}
+
+func TestStoreDropEvictsEveryReplica(t *testing.T) {
+	set := testModelSet()
+	set.Memory[slo.PremiumBC] = set.Memory[slo.StandardGP]
+	e := newEnv(t, set)
+	svc, _ := e.cluster.CreateService("bc1", 4, 2, nil)
+	info := bcInfo("bc1", start)
+	for _, r := range svc.Replicas {
+		e.managerOf(r).ReportMemory(r, info, start.Add(20*time.Minute))
+	}
+	total := func() int {
+		n := 0
+		for _, m := range e.managers {
+			n += m.MemEntries()
+		}
+		return n
+	}
+	if total() != 4 {
+		t.Fatalf("%d records for 4 replicas", total())
+	}
+	if err := e.cluster.DropService("bc1"); err != nil {
+		t.Fatal(err)
+	}
+	e.store.Drop(svc)
+	if total() != 0 {
+		t.Errorf("%d records left after the drop", total())
+	}
+}
+
+func TestNewModelSeedRekeysPersistedMetrics(t *testing.T) {
+	e := newEnv(t, testModelSet())
+	svc, _ := e.cluster.CreateService("bc1", 4, 2, nil)
+	info := bcInfo("bc1", start)
+	p := svc.Primary()
+	e.managerOf(p).SeedLoad(p, info, 500)
+	dm := testModelSet().Disk[slo.PremiumBC]
+	want := func(seed uint64, now time.Time, prev float64) float64 {
+		return dm.Next(models.EvalContext{Key: models.NewDBKey(seed, "bc1"), Created: start, Now: now, Prev: prev, MaxGB: info.MaxDiskGB})
+	}
+	t1 := start.Add(20 * time.Minute)
+	v1, _ := e.managerOf(p).ReportDisk(p, info, t1)
+	if v1 != want(7, t1, 500) {
+		t.Fatalf("seed 7 report = %v, want %v", v1, want(7, t1, 500))
+	}
+	rewrite := testModelSet()
+	rewrite.Seed = 8
+	data, err := rewrite.EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.cluster.Naming().Put(models.NamingKey, data)
+	for _, m := range e.managers {
+		if err := m.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t2 := t1.Add(20 * time.Minute)
+	v2, _ := e.managerOf(p).ReportDisk(p, info, t2)
+	if v2 != want(8, t2, v1) || v2 == want(7, t2, v1) {
+		t.Errorf("after the seed-8 rewrite: report = %v, want %v (seed 7 gives %v)", v2, want(8, t2, v1), want(7, t2, v1))
+	}
+}
+
+// TestPersistedLoadParsedOncePerWrite checks that a BC database's
+// persisted disk, written by the primary every round and read by it and
+// its three secondaries, is parsed once per written value.
+func TestPersistedLoadParsedOncePerWrite(t *testing.T) {
+	e := newEnv(t, testModelSet())
+	naming := e.cluster.Naming()
+	svc, _ := e.cluster.CreateService("bc1", 4, 2, nil)
+	info := bcInfo("bc1", start)
+	p := svc.Primary()
+	e.managerOf(p).SeedLoad(p, info, 500)
+	key := loadNamingKey("bc1")
+	writes := int64(1)
+	for i := 1; i <= 10; i++ {
+		now := start.Add(time.Duration(i) * 20 * time.Minute)
+		for _, r := range []*fabric.Replica{p, svc.Replicas[1], svc.Replicas[2], svc.Replicas[3]} {
+			e.managerOf(r).ReportDisk(r, info, now)
+		}
+		writes++
+		if got := naming.Decodes(key); got != writes {
+			t.Fatalf("round %d: %d parses of %d written values", i, got, writes)
+		}
+	}
+}
+
+// TestReportsAllocateNothing pins the per-replica report paths: a warmed
+// memory, CPU or tempDB-disk report allocates nothing; a BC primary's
+// persisted report costs exactly the Naming write's copy of the value
+// and the decode memo's one boxed float when the written value is first
+// read.
+func TestReportsAllocateNothing(t *testing.T) {
+	set := testModelSet()
+	set.CPU[slo.StandardGP] = &models.CPUModel{TargetFraction: flatHourly(0.5, 0.1), ReportInterval: 20 * time.Minute}
+	e := newEnv(t, set)
+	gp, _ := e.cluster.CreateService("gp1", 1, 2, nil)
+	bc, _ := e.cluster.CreateService("bc1", 4, 2, nil)
+	gpRep, bcRep := gp.Replicas[0], bc.Primary()
+	gi, bi := gpInfo("gp1", start), bcInfo("bc1", start)
+	now := start.Add(20 * time.Minute)
+	gm, bm := e.managerOf(gpRep), e.managerOf(bcRep)
+	for name, tc := range map[string]struct {
+		report func()
+		want   float64
+	}{
+		"memory":       {func() { gm.ReportMemory(gpRep, gi, now) }, 0},
+		"cpu":          {func() { gm.ReportCPU(gpRep, gi, 2, now) }, 0},
+		"tempDB disk":  {func() { gm.ReportDisk(gpRep, gi, now) }, 0},
+		"persisted BC": {func() { bm.ReportDisk(bcRep, bi, now) }, 2},
+	} {
+		tc.report() // warm: claim the record, derive the keys
+		if got := testing.AllocsPerRun(100, tc.report); got != tc.want {
+			t.Errorf("%s report: %v allocs, want %v", name, got, tc.want)
+		}
+	}
+}
+
+// TestReportRoundsShareOneModelSet runs two clusters' report rounds
+// concurrently over one decoded model set, as fleet cells share one. The
+// race detector fails it if a report writes anything onto the set.
+func TestReportRoundsShareOneModelSet(t *testing.T) {
+	set := testModelSet()
+	set.CPU[slo.StandardGP] = &models.CPUModel{TargetFraction: flatHourly(0.5, 0.1), ReportInterval: 20 * time.Minute}
+	data, err := set.EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := models.UnmarshalModelSetXML(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := []*env{newEnv(t, nil), newEnv(t, nil)}
+	infos := make([][]*DBInfo, len(envs))
+	for i, e := range envs {
+		for _, m := range e.managers {
+			m.set = shared
+		}
+		for j := 0; j < 6; j++ {
+			name, info := fmt.Sprintf("gp-%d", j), gpInfo(fmt.Sprintf("gp-%d", j), start)
+			if j%2 == 1 {
+				name, info = fmt.Sprintf("bc-%d", j), bcInfo(fmt.Sprintf("bc-%d", j), start)
+			}
+			replicas := 1
+			if info.Edition == slo.PremiumBC {
+				replicas = 4
+			}
+			if _, err := e.cluster.CreateService(name, replicas, 2, nil); err != nil {
+				t.Fatal(err)
+			}
+			infos[i] = append(infos[i], info)
+		}
+	}
+	done := make(chan struct{})
+	for i, e := range envs {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for round := 1; round <= 30; round++ {
+				now := start.Add(time.Duration(round) * 20 * time.Minute)
+				for _, info := range infos[i] {
+					svc, _ := e.cluster.Service(info.Name)
+					for _, r := range svc.Replicas {
+						m := e.managerOf(r)
+						m.ReportDisk(r, info, now)
+						m.ReportMemory(r, info, now)
+						m.ReportCPU(r, info, 2, now)
+					}
+				}
+			}
+		}()
+	}
+	for range envs {
+		<-done
 	}
 }

@@ -60,7 +60,7 @@ func TestPeriodicSampling(t *testing.T) {
 func TestFailoverRecording(t *testing.T) {
 	cluster, rec := newEnv(t, 5)
 	svc, _ := cluster.CreateService("bc", 4, 6, map[string]string{"edition": "Premium/BC"})
-	cluster.ReportLoad(svc.Replicas[1].ID, fabric.MetricDiskGB, 123)
+	cluster.ReportLoad(svc.Replicas[1], fabric.MetricDiskGB, 123)
 	// Move a secondary via the admin API.
 	var target string
 	hosts := map[string]bool{}

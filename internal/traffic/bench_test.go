@@ -153,7 +153,7 @@ func TestNoTrafficZeroAlloc(t *testing.T) {
 	rep := svc.Replicas[0]
 	// Warm the report path so one-time lazy state is off the books.
 	for i := 0; i < 8; i++ {
-		_ = c.ReportLoad(rep.ID, fabric.MetricMemoryGB, 4)
+		_ = c.ReportLoad(rep, fabric.MetricMemoryGB, 4)
 	}
 	now := clock.Now()
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -162,7 +162,7 @@ func TestNoTrafficZeroAlloc(t *testing.T) {
 		t.Errorf("ServingStateAt allocates %.1f per call on the no-traffic path", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		_ = c.ReportLoad(rep.ID, fabric.MetricMemoryGB, 4)
+		_ = c.ReportLoad(rep, fabric.MetricMemoryGB, 4)
 	}); allocs != 0 {
 		t.Errorf("steady-state ReportLoad allocates %.1f per call", allocs)
 	}

@@ -90,8 +90,8 @@ func runDay(tb testing.TB, o dayOpts) (traffic.Stats, fabric.SlowNodeStats) {
 	clock.Every(20*time.Minute, func(time.Time) {
 		for _, svc := range c.LiveServices() {
 			for _, rep := range svc.Replicas {
-				_ = c.ReportLoad(rep.ID, fabric.MetricDiskGB, rep.Load(fabric.MetricDiskGB)+src.UniformRange(0, 2.2))
-				_ = c.ReportLoad(rep.ID, fabric.MetricMemoryGB, src.UniformRange(1, 8))
+				_ = c.ReportLoad(rep, fabric.MetricDiskGB, rep.Load(fabric.MetricDiskGB)+src.UniformRange(0, 2.2))
+				_ = c.ReportLoad(rep, fabric.MetricMemoryGB, src.UniformRange(1, 8))
 			}
 		}
 	})
