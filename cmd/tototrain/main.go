@@ -106,7 +106,7 @@ func report(tm *core.TrainedModels, seed uint64) {
 	fmt.Fprintf(w, "=== Toto model training report (seed %d) ===\n\n", seed)
 
 	fmt.Fprintf(w, "Training data: %d-day region trace (%d rings), %d disk traces over %d days\n\n",
-		tm.Region.Config.Days, tm.Region.Config.Rings, len(tm.DiskTraces), 14)
+		tm.Region.Config.Days, tm.Region.Config.Rings, len(tm.DiskTraces), diskTraceDays(tm.DiskTraces))
 
 	bench.RunFig7(tm).Print(w)
 	fmt.Fprintln(w)
@@ -149,5 +149,13 @@ func report(tm *core.TrainedModels, seed uint64) {
 			lt.Model.Bins[0].LoGB, lt.Model.Bins[len(lt.Model.Bins)-1].HiGB)
 	}
 	fmt.Fprintln(w)
-	_ = trainer.DefaultDiskTrainingOptions() // document: options are the paper's (20min deltas, 12GB/5min label, 5 bins)
+}
+
+// diskTraceDays is the span of the longest disk trace in whole days.
+func diskTraceDays(traces []trace.DBTrace) int {
+	var span time.Duration
+	for _, tr := range traces {
+		span = max(span, time.Duration(len(tr.UsageGB))*tr.Interval)
+	}
+	return int(span / (24 * time.Hour))
 }

@@ -8,6 +8,7 @@ import (
 
 	"toto/internal/models"
 	"toto/internal/slo"
+	"toto/internal/stats"
 	"toto/internal/trace"
 )
 
@@ -202,6 +203,83 @@ func TestTrainedDiskModelShape(t *testing.T) {
 	gp := TrainDisk(traces, slo.StandardGP, DefaultDiskTrainingOptions())
 	if gp.Model.Persisted {
 		t.Error("GP disk model must be non-persisted")
+	}
+}
+
+// TestTrainDiskBucketsOffEpoch trains on traces created away from
+// trace.Epoch (Saturday 23:40 in UTC and in a half-hour zone, a
+// Wednesday afternoon) and of mixed lengths, and checks the fitted
+// steady cells against a reference that buckets each delta with
+// models.BucketOf and fits each cell with stats.FitNormal.
+func TestTrainDiskBucketsOffEpoch(t *testing.T) {
+	cfg := trace.DefaultDiskTraceConfig(12)
+	cfg.Databases = map[slo.Edition]int{slo.StandardGP: 24, slo.PremiumBC: 6}
+	cfg.Days = 9
+	cfg.InitialGrowthFrac = 0.25
+	traces := trace.GenerateDiskTraces(cfg)
+	saturday := time.Date(2020, time.June, 6, 23, 40, 0, 0, time.UTC)
+	created := []time.Time{
+		saturday,
+		saturday.In(time.FixedZone("UTC+5:30", 5*3600+1800)),
+		time.Date(2020, time.June, 10, 13, 7, 0, 0, time.UTC),
+		trace.Epoch,
+	}
+	for i := range traces {
+		tr := &traces[i]
+		tr.Created = created[i%len(created)]
+		// Traces sharing a creation time differ in length, so its cell
+		// table is both reused as a prefix and extended.
+		tr.UsageGB = tr.UsageGB[:len(tr.UsageGB)-(i%5)*37]
+	}
+
+	opts := DefaultDiskTrainingOptions()
+	for _, e := range slo.Editions() {
+		got := TrainDisk(traces, e, opts)
+
+		byBucket := map[models.HourBucket][]float64{}
+		var pooled []float64
+		for _, tr := range traces {
+			if tr.Edition != e {
+				continue
+			}
+			skip := 0
+			if tr.UsageGB[1]-tr.UsageGB[0] > opts.InitialGrowthLabelGB { // 5-minute samples
+				skip = int(opts.InitialWindow / opts.DeltaPeriod)
+			}
+			for i, d := range tr.Deltas(opts.DeltaPeriod) {
+				if i < skip || math.Abs(d) > opts.SpikeThresholdGB {
+					continue
+				}
+				b := models.BucketOf(tr.Created.Add(time.Duration(i+1) * opts.DeltaPeriod))
+				byBucket[b] = append(byBucket[b], d)
+				pooled = append(pooled, d)
+			}
+		}
+		if len(got.InitialDBs) == 0 {
+			t.Fatalf("%s: no high-initial-growth database, so the initial-window skip goes untested", e)
+		}
+		if len(byBucket) != 48 {
+			t.Fatalf("%s: reference fills %d of 48 cells", e, len(byBucket))
+		}
+		if len(got.SteadyDeltas) != len(pooled) {
+			t.Fatalf("%s: %d steady deltas, reference has %d", e, len(got.SteadyDeltas), len(pooled))
+		}
+		for i := range pooled {
+			if math.Float64bits(got.SteadyDeltas[i]) != math.Float64bits(pooled[i]) {
+				t.Fatalf("%s: steady delta %d = %v, reference %v", e, i, got.SteadyDeltas[i], pooled[i])
+			}
+		}
+		for b, xs := range byBucket {
+			want, err := stats.FitNormal(xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := got.Model.Steady.Cell(b)
+			if math.Float64bits(cell.Mean) != math.Float64bits(want.Mean) ||
+				math.Float64bits(cell.Sigma) != math.Float64bits(want.Sigma) {
+				t.Errorf("%s %+v: fitted %+v, reference %+v", e, b, cell, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh — run the fabric and simclock hot-path benchmarks and record
-# the results as a machine-readable baseline.
+# bench.sh — run the fabric, simclock and traffic hot-path benchmarks and
+# the default model training, and record the results as a machine-readable
+# baseline.
 #
 # Usage:
 #   scripts/bench.sh           # full run (benchtime 2s), writes BENCH_fabric.json
@@ -27,8 +28,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkPlacement|BenchmarkGreedyPlacement|BenchmarkPlace|BenchmarkPlaceWithTopology|BenchmarkScan|BenchmarkPLBScan|BenchmarkReportLoad|BenchmarkNamingService|BenchmarkSimulatedDay|BenchmarkSimulatedDayWithFaults|BenchmarkSimulatedDayJournaled|BenchmarkSimulatedDayWithTraffic|BenchmarkSimulatedDayWithTrafficTraced|BenchmarkSimulatedDayTrafficHedged|BenchmarkSimulatedDayNoTraffic|BenchmarkClockSchedule|BenchmarkClockCancel)$'
-PKGS='./internal/fabric/ ./internal/simclock/ ./internal/traffic/'
+BENCHES='^(BenchmarkPlacement|BenchmarkGreedyPlacement|BenchmarkPlace|BenchmarkPlaceWithTopology|BenchmarkScan|BenchmarkPLBScan|BenchmarkReportLoad|BenchmarkNamingService|BenchmarkSimulatedDay|BenchmarkSimulatedDayWithFaults|BenchmarkSimulatedDayJournaled|BenchmarkSimulatedDayWithTraffic|BenchmarkSimulatedDayWithTrafficTraced|BenchmarkSimulatedDayTrafficHedged|BenchmarkSimulatedDayNoTraffic|BenchmarkClockSchedule|BenchmarkClockCancel|BenchmarkTrainDefaultModels)$'
+PKGS='./internal/fabric/ ./internal/simclock/ ./internal/traffic/ ./internal/core/'
 BENCHTIME="${BENCHTIME:-2s}"
 BENCHCOUNT="${BENCHCOUNT:-3}"
 OUT="${OUT:-BENCH_fabric.json}"
