@@ -181,7 +181,7 @@ func BenchmarkFig8CreateDropValidation(b *testing.B) {
 }
 
 func BenchmarkFig9SteadyStateDisk(b *testing.B) {
-	tm := core.DefaultModels()
+	tm := core.TrainDefaultModels(42) // Fig. 9 reads the raw disk inputs the cache drops
 	b.ResetTimer()
 	var f bench.Fig9
 	for i := 0; i < b.N; i++ {
@@ -275,14 +275,15 @@ func BenchmarkAblationModelRefresh(b *testing.B) {
 // BenchmarkAblationDiskModelChoice re-scores the §4.2.2 candidate
 // comparison (hourly normal vs KDE vs custom binning).
 func BenchmarkAblationDiskModelChoice(b *testing.B) {
-	f9, err := bench.RunFig9(core.DefaultModels(), slo.StandardGP, 202)
+	tm := core.TrainDefaultModels(42) // Fig. 9 reads the raw disk inputs the cache drops
+	f9, err := bench.RunFig9(tm, slo.StandardGP, 202)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		f9, err = bench.RunFig9(core.DefaultModels(), slo.StandardGP, uint64(202+i))
+		f9, err = bench.RunFig9(tm, slo.StandardGP, uint64(202+i))
 		if err != nil {
 			b.Fatal(err)
 		}

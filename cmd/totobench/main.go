@@ -89,8 +89,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Modeling artifacts (trace + trainer based).
-	needModels := sel("tab1") || sel("fig6") || sel("fig7") || sel("fig8") || sel("fig9")
+	// Modeling artifacts (trace + trainer based). The shared cache carries
+	// no raw disk inputs; Figure 9 trains its own full run below.
+	needModels := sel("tab1") || sel("fig6") || sel("fig7") || sel("fig8")
 	var tm *core.TrainedModels
 	if needModels || sel("fig2") || sel("fig10") || sel("fig11") || sel("fig12a") ||
 		sel("fig12b") || sel("fig14") || sel("tab2") || sel("tab3") || sel("fig13") {
@@ -122,8 +123,9 @@ func main() {
 		fmt.Fprintln(out)
 	}
 	if sel("fig9") {
+		full := core.TrainDefaultModels(42)
 		for _, e := range slo.Editions() {
-			f9, err := bench.RunFig9(tm, e, seeds.Models)
+			f9, err := bench.RunFig9(full, e, seeds.Models)
 			if err != nil {
 				fail(err)
 			}

@@ -78,7 +78,7 @@ func main() {
 	if err := o.WriteModels(repro); err != nil {
 		log.Fatal(err)
 	}
-	o.Recorder.Start()
+	o.Recorder.Start(sc.Duration)
 	suspect, err := o.Control.CreateDatabase("incident-db", "BC_Gen5_6")
 	if err != nil {
 		log.Fatalf("suspect redirected: %v", err)

@@ -54,7 +54,7 @@ func main() {
 		var latencies []float64
 		inPlace, withMoves, rejected := 0, 0, 0
 		gp := slo.StandardGP
-		for _, db := range o.Control.LiveDatabases(&gp) {
+		for _, db := range o.Control.LiveDatabases(nil, &gp) {
 			svc, _ := o.Cluster.Service(db)
 			if svc.Labels["slo"] != "GP_Gen5_2" {
 				continue

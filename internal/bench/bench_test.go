@@ -12,6 +12,8 @@ import (
 
 	"toto/internal/core"
 	"toto/internal/slo"
+	"toto/internal/trace"
+	"toto/internal/trainer"
 )
 
 // shortStudy runs a reduced (1-day) density study once per test binary.
@@ -187,8 +189,45 @@ func TestFig3Artifacts(t *testing.T) {
 	}
 }
 
+// TestFig9NeedsRawDiskInputs checks that Figure 9 turns a training run
+// without its raw disk inputs into an error that names the missing input
+// and points to a full training, where it used to index an empty curve.
+func TestFig9NeedsRawDiskInputs(t *testing.T) {
+	cfg := trace.DefaultDiskTraceConfig(5)
+	cfg.Databases = map[slo.Edition]int{slo.StandardGP: 40}
+	gpOnly := trace.GenerateDiskTraces(cfg)
+	opts := trainer.DefaultDiskTrainingOptions()
+	handBuilt := &core.TrainedModels{DiskTraces: gpOnly, Disk: map[slo.Edition]*trainer.DiskTraining{
+		slo.StandardGP: trainer.TrainDisk(gpOnly, slo.StandardGP, opts),
+		slo.PremiumBC:  trainer.TrainDisk(gpOnly, slo.PremiumBC, opts),
+	}}
+	if _, err := RunFig9(handBuilt, slo.StandardGP, 9); err != nil {
+		t.Fatalf("GP over GP traces: %v", err)
+	}
+	noDeltas := *handBuilt.Disk[slo.StandardGP]
+	noDeltas.SteadyDeltas = nil
+	tracesOnly := &core.TrainedModels{DiskTraces: gpOnly, Disk: map[slo.Edition]*trainer.DiskTraining{slo.StandardGP: &noDeltas}}
+
+	for _, c := range []struct {
+		name    string
+		tm      *core.TrainedModels
+		e       slo.Edition
+		missing string
+	}{
+		{"DefaultModels GP", core.DefaultModels(), slo.StandardGP, "DiskTraces"},
+		{"DefaultModels BC", core.DefaultModels(), slo.PremiumBC, "DiskTraces"},
+		{"GP traces only, BC", handBuilt, slo.PremiumBC, "DiskTraces"},
+		{"GP traces without steady deltas", tracesOnly, slo.StandardGP, "SteadyDeltas"},
+	} {
+		_, err := RunFig9(c.tm, c.e, 9)
+		if err == nil || !strings.Contains(err.Error(), c.missing) || !strings.Contains(err.Error(), "TrainDefaultModels") {
+			t.Errorf("%s: err = %v, want one naming %s and pointing to TrainDefaultModels", c.name, err, c.missing)
+		}
+	}
+}
+
 func TestModelingArtifacts(t *testing.T) {
-	tm := core.DefaultModels()
+	tm := core.TrainDefaultModels(42) // fig9 reads the raw disk inputs the cache drops
 
 	t.Run("fig6", func(t *testing.T) {
 		f := RunFig6(tm)

@@ -285,10 +285,18 @@ type Fig9 struct {
 	Candidates     []trainer.CandidateScore
 }
 
-// RunFig9 validates the disk model for one edition.
+// RunFig9 validates the disk model for one edition. It reads the raw disk
+// inputs, so tm must be a full run from core.TrainDefaultModels: the
+// core.DefaultModels cache drops them.
 func RunFig9(tm *core.TrainedModels, e slo.Edition, seed uint64) (Fig9, error) {
 	dt := tm.Disk[e]
 	prod := averageCurve(tm, e)
+	switch {
+	case len(prod) == 0:
+		return Fig9{}, fmt.Errorf("bench: fig9 %s: the training run holds no disk traces of this edition (TrainedModels.DiskTraces); core.DefaultModels drops them, so train with core.TrainDefaultModels", e)
+	case len(dt.SteadyDeltas) == 0:
+		return Fig9{}, fmt.Errorf("bench: fig9 %s: the training run holds no steady deltas (DiskTraining.SteadyDeltas); core.DefaultModels drops them, so train with core.TrainDefaultModels", e)
+	}
 	sim := trainer.SimulateAverageUsage(dt, len(prod), prod[0], seed)
 	rmse, err := stats.RMSE(prod, sim)
 	if err != nil {

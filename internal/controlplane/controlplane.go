@@ -174,10 +174,12 @@ func (cp *ControlPlane) Stats() (creates, drops, redirects int) {
 	return cp.creates, cp.drops, cp.redirects
 }
 
-// LiveDatabases returns the names of live databases of the given edition
-// (or all editions when edition is nil), in sorted order.
-func (cp *ControlPlane) LiveDatabases(edition *slo.Edition) []string {
-	var out []string
+// LiveDatabases appends to dst the names of live databases of the given
+// edition (or all editions when edition is nil), in sorted order, and
+// returns the extended slice. A caller that passes the same buffer back,
+// truncated to length 0, allocates nothing once it has reached the live
+// population's size.
+func (cp *ControlPlane) LiveDatabases(dst []string, edition *slo.Edition) []string {
 	cp.cluster.EachLiveService(func(svc *fabric.Service) {
 		if edition != nil {
 			e, err := ServiceEdition(svc)
@@ -185,9 +187,9 @@ func (cp *ControlPlane) LiveDatabases(edition *slo.Edition) []string {
 				return
 			}
 		}
-		out = append(out, svc.Name)
+		dst = append(dst, svc.Name)
 	})
-	return out
+	return dst
 }
 
 // OldestLiveDatabase returns the live database of an edition with the

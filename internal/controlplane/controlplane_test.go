@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -121,24 +122,41 @@ func TestDropDatabase(t *testing.T) {
 	}
 }
 
+// TestLiveDatabasesFilter checks that LiveDatabases appends each
+// edition's live names, in name order and without dropped databases, to
+// the caller's buffer, and that a warm buffer takes them without
+// allocating.
 func TestLiveDatabasesFilter(t *testing.T) {
 	cp := newCP(t, 6)
-	cp.CreateDatabase("gp1", "GP_Gen5_2")
-	cp.CreateDatabase("gp2", "GP_Gen5_2")
-	cp.CreateDatabase("bc1", "BC_Gen5_2")
-	cp.DropDatabase("gp2")
-
-	all := cp.LiveDatabases(nil)
-	if len(all) != 2 {
-		t.Errorf("live = %v", all)
+	for _, c := range [][2]string{{"gp-b", "GP_Gen5_2"}, {"bc-a", "BC_Gen5_2"}, {"gp-d", "GP_Gen5_2"}, {"gp-a", "GP_Gen5_2"}, {"bc-c", "BC_Gen5_2"}, {"gp-c", "GP_Gen5_2"}} {
+		if _, err := cp.CreateDatabase(c[0], c[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	gp := slo.StandardGP
-	if got := cp.LiveDatabases(&gp); len(got) != 1 || got[0] != "gp1" {
-		t.Errorf("live GP = %v", got)
+	if err := cp.DropDatabase("gp-d"); err != nil {
+		t.Fatal(err)
 	}
-	bc := slo.PremiumBC
-	if got := cp.LiveDatabases(&bc); len(got) != 1 || got[0] != "bc1" {
-		t.Errorf("live BC = %v", got)
+	gp, bc := slo.StandardGP, slo.PremiumBC
+	cases := []struct {
+		edition *slo.Edition
+		want    []string
+	}{
+		{nil, []string{"bc-a", "bc-c", "gp-a", "gp-b", "gp-c"}},
+		{&gp, []string{"gp-a", "gp-b", "gp-c"}},
+		{&bc, []string{"bc-a", "bc-c"}},
+	}
+	buf := make([]string, 0, 8)
+	for _, c := range cases {
+		buf = cp.LiveDatabases(buf[:0], c.edition)
+		if !slices.Equal(buf, c.want) {
+			t.Errorf("edition %v: live = %v, want %v", c.edition, buf, c.want)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { buf = cp.LiveDatabases(buf[:0], c.edition) }); allocs != 0 {
+			t.Errorf("edition %v: warm buffer allocates %v times", c.edition, allocs)
+		}
+	}
+	if got := cp.LiveDatabases([]string{"kept"}, &bc); !slices.Equal(got, []string{"kept", "bc-a", "bc-c"}) {
+		t.Errorf("append to a non-empty buffer = %v", got)
 	}
 }
 

@@ -27,9 +27,15 @@ func DefaultRegionConfig(seed uint64) trace.RegionConfig {
 	return cfg
 }
 
-// TrainedModels is a full §4 training run: the synthetic region and disk
+// TrainedModels is a §4 training run: the synthetic region and disk
 // traces, the per-edition count and disk trainings, and the assembled
 // deployable ModelSet.
+//
+// TrainDefaultModels returns a full run. DefaultModels returns one without
+// its raw disk inputs: DiskTraces and every Disk[e].SteadyDeltas are nil,
+// as a simulation reads only Set (the paper's cluster sees only the model
+// XML). The Fig. 9 validation and the §4.2.2 candidate comparison read
+// those inputs, so they need a run from TrainDefaultModels.
 type TrainedModels struct {
 	Region     *trace.Region
 	DiskTraces []trace.DBTrace
@@ -129,10 +135,19 @@ var (
 
 // DefaultModels returns a process-wide cached training run with seed 42.
 // The benchmark harness and examples share it so repeated scenario runs
-// do not retrain.
+// do not retrain. The cache keeps what simulations and the count figures
+// read (Region, Counts, each Disk[e] with its Model, Set) and drops the
+// raw disk inputs, which would otherwise stay live for the whole process:
+// DiskTraces and every Disk[e].SteadyDeltas are nil. Callers that need
+// them (Fig. 9, CompareDiskCandidates) take TrainDefaultModels(42).
 func DefaultModels() *TrainedModels {
 	defaultModelsOnce.Do(func() {
-		defaultModels = TrainDefaultModels(42)
+		tm := TrainDefaultModels(42)
+		tm.DiskTraces = nil
+		for _, dt := range tm.Disk {
+			dt.SteadyDeltas = nil
+		}
+		defaultModels = tm
 	})
 	return defaultModels
 }

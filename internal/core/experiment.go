@@ -183,7 +183,7 @@ func Run(s *Scenario) (*Result, error) {
 	}
 	measureStart := o.Clock.Now()
 	measSp := s.Obs.Span("core.measure")
-	o.Recorder.Start()
+	o.Recorder.Start(s.Duration)
 	o.PopMgr.Start()
 	if s.UpgradeStart > 0 {
 		perNode := s.UpgradePerNode

@@ -51,4 +51,8 @@ func TestSmokeShortRun(t *testing.T) {
 	if res.Revenue.Adjusted <= 0 {
 		t.Error("no adjusted revenue accrued")
 	}
+	// The recorder sizes its series for the measured window when it starts.
+	if s, ns := res.Samples, res.NodeSamples; cap(s) != len(s) || cap(ns) != len(ns) {
+		t.Errorf("cap/len: samples %d/%d, node samples %d/%d", cap(s), len(s), cap(ns), len(ns))
+	}
 }

@@ -103,6 +103,37 @@ func TestTrainDefaultModelsGolden(t *testing.T) {
 	}
 }
 
+// TestDefaultModelsKeepOnlyWhatSimulationsRead pins the shared cache's
+// contract: the deployable models and the count trainings stay, the raw
+// disk inputs go, and the model XML is the seed-42 training's.
+func TestDefaultModelsKeepOnlyWhatSimulationsRead(t *testing.T) {
+	tm := DefaultModels()
+	if tm.DiskTraces != nil {
+		t.Errorf("DefaultModels keeps %d disk traces", len(tm.DiskTraces))
+	}
+	if tm.Region == nil {
+		t.Error("DefaultModels dropped the region")
+	}
+	for _, e := range slo.Editions() {
+		if dt := tm.Disk[e]; dt == nil || dt.Model == nil {
+			t.Errorf("%s: disk training or model missing", e)
+		} else if dt.SteadyDeltas != nil {
+			t.Errorf("%s: DefaultModels keeps %d steady deltas", e, len(dt.SteadyDeltas))
+		}
+		if len(tm.Counts[e]) != 2 {
+			t.Errorf("%s: %d count trainings, want create and drop", e, len(tm.Counts[e]))
+		}
+	}
+	data, err := tm.Set.EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got, want := hex.EncodeToString(sum[:]), trainGoldens[0].xml; got != want { // trainGoldens[0] is seed 42
+		t.Errorf("DefaultModels XML digest %s, want the seed-42 digest %s", got, want)
+	}
+}
+
 var trainSink *TrainedModels
 
 // BenchmarkTrainDefaultModels times one full §4 training run, the set-up

@@ -18,6 +18,12 @@ type Collector struct {
 	store   *Store
 	ticker  *simclock.Ticker
 
+	// The series Sample pushes to, resolved by name on the first sample (a
+	// cluster's nodes are fixed): per node, each enforced metric's
+	// utilization series and then the replica-count series.
+	nodeSeries                                          []*Series
+	failovers, plannedMoves, services, upNodes, density *Series
+
 	lastUnplanned int
 	lastPlanned   int
 }
@@ -69,8 +75,12 @@ const (
 // Sample records one sampling round at the simulated time now. Exported
 // so tests and final-flush paths can force a sample outside the ticker.
 func (col *Collector) Sample(now time.Time) {
+	if col.density == nil {
+		col.resolve()
+	}
 	c := col.cluster
 	density := c.Density()
+	i := 0
 	for _, n := range c.Nodes() {
 		for m := fabric.MetricName(0); int(m) < fabric.NumMetrics; m++ {
 			if !m.Enforced() {
@@ -84,18 +94,37 @@ func (col *Collector) Sample(now time.Time) {
 			if capacity > 0 {
 				util = n.Load(m) / capacity
 			}
-			col.store.Series(UtilSeriesName(m.String(), n.ID)).Push(util)
+			col.nodeSeries[i].Push(util)
+			i++
 		}
-		col.store.Series(ReplicaSeriesName(n.ID)).Push(float64(n.ReplicaCount()))
+		col.nodeSeries[i].Push(float64(n.ReplicaCount()))
+		i++
 	}
 
 	unplanned := c.UnplannedFailoverCount()
 	planned := c.PlannedMoveCount()
-	col.store.Series(SeriesFailovers).Push(float64(unplanned - col.lastUnplanned))
-	col.store.Series(SeriesPlannedMoves).Push(float64(planned - col.lastPlanned))
+	col.failovers.Push(float64(unplanned - col.lastUnplanned))
+	col.plannedMoves.Push(float64(planned - col.lastPlanned))
 	col.lastUnplanned, col.lastPlanned = unplanned, planned
 
-	col.store.Series(SeriesServices).Push(float64(c.LiveServiceCount()))
-	col.store.Series(SeriesUpNodes).Push(float64(c.UpNodes()))
-	col.store.Series(SeriesDensity).Push(density)
+	col.services.Push(float64(c.LiveServiceCount()))
+	col.upNodes.Push(float64(c.UpNodes()))
+	col.density.Push(density)
+}
+
+// resolve looks up, creating on first use, every series Sample pushes to.
+func (col *Collector) resolve() {
+	for _, n := range col.cluster.Nodes() {
+		for m := fabric.MetricName(0); int(m) < fabric.NumMetrics; m++ {
+			if m.Enforced() {
+				col.nodeSeries = append(col.nodeSeries, col.store.Series(UtilSeriesName(m.String(), n.ID)))
+			}
+		}
+		col.nodeSeries = append(col.nodeSeries, col.store.Series(ReplicaSeriesName(n.ID)))
+	}
+	col.failovers = col.store.Series(SeriesFailovers)
+	col.plannedMoves = col.store.Series(SeriesPlannedMoves)
+	col.services = col.store.Series(SeriesServices)
+	col.upNodes = col.store.Series(SeriesUpNodes)
+	col.density = col.store.Series(SeriesDensity)
 }

@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"toto/internal/fabric"
+	"toto/internal/simclock"
 )
 
 func TestSeriesRingAndSummary(t *testing.T) {
@@ -119,5 +122,42 @@ func TestStoreLookup(t *testing.T) {
 	st.Series("present").Push(1)
 	if s, ok := st.Lookup("present"); !ok || s.Len() != 1 {
 		t.Fatal("Lookup missed an existing series")
+	}
+}
+
+// TestCollectorSampleAllocatesNothing checks that once the first sample
+// has resolved every series, sampling pushes through the handles: the
+// same series get the same values, with no name formatting or allocation.
+func TestCollectorSampleAllocatesNothing(t *testing.T) {
+	start := time.Date(2020, time.June, 1, 0, 0, 0, 0, time.UTC)
+	cluster := fabric.NewCluster(simclock.New(start), 4, map[fabric.MetricName]float64{
+		fabric.MetricCores:    64,
+		fabric.MetricDiskGB:   8192,
+		fabric.MetricMemoryGB: 512,
+	}, fabric.DefaultConfig())
+	svc, err := cluster.CreateService("db", 2, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(10*time.Minute, 4)
+	col := NewCollector(cluster, st)
+	col.Sample(start)
+	if allocs := testing.AllocsPerRun(100, func() { col.Sample(start) }); allocs != 0 {
+		t.Fatalf("warmed Sample allocates: %v allocs/op", allocs)
+	}
+
+	// 4 nodes x (3 enforced utilizations + replicas) + 5 cluster series.
+	if got := len(st.Names()); got != 4*4+5 {
+		t.Errorf("series = %d, want %d: %v", got, 4*4+5, st.Names())
+	}
+	host := svc.Replicas[0].Node.ID
+	if v, _ := st.Series(ReplicaSeriesName(host)).Last(); v != 1 {
+		t.Errorf("%s = %v, want 1", ReplicaSeriesName(host), v)
+	}
+	if v, _ := st.Series(UtilSeriesName(fabric.MetricCores.String(), host)).Last(); v != 8/(64*cluster.Density()) {
+		t.Errorf("%s = %v", UtilSeriesName(fabric.MetricCores.String(), host), v)
+	}
+	if v, _ := st.Series(SeriesServices).Last(); v != 1 {
+		t.Errorf("%s = %v, want 1", SeriesServices, v)
 	}
 }

@@ -62,6 +62,7 @@ type Manager struct {
 	poolOps   PoolOps
 	ticker    *simclock.Ticker
 	seq       int
+	live      []string // drop candidates, reused by every drop
 
 	creates       int
 	drops         int
@@ -314,13 +315,13 @@ func (m *Manager) scheduleDrop(e slo.Edition, hourStart time.Time) {
 	m.clock.At(hourStart.Add(offset), func(time.Time) {
 		// Target selection happens at execution time so the candidate set
 		// reflects the cluster's state at the drop instant.
-		live := m.cp.LiveDatabases(&e)
-		if len(live) == 0 {
+		m.live = m.cp.LiveDatabases(m.live[:0], &e)
+		if len(m.live) == 0 {
 			m.failures++
 			m.cFails.Inc()
 			return
 		}
-		db := live[m.rnd.Intn(len(live))]
+		db := m.live[m.rnd.Intn(len(m.live))]
 		if err := m.cp.DropDatabase(db); err != nil {
 			m.failures++
 			m.cFails.Inc()

@@ -174,7 +174,7 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 		e := newEnv(t, churnSet(4, 1), 8)
 		e.mgr.Start()
 		e.clock.RunUntil(start.Add(12 * time.Hour))
-		return e.cp.LiveDatabases(nil)
+		return e.cp.LiveDatabases(nil, nil)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

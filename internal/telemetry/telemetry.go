@@ -74,7 +74,10 @@ type RedirectRecord struct {
 	Cores   float64 // total cores requested across replicas
 }
 
-// Recorder subscribes to a cluster and samples it periodically.
+// Recorder subscribes to a cluster and samples it periodically. Start
+// learns the length of the measured window and sizes the cluster and node
+// series for exactly the rows that window produces, so sampling a run
+// never regrows them.
 type Recorder struct {
 	clock   *simclock.Clock
 	cluster *fabric.Cluster
@@ -134,13 +137,25 @@ func NewRecorder(clock *simclock.Clock, cluster *fabric.Cluster, sampleEvery, no
 	return r
 }
 
-// Start begins periodic sampling. An immediate sample is taken so the
-// series includes the starting state. Event counters (creates/drops) are
+// Start begins periodic sampling over a measured window of the given
+// length, reserving room for the rows it produces: the immediate sample,
+// taken so the series includes the starting state, and one per period
+// that ends within the window. Sampling goes on past the window until
+// Stop, growing the series as needed. Event counters (creates/drops) are
 // reset so they cover the measured window only — the recorder subscribes
 // at construction, before the bootstrap phase.
-func (r *Recorder) Start() {
+func (r *Recorder) Start(window time.Duration) {
 	r.creates = make(map[slo.Edition]int)
 	r.drops = make(map[slo.Edition]int)
+	rows, nodeRows := 1, 1
+	if r.sampleEvery > 0 {
+		rows += int(window / r.sampleEvery)
+	}
+	if r.nodeEvery > 0 {
+		nodeRows += int(window / r.nodeEvery)
+	}
+	r.samples = append(make([]Sample, 0, len(r.samples)+rows), r.samples...)
+	r.nodeSamples = append(make([]NodeSample, 0, len(r.nodeSamples)+nodeRows*len(r.cluster.Nodes())), r.nodeSamples...)
 	r.TakeSample()
 	r.TakeNodeSamples()
 	if r.sampleEvery > 0 {

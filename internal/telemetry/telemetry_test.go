@@ -34,13 +34,16 @@ func newEnv(t *testing.T, nodes int) (*fabric.Cluster, *Recorder) {
 func TestPeriodicSampling(t *testing.T) {
 	cluster, rec := newEnv(t, 4)
 	cluster.CreateService("a", 1, 4, nil)
-	rec.Start()
+	rec.Start(3 * time.Hour)
 	cluster.Clock().RunUntil(start.Add(3 * time.Hour))
 	rec.Stop()
 
-	// Immediate sample + one per hour.
+	// Immediate sample + one per hour, each series sized exactly by Start.
 	if got := len(rec.Samples()); got != 4 {
 		t.Errorf("samples = %d, want 4", got)
+	}
+	if s, ns := rec.Samples(), rec.NodeSamples(); cap(s) != len(s) || cap(ns) != len(ns) {
+		t.Errorf("cap/len: samples %d/%d, node samples %d/%d", cap(s), len(s), cap(ns), len(ns))
 	}
 	if rec.Samples()[0].ReservedCores != 4 {
 		t.Errorf("first sample cores = %v", rec.Samples()[0].ReservedCores)
@@ -128,7 +131,7 @@ func TestRecordRedirect(t *testing.T) {
 func TestChurnCountersResetAtStart(t *testing.T) {
 	cluster, rec := newEnv(t, 4)
 	cluster.CreateService("boot", 1, 2, map[string]string{"edition": "Standard/GP"})
-	rec.Start() // resets counters: bootstrap creates excluded
+	rec.Start(0) // resets counters: bootstrap creates excluded
 	cluster.CreateService("churn", 1, 2, map[string]string{"edition": "Standard/GP"})
 	cluster.DropService("boot")
 	if got := rec.CreatesByEdition()[slo.StandardGP]; got != 1 {
@@ -142,7 +145,7 @@ func TestChurnCountersResetAtStart(t *testing.T) {
 func TestCSVExport(t *testing.T) {
 	cluster, rec := newEnv(t, 4)
 	cluster.CreateService("a", 1, 4, map[string]string{"edition": "Standard/GP"})
-	rec.Start()
+	rec.Start(2 * time.Hour)
 	cluster.Clock().RunUntil(start.Add(2 * time.Hour))
 
 	var buf bytes.Buffer

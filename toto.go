@@ -43,8 +43,9 @@ type Result = core.Result
 // InitialPopulation describes the bootstrapped databases (Table 2).
 type InitialPopulation = core.InitialPopulation
 
-// TrainedModels is a full §4 training run over synthetic production
-// traces.
+// TrainedModels is a §4 training run over synthetic production traces.
+// A run from DefaultModels carries no raw disk inputs (DiskTraces and
+// SteadyDeltas are nil); TrainDefaultModels returns them.
 type TrainedModels = core.TrainedModels
 
 // ModelSet is the deployable collection of behaviour models, serialized
@@ -86,7 +87,10 @@ func DefaultScenario(name string, density float64, set *ModelSet, seeds Seeds) *
 // full model suite of §4 on them.
 func TrainDefaultModels(seed uint64) *TrainedModels { return core.TrainDefaultModels(seed) }
 
-// DefaultModels returns a process-wide cached default training run.
+// DefaultModels returns a process-wide cached default training run
+// (seed 42) that keeps only what simulations and the count figures read:
+// its DiskTraces and every Disk[e].SteadyDeltas are nil. Use
+// TrainDefaultModels for the disk-model validation of Figure 9.
 func DefaultModels() *TrainedModels { return core.DefaultModels() }
 
 // DensityStudy runs a scenario family across density levels (the §5
