@@ -94,7 +94,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer o.Stop()
-	o.WriteModels(sc.Models)
+	if err := o.WriteModels(sc.Models); err != nil {
+		log.Fatal(err)
+	}
 	svc, err := o.Control.CreateDatabaseSeeded("bc-big", "BC_Gen5_8", 500)
 	if err != nil {
 		log.Fatal(err)

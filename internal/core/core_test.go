@@ -145,7 +145,9 @@ func TestDropClearsPersistedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	o.WriteModels(sc.Models)
+	if err := o.WriteModels(sc.Models); err != nil {
+		t.Fatal(err)
+	}
 	o.Start()
 
 	svc, err := o.Control.CreateDatabaseSeeded("bc-test", "BC_Gen5_2", 400)
@@ -173,7 +175,9 @@ func TestReportingEngineDrivesLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	o.WriteModels(sc.Models) // live (unfrozen) models
+	if err := o.WriteModels(sc.Models); err != nil { // live (unfrozen) models
+		t.Fatal(err)
+	}
 	o.Start()
 
 	svc, err := o.Control.CreateDatabaseSeeded("bc-grow", "BC_Gen5_4", 300)

@@ -16,10 +16,10 @@ const (
 )
 
 // TestModelXMLDecodedOncePerWrite walks the experiment protocol with a
-// mid-run model rewrite and a malformed blob, and checks that the XML is
-// decoded once per written version and shared by every reader, and that
-// the persisted disk loads read through the same memo are parsed at most
-// once per written value.
+// mid-run model rewrite and a malformed blob, and checks that the Naming
+// Service runs the decoder once per written version and every reader
+// holds the one decoded set, and that the persisted disk loads read
+// through the same memo are parsed at most once per written value.
 func TestModelXMLDecodedOncePerWrite(t *testing.T) {
 	sc := shortScenario(t, 1.0)
 	o, err := NewOrchestrator(sc)
@@ -136,4 +136,82 @@ func TestRunNamingReadsPinned(t *testing.T) {
 	if res.NamingReads != pinnedRunNamingReads {
 		t.Errorf("Result.NamingReads = %d, want %d (pinned before the decode memo)", res.NamingReads, pinnedRunNamingReads)
 	}
+}
+
+// TestOrchestratorsShareDecodedModels runs two clusters side by side in
+// one process, as fleet's workers and a density study do, and checks that
+// both hold the one decoded set of each blob they write: every RgManager
+// and both Population Managers, per phase. A rewrite with the ring share
+// doubled is a new blob and gets a new set.
+func TestOrchestratorsShareDecodedModels(t *testing.T) {
+	var orch [2]*Orchestrator
+	for i := range orch {
+		o, err := NewOrchestrator(shortScenario(t, 1.0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Stop()
+		orch[i] = o
+	}
+	// holds checks that every RgManager of cs (and their Population
+	// Managers, withPop) hold one set, and returns it.
+	holds := func(stage string, withPop bool, cs ...*Orchestrator) *models.ModelSet {
+		t.Helper()
+		var set *models.ModelSet
+		for i, o := range cs {
+			for _, n := range o.Cluster.Nodes() {
+				got := o.Manager(n).Models()
+				if set == nil {
+					set = got
+				}
+				if got == nil || got != set {
+					t.Fatalf("%s: cluster %d's manager on %s holds %p, want the shared %p", stage, i, n.ID, got, set)
+				}
+			}
+			if withPop && o.PopMgr.Models() != set {
+				t.Fatalf("%s: cluster %d's population manager holds %p, want the shared %p", stage, i, o.PopMgr.Models(), set)
+			}
+		}
+		return set
+	}
+	write := func(o *Orchestrator, set *models.ModelSet) {
+		t.Helper()
+		if err := o.WriteModels(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	base := orch[0].Scenario
+	for _, o := range orch {
+		write(o, cloneFrozen(base.Models, true))
+		o.Start()
+		if _, err := o.BootstrapPopulation(); err != nil {
+			t.Fatal(err)
+		}
+		o.Clock.RunUntil(base.Start.Add(base.BootstrapDuration))
+	}
+	frozen := holds("bootstrap", false, orch[:]...)
+
+	for _, o := range orch {
+		write(o, cloneFrozen(base.Models, false))
+		o.PopMgr.Start()
+		o.Clock.RunUntil(o.Clock.Now().Add(2 * time.Hour))
+	}
+	live := holds("live", true, orch[:]...)
+	if live == frozen || live.Frozen {
+		t.Fatal("live phase holds the frozen set")
+	}
+
+	rewrite := cloneFrozen(base.Models, false)
+	rewrite.RingShare *= 2
+	write(orch[0], rewrite)
+	orch[0].Clock.RunUntil(orch[0].Clock.Now().Add(time.Hour))
+	if got := holds("rewrite", true, orch[0]); got == live || got.RingShare != rewrite.RingShare {
+		t.Fatalf("rewrite holds ring share %v (set %p), want a new set with %v", got.RingShare, got, rewrite.RingShare)
+	}
+	if holds("other cluster", false, orch[1]) != live {
+		t.Fatal("a rewrite in one cluster reached the other")
+	}
+	write(orch[1], rewrite)
+	holds("both rewritten", false, orch[:]...)
 }

@@ -35,7 +35,9 @@ func TestPoolReportingAggregatesMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	o.WriteModels(sc.Models)
+	if err := o.WriteModels(sc.Models); err != nil {
+		t.Fatal(err)
+	}
 	o.Start()
 
 	if err := o.CreatePool("pool-x", "GPPOOL_Gen5_8"); err != nil {
@@ -102,7 +104,9 @@ func TestPoolMemberSurvivesPoolFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	o.WriteModels(sc.Models)
+	if err := o.WriteModels(sc.Models); err != nil {
+		t.Fatal(err)
+	}
 	o.Start()
 
 	if err := o.CreatePool("bcpool", "BCPOOL_Gen5_4"); err != nil {

@@ -7,7 +7,9 @@
 // travel in: Toto writes model XML into the Naming Service, and every
 // node's RgManager re-reads it every refresh interval (15 minutes by
 // default, §3.3.1). The Naming Service decodes it once per written
-// version and all readers share the decoded ModelSet.
+// version, and DecodeShared parses each distinct blob once per process,
+// so every reader in every cluster of the process shares one read-only
+// decoded ModelSet.
 //
 // Model objects are stateless (§3.3.2): every evaluation derives its
 // randomness from (model seed, database name, time bucket), so any node

@@ -3,6 +3,7 @@ package models
 import (
 	"encoding/xml"
 	"fmt"
+	"math"
 	"time"
 
 	"toto/internal/slo"
@@ -14,9 +15,14 @@ import (
 // Naming Service; every RgManager re-reads it every refresh interval, so
 // overwriting the XML reconfigures resource behaviour declaratively
 // mid-run (§3.3.1: "Tweaking the growth behavior of subsets of databases
-// ... is easily configurable simply by changing XML properties"). The
-// XML is decoded once per written version (fabric.Decoded), so a decoded
-// ModelSet is shared by every reader and must be treated as read-only.
+// ... is easily configurable simply by changing XML properties").
+//
+// The readers in a cluster decode the XML through DecodeShared, once per
+// distinct blob in the process, so one decoded ModelSet is shared by
+// every reader of those bytes in every cluster of the process, concurrent
+// ones included. The model types hold no mutable state, and a decoded set
+// must be treated as read-only. A set the caller builds, or gets from
+// UnmarshalModelSetXML, is its own to edit before it is encoded.
 type ModelSet struct {
 	// Seed is the base model seed. Each node's RgManager splits a unique
 	// per-node stream from it (§5.2), and all per-database hashing keys
@@ -263,6 +269,85 @@ func xmlToBins(bins []xmlBin) []GrowthBin {
 	return out
 }
 
+// finiteCheck keeps the first NaN or infinite number of a blob, naming
+// its element, edition and attribute. It runs before the range checks,
+// every one of which is false for NaN.
+type finiteCheck struct{ err error }
+
+func (c *finiteCheck) num(elem, edition, attr string, v float64) {
+	if c.err != nil || !(math.IsNaN(v) || math.IsInf(v, 0)) {
+		return
+	}
+	if edition != "" {
+		elem = fmt.Sprintf("%s (edition %q)", elem, edition)
+	}
+	c.err = fmt.Errorf("models: %s: %s=%v is not a finite number", elem, attr, v)
+}
+
+func (c *finiteCheck) cells(elem, edition string, cells []xmlCell) {
+	for _, h := range cells {
+		c.num(elem, edition, "mean", h.Mean)
+		c.num(elem, edition, "sigma", h.Sigma)
+	}
+}
+
+func (c *finiteCheck) bins(elem, edition string, bins []xmlBin) {
+	for _, b := range bins {
+		c.num(elem, edition, "loGB", b.LoGB)
+		c.num(elem, edition, "hiGB", b.HiGB)
+	}
+}
+
+// checkFinite rejects a NaN or infinite value in any number of w.
+func (w *xmlModelSet) checkFinite() error {
+	var c finiteCheck
+	c.num("TotoModels", "", "ringShare", w.RingShare)
+	for _, cm := range w.Create {
+		c.cells("CreateModel Hour", cm.Edition, cm.Cells)
+		for _, sw := range cm.SLOMix {
+			c.num("CreateModel SLOMix SLO", cm.Edition, "weight", sw.Weight)
+		}
+		if cm.NewDisk != nil {
+			c.num("CreateModel NewDBDisk", cm.Edition, "loGB", cm.NewDisk.LoGB)
+			c.num("CreateModel NewDBDisk", cm.Edition, "hiGB", cm.NewDisk.HiGB)
+		}
+	}
+	for _, cm := range w.Drop {
+		c.cells("DropModel Hour", cm.Edition, cm.Cells)
+	}
+	for _, dm := range w.Disk {
+		c.cells("DiskUsageModel Steady Hour", dm.Edition, dm.Steady)
+		if dm.Initial != nil {
+			c.num("DiskUsageModel InitialGrowth", dm.Edition, "probability", dm.Initial.Probability)
+			c.bins("DiskUsageModel InitialGrowth Bin", dm.Edition, dm.Initial.Bins)
+		}
+		if dm.Rapid != nil {
+			c.num("DiskUsageModel RapidGrowth", dm.Edition, "probability", dm.Rapid.Probability)
+			c.bins("DiskUsageModel RapidGrowth Bin", dm.Edition, dm.Rapid.IncreaseBins)
+		}
+	}
+	for _, mm := range w.Memory {
+		c.num("MemoryModel", mm.Edition, "warmRate", mm.WarmRate)
+		c.num("MemoryModel", mm.Edition, "coldStartGB", mm.ColdStartGB)
+		c.num("MemoryModel", mm.Edition, "secondaryFactor", mm.SecondaryFactor)
+		c.cells("MemoryModel Target Hour", mm.Edition, mm.Target)
+	}
+	for _, cm := range w.CPU {
+		c.num("CPUModel", cm.Edition, "idleFraction", cm.IdleFraction)
+		c.num("CPUModel", cm.Edition, "secondaryFactor", cm.SecondaryFactor)
+		c.cells("CPUModel Target Hour", cm.Edition, cm.Target)
+	}
+	for _, pp := range w.Pools {
+		c.num("PoolPolicy", pp.Edition, "memberFraction", pp.MemberFraction)
+		c.num("PoolPolicy", pp.Edition, "memberMaxDiskGB", pp.MemberMaxDiskGB)
+	}
+	for _, lt := range w.Lifetimes {
+		c.num("LifetimeModel", lt.Edition, "longLivedFraction", lt.LongLivedFraction)
+		c.bins("LifetimeModel Bin", lt.Edition, lt.Bins)
+	}
+	return c.err
+}
+
 func parseEdition(s string) (slo.Edition, error) {
 	for _, e := range slo.Editions() {
 		if e.String() == s {
@@ -353,11 +438,16 @@ func (m *ModelSet) EncodeXML() ([]byte, error) {
 	return xml.MarshalIndent(w, "", "  ")
 }
 
-// UnmarshalModelSetXML parses the wire format back into a ModelSet.
+// UnmarshalModelSetXML parses the wire format back into a fresh ModelSet
+// the caller owns. Readers that only evaluate the models share one parse
+// through DecodeShared.
 func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 	var w xmlModelSet
 	if err := xml.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("models: parse XML: %w", err)
+	}
+	if err := w.checkFinite(); err != nil {
+		return nil, err
 	}
 	m := NewModelSet(w.Seed)
 	m.RingShare = w.RingShare
@@ -472,6 +562,9 @@ func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("models: memory report interval: %w", err)
 		}
+		if interval <= 0 {
+			return nil, fmt.Errorf("models: non-positive memory report interval %v", interval)
+		}
 		m.Memory[e] = &MemoryModel{
 			Target:          target,
 			WarmRate:        mm.WarmRate,
@@ -492,6 +585,9 @@ func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 		interval, err := time.ParseDuration(cm.ReportInterval)
 		if err != nil {
 			return nil, fmt.Errorf("models: CPU report interval: %w", err)
+		}
+		if interval <= 0 {
+			return nil, fmt.Errorf("models: non-positive CPU report interval %v", interval)
 		}
 		if cm.IdleFraction < 0 || cm.IdleFraction > 1 {
 			return nil, fmt.Errorf("models: CPU idle fraction %f outside [0,1]", cm.IdleFraction)

@@ -139,18 +139,51 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 }
 
 func TestUnmarshalRejectsBadFields(t *testing.T) {
-	cases := []struct{ name, xml string }{
-		{"zero ring share", `<TotoModels seed="1" ringShare="0" frozen="false"></TotoModels>`},
-		{"bad hour", `<TotoModels seed="1" ringShare="1"><CreateModel edition="Standard/GP"><Hour weekend="false" hour="25" mean="1" sigma="1"/></CreateModel></TotoModels>`},
-		{"negative sigma", `<TotoModels seed="1" ringShare="1"><CreateModel edition="Standard/GP"><Hour weekend="false" hour="1" mean="1" sigma="-1"/></CreateModel></TotoModels>`},
-		{"unknown edition", `<TotoModels seed="1" ringShare="1"><CreateModel edition="Hyperscale"><Hour weekend="false" hour="1" mean="1" sigma="1"/></CreateModel></TotoModels>`},
-		{"bad interval", `<TotoModels seed="1" ringShare="1"><DiskUsageModel edition="Standard/GP" persisted="false" reportInterval="soon"></DiskUsageModel></TotoModels>`},
-		{"zero interval", `<TotoModels seed="1" ringShare="1"><DiskUsageModel edition="Standard/GP" persisted="false" reportInterval="0s"></DiskUsageModel></TotoModels>`},
-		{"negative weight", `<TotoModels seed="1" ringShare="1"><CreateModel edition="Standard/GP"><SLOMix><SLO name="x" weight="-1"/></SLOMix></CreateModel></TotoModels>`},
+	// in wraps body in a valid root; a case's error must contain want.
+	in := func(body string) string { return `<TotoModels seed="1" ringShare="1">` + body + `</TotoModels>` }
+	cases := []struct{ name, xml, want string }{
+		{"zero ring share", `<TotoModels seed="1" ringShare="0" frozen="false"></TotoModels>`, ""},
+		{"bad hour", `<TotoModels seed="1" ringShare="1"><CreateModel edition="Standard/GP"><Hour weekend="false" hour="25" mean="1" sigma="1"/></CreateModel></TotoModels>`, ""},
+		{"negative sigma", `<TotoModels seed="1" ringShare="1"><CreateModel edition="Standard/GP"><Hour weekend="false" hour="1" mean="1" sigma="-1"/></CreateModel></TotoModels>`, ""},
+		{"unknown edition", `<TotoModels seed="1" ringShare="1"><CreateModel edition="Hyperscale"><Hour weekend="false" hour="1" mean="1" sigma="1"/></CreateModel></TotoModels>`, ""},
+		{"bad interval", `<TotoModels seed="1" ringShare="1"><DiskUsageModel edition="Standard/GP" persisted="false" reportInterval="soon"></DiskUsageModel></TotoModels>`, ""},
+		{"zero interval", `<TotoModels seed="1" ringShare="1"><DiskUsageModel edition="Standard/GP" persisted="false" reportInterval="0s"></DiskUsageModel></TotoModels>`, ""},
+		{"negative weight", `<TotoModels seed="1" ringShare="1"><CreateModel edition="Standard/GP"><SLOMix><SLO name="x" weight="-1"/></SLOMix></CreateModel></TotoModels>`, ""},
+		// Every range check is false for NaN, so non-finite numbers are
+		// rejected by name before any of them runs.
+		{"NaN ring share", `<TotoModels seed="1" ringShare="NaN"></TotoModels>`, "TotoModels: ringShare=NaN"},
+		{"infinite ring share", `<TotoModels seed="1" ringShare="+Inf"></TotoModels>`, "TotoModels: ringShare=+Inf"},
+		{"NaN create mean", in(`<CreateModel edition="Standard/GP"><Hour weekend="false" hour="1" mean="NaN" sigma="1"/></CreateModel>`), `CreateModel Hour (edition "Standard/GP"): mean=NaN`},
+		{"NaN create sigma", in(`<CreateModel edition="Standard/GP"><Hour weekend="false" hour="1" mean="1" sigma="NaN"/></CreateModel>`), `CreateModel Hour (edition "Standard/GP"): sigma=NaN`},
+		{"infinite drop sigma", in(`<DropModel edition="Premium/BC"><Hour weekend="true" hour="3" mean="1" sigma="Inf"/></DropModel>`), `DropModel Hour (edition "Premium/BC"): sigma=+Inf`},
+		{"NaN SLO weight", in(`<CreateModel edition="Standard/GP"><SLOMix><SLO name="x" weight="NaN"/></SLOMix></CreateModel>`), `CreateModel SLOMix SLO (edition "Standard/GP"): weight=NaN`},
+		{"infinite new-database disk", in(`<CreateModel edition="Standard/GP"><NewDBDisk loGB="1" hiGB="+Inf"/></CreateModel>`), `CreateModel NewDBDisk (edition "Standard/GP"): hiGB=+Inf`},
+		{"NaN steady mean", in(`<DiskUsageModel edition="Standard/GP" persisted="false" reportInterval="20m0s"><Steady><Hour weekend="false" hour="0" mean="NaN" sigma="0"/></Steady></DiskUsageModel>`), `DiskUsageModel Steady Hour (edition "Standard/GP"): mean=NaN`},
+		{"NaN initial probability", in(`<DiskUsageModel edition="Premium/BC" persisted="true" reportInterval="20m0s"><InitialGrowth probability="NaN" duration="30m0s"></InitialGrowth></DiskUsageModel>`), `DiskUsageModel InitialGrowth (edition "Premium/BC"): probability=NaN`},
+		{"infinite initial bin", in(`<DiskUsageModel edition="Premium/BC" persisted="true" reportInterval="20m0s"><InitialGrowth probability="0.1" duration="30m0s"><Bin loGB="-Inf" hiGB="1"/></InitialGrowth></DiskUsageModel>`), `DiskUsageModel InitialGrowth Bin (edition "Premium/BC"): loGB=-Inf`},
+		{"infinite rapid probability", in(`<DiskUsageModel edition="Premium/BC" persisted="true" reportInterval="20m0s"><RapidGrowth probability="Inf" steadyDur="1h" increaseDur="1h" steadyBetweenDur="1h" decreaseDur="1h"></RapidGrowth></DiskUsageModel>`), `DiskUsageModel RapidGrowth (edition "Premium/BC"): probability=+Inf`},
+		{"NaN rapid bin", in(`<DiskUsageModel edition="Premium/BC" persisted="true" reportInterval="20m0s"><RapidGrowth probability="0.1" steadyDur="1h" increaseDur="1h" steadyBetweenDur="1h" decreaseDur="1h"><Bin loGB="1" hiGB="NaN"/></RapidGrowth></DiskUsageModel>`), `DiskUsageModel RapidGrowth Bin (edition "Premium/BC"): hiGB=NaN`},
+		{"NaN memory warm rate", in(`<MemoryModel edition="Standard/GP" warmRate="NaN" coldStartGB="1" secondaryFactor="0" reportInterval="20m0s"></MemoryModel>`), `MemoryModel (edition "Standard/GP"): warmRate=NaN`},
+		{"infinite memory cold start", in(`<MemoryModel edition="Standard/GP" warmRate="0.5" coldStartGB="Inf" secondaryFactor="0" reportInterval="20m0s"></MemoryModel>`), `MemoryModel (edition "Standard/GP"): coldStartGB=+Inf`},
+		{"NaN memory secondary factor", in(`<MemoryModel edition="Standard/GP" warmRate="0.5" coldStartGB="1" secondaryFactor="NaN" reportInterval="20m0s"></MemoryModel>`), `MemoryModel (edition "Standard/GP"): secondaryFactor=NaN`},
+		{"NaN memory target sigma", in(`<MemoryModel edition="Standard/GP" warmRate="0.5" coldStartGB="1" secondaryFactor="0" reportInterval="20m0s"><Target><Hour weekend="false" hour="2" mean="4" sigma="NaN"/></Target></MemoryModel>`), `MemoryModel Target Hour (edition "Standard/GP"): sigma=NaN`},
+		{"NaN CPU idle fraction", in(`<CPUModel edition="Standard/GP" idleFraction="NaN" secondaryFactor="0" reportInterval="20m0s"></CPUModel>`), `CPUModel (edition "Standard/GP"): idleFraction=NaN`},
+		{"infinite CPU secondary factor", in(`<CPUModel edition="Standard/GP" idleFraction="0.1" secondaryFactor="Inf" reportInterval="20m0s"></CPUModel>`), `CPUModel (edition "Standard/GP"): secondaryFactor=+Inf`},
+		{"NaN CPU target mean", in(`<CPUModel edition="Standard/GP" idleFraction="0.1" secondaryFactor="0" reportInterval="20m0s"><Target><Hour weekend="false" hour="2" mean="NaN" sigma="0.1"/></Target></CPUModel>`), `CPUModel Target Hour (edition "Standard/GP"): mean=NaN`},
+		{"NaN pool member fraction", in(`<PoolPolicy edition="Standard/GP" memberFraction="NaN" poolSLO="GPPOOL_Gen5_8" memberMaxDiskGB="10"></PoolPolicy>`), `PoolPolicy (edition "Standard/GP"): memberFraction=NaN`},
+		{"infinite pool member disk", in(`<PoolPolicy edition="Standard/GP" memberFraction="0.1" poolSLO="GPPOOL_Gen5_8" memberMaxDiskGB="Inf"></PoolPolicy>`), `PoolPolicy (edition "Standard/GP"): memberMaxDiskGB=+Inf`},
+		{"NaN long-lived fraction", in(`<LifetimeModel edition="Standard/GP" longLivedFraction="NaN"></LifetimeModel>`), `LifetimeModel (edition "Standard/GP"): longLivedFraction=NaN`},
+		{"infinite lifetime bin", in(`<LifetimeModel edition="Standard/GP" longLivedFraction="0.5"><Bin loGB="1" hiGB="Inf"/></LifetimeModel>`), `LifetimeModel Bin (edition "Standard/GP"): hiGB=+Inf`},
+		{"zero memory interval", in(`<MemoryModel edition="Standard/GP" warmRate="0.5" coldStartGB="1" secondaryFactor="0" reportInterval="0s"></MemoryModel>`), "non-positive memory report interval"},
+		{"negative memory interval", in(`<MemoryModel edition="Standard/GP" warmRate="0.5" coldStartGB="1" secondaryFactor="0" reportInterval="-20m"></MemoryModel>`), "non-positive memory report interval"},
+		{"zero CPU interval", in(`<CPUModel edition="Standard/GP" idleFraction="0.1" secondaryFactor="0" reportInterval="0s"></CPUModel>`), "non-positive CPU report interval"},
 	}
 	for _, c := range cases {
-		if _, err := UnmarshalModelSetXML([]byte(c.xml)); err == nil {
+		_, err := UnmarshalModelSetXML([]byte(c.xml))
+		if err == nil {
 			t.Errorf("%s accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
 		}
 	}
 }

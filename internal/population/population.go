@@ -7,7 +7,9 @@
 // The daemon is stateless in the paper's sense: every wakeup re-reads the
 // declarative models from the Naming Service, so the benchmark scenario
 // can be reconfigured mid-run by overwriting the XML. The XML is decoded
-// once per stored version, shared with every node's RgManager.
+// once per distinct blob in the process (models.DecodeShared), and the
+// read-only set is shared with every node's RgManager and with every
+// other cluster in the process that reads the same bytes.
 package population
 
 import (
@@ -138,8 +140,8 @@ func (m *Manager) Stats() (creates, drops, failures int) {
 
 // Models returns the model set the last wakeup read (nil before the first
 // wakeup, or when the models were absent or malformed). It is shared with
-// every other reader of the same Naming Service version and must not be
-// modified.
+// every reader of the same XML bytes in the process, other clusters'
+// included, and must not be modified.
 func (m *Manager) Models() *models.ModelSet { return m.set }
 
 // Wake runs one hourly cycle: re-read the models, sample the hour's
@@ -241,12 +243,14 @@ func (m *Manager) scheduleMemberDrop(e slo.Edition, hourStart time.Time) {
 	})
 }
 
-// readModels reads the model set through the Naming Service's decode
-// memo; nil when absent or malformed (a malformed blob disables churn
-// rather than crashing the daemon, matching a production service's
+// readModels reads the model set through the Naming Service's
+// per-version memo, which decodes through the process-wide
+// models.DecodeShared, so the set is the one every reader of the same
+// bytes holds; nil when absent or malformed (a malformed blob disables
+// churn rather than crashing the daemon, matching a production service's
 // defensive posture).
 func (m *Manager) readModels() *models.ModelSet {
-	set, ok, err := fabric.Decoded(m.naming, models.NamingKey, models.UnmarshalModelSetXML)
+	set, ok, err := fabric.Decoded(m.naming, models.NamingKey, models.DecodeShared)
 	if !ok || err != nil {
 		return nil
 	}

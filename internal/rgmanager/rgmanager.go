@@ -8,8 +8,10 @@
 // models instead of the replica's actual usage. Models arrive as XML
 // through the Naming Service and are re-read every refresh interval
 // (15 minutes by default), so behaviour can be reconfigured mid-benchmark
-// by overwriting one key. The XML is decoded once per stored version and
-// every node's Manager shares the decoded set.
+// by overwriting one key. The XML is decoded once per distinct blob in
+// the process (models.DecodeShared, behind the Naming Service's
+// per-version memo), so every node's Manager, and every cluster in the
+// process that reads the same bytes, shares one read-only decoded set.
 //
 // Persisted metrics (local-store disk) round-trip the previously reported
 // value through the Naming Service: only the primary replica executes the
@@ -212,18 +214,21 @@ func (m *Manager) SetObs(o *obs.Obs) {
 func (m *Manager) NodeID() string { return m.nodeID }
 
 // Models returns the currently loaded model set (nil before the first
-// successful Refresh). It is shared with every other reader of the same
-// Naming Service version and must not be modified.
+// successful Refresh). It is shared with every reader of the same XML
+// bytes in the process, other clusters' Managers included, and must not
+// be modified.
 func (m *Manager) Models() *models.ModelSet { return m.set }
 
 // Refresh re-reads the models from the Naming Service. It is scheduled
-// every refresh interval by the orchestrator; the XML is decoded only by
-// the first reader of each stored version (fabric.Decoded). A missing key
-// clears the models (normal operating behaviour resumes); a malformed
-// blob returns an error and leaves the previous models active.
+// every refresh interval by the orchestrator. Only the first reader of
+// each stored version decodes (fabric.Decoded), and it gets the
+// process-wide parse of those bytes (models.DecodeShared), so the set it
+// installs is shared read-only across clusters. A missing key clears the
+// models (normal operating behaviour resumes); a malformed blob returns
+// an error and leaves the previous models active.
 func (m *Manager) Refresh() error {
 	m.cRefreshes.Inc()
-	set, ok, err := fabric.Decoded(m.naming, models.NamingKey, models.UnmarshalModelSetXML)
+	set, ok, err := fabric.Decoded(m.naming, models.NamingKey, models.DecodeShared)
 	switch {
 	case !ok:
 		m.set = nil
