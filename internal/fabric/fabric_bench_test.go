@@ -176,6 +176,21 @@ func BenchmarkNamingService(b *testing.B) {
 	}
 }
 
+// BenchmarkNamingServiceFloat measures the persisted-metric protocol's
+// actual round trip: the load travels as a number entry, one write and
+// one read per BC primary report, and allocates nothing.
+func BenchmarkNamingServiceFloat(b *testing.B) {
+	n := NewNamingService()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.PutFloat("toto/load/db/diskGB", 1234.5678)
+		if _, ok := n.Float("toto/load/db/diskGB"); !ok {
+			b.Fatal("missing key")
+		}
+	}
+}
+
 // BenchmarkSimulatedDay measures a full simulated day on a churning
 // cluster: PLB scans plus hourly create/drop/report activity.
 func BenchmarkSimulatedDay(b *testing.B) {

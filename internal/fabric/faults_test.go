@@ -286,6 +286,28 @@ func TestNamingWriteRetryAndDrop(t *testing.T) {
 	if v := ns.Put("k3", []byte("v")); v == 0 {
 		t.Error("write failed with injector removed")
 	}
+
+	// A number write goes through the same retries and drops.
+	c = newTestCluster(t, 2, 1.0)
+	inj = &stubInjector{namingFail: func(_ string, attempt int) bool { return attempt <= 2 }}
+	c.SetFaultInjector(inj)
+	ns = c.Naming()
+	if v := ns.PutFloat("n", 1.5); v != 1 {
+		t.Fatalf("PutFloat with transient failures returned version %d, want 1", v)
+	}
+	if ns.WriteRetries() != 2 || ns.WriteDrops() != 0 {
+		t.Fatalf("PutFloat: retries=%d drops=%d, want 2/0", ns.WriteRetries(), ns.WriteDrops())
+	}
+	inj.namingFail = func(string, int) bool { return true }
+	if v := ns.PutFloat("n", 2.5); v != 0 {
+		t.Fatalf("PutFloat past the retry budget returned %d, want 0 (dropped)", v)
+	}
+	if ns.WriteDrops() != 1 {
+		t.Fatalf("PutFloat: drops = %d, want 1", ns.WriteDrops())
+	}
+	if v, ok := ns.Float("n"); !ok || v != 1.5 {
+		t.Errorf("after the dropped write Float = %v, %v, want the previous 1.5", v, ok)
+	}
 }
 
 func TestReportLostLeavesLastKnownGood(t *testing.T) {

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -11,9 +12,12 @@ import (
 
 // NamingService is a highly available key-value metastore, modeled on
 // Service Fabric's Naming Service (§3.3.1). Toto stores the serialized
-// model XML in it, and the persisted-metric protocol (§3.3.2) round-trips
-// previously reported disk loads through it so a newly promoted primary
-// on a different node sees the same disk usage the old primary reported.
+// model XML in it as bytes (Put), and the persisted-metric protocol
+// (§3.3.2) round-trips previously reported disk loads through it as
+// numbers (PutFloat, Float), so a newly promoted primary on a different
+// node sees the same disk usage the old primary reported without a text
+// encoding in between. A number entry still reads as its shortest decimal
+// text through Get and Decoded.
 //
 // Every write bumps a monotonically increasing version so readers can
 // detect changes cheaply. Readers that parse a value (the model XML) go
@@ -45,10 +49,12 @@ type NamingService struct {
 }
 
 type namingEntry struct {
-	value   []byte
+	value   []byte  // written by Put
+	num     float64 // written by PutFloat, when number is set
+	number  bool
 	version int64
 
-	// Decoded's memo for this version. Put replaces the whole entry and
+	// Decoded's memo for this version. A write replaces the whole entry and
 	// Delete removes it, so a memo never outlives the bytes it came from.
 	memoized  bool
 	decoded   any
@@ -85,40 +91,62 @@ func (n *NamingService) setInjector(fi FaultInjector, pol retryPolicy, backoffFn
 // the store every refresh interval, so a dropped model write is repaired
 // by the writer's next refresh rather than by blocking the simulation.
 func (n *NamingService) Put(key string, value []byte) int64 {
-	if n.injector != nil {
-		attempts := n.retry.maxAttempts
-		if attempts < 1 {
-			attempts = 1
+	if !n.admitWrite(key) {
+		return 0
+	}
+	return n.install(key, namingEntry{value: append([]byte(nil), value...)})
+}
+
+// PutFloat stores the number v under key and returns the new entry
+// version. It is the same write as Put, with the same fault injection,
+// retries, drops and counters; only Float reads v back as a number.
+func (n *NamingService) PutFloat(key string, v float64) int64 {
+	if !n.admitWrite(key) {
+		return 0
+	}
+	return n.install(key, namingEntry{num: v, number: true})
+}
+
+// admitWrite runs one write to key past the fault injector, retrying with
+// backoff up to the retry budget, and reports whether an attempt landed.
+// A write that exhausts the budget is counted as dropped.
+func (n *NamingService) admitWrite(key string) bool {
+	if n.injector == nil {
+		return true
+	}
+	attempts := n.retry.maxAttempts
+	if attempts < 1 {
+		attempts = 1
+	}
+	for attempt := 1; attempt <= attempts; attempt++ {
+		if !n.injector.NamingWriteFails(key, attempt) {
+			return true
 		}
-		ok := false
-		for attempt := 1; attempt <= attempts; attempt++ {
-			if !n.injector.NamingWriteFails(key, attempt) {
-				ok = true
-				break
-			}
-			if attempt < attempts {
-				n.cWriteRetries.Inc()
-				n.mu.Lock()
-				n.writeRetries++
-				n.mu.Unlock()
-				if n.backoffFn != nil {
-					n.backoffFn(attempt)
-				}
-			}
-		}
-		if !ok {
-			n.cWriteDrops.Inc()
+		if attempt < attempts {
+			n.cWriteRetries.Inc()
 			n.mu.Lock()
-			n.writeDrops++
+			n.writeRetries++
 			n.mu.Unlock()
-			return 0
+			if n.backoffFn != nil {
+				n.backoffFn(attempt)
+			}
 		}
 	}
+	n.cWriteDrops.Inc()
+	n.mu.Lock()
+	n.writeDrops++
+	n.mu.Unlock()
+	return false
+}
+
+// install stores e under key as the store's next version and returns it.
+func (n *NamingService) install(key string, e namingEntry) int64 {
 	n.cWrites.Inc()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.version++
-	n.entries[key] = namingEntry{value: append([]byte(nil), value...), version: n.version}
+	e.version = n.version
+	n.entries[key] = e
 	return n.version
 }
 
@@ -161,13 +189,35 @@ func (n *NamingService) MaxEntryVersion() int64 {
 }
 
 // Get returns the value and version stored under key. The returned slice
-// is a copy.
+// is a copy. A number entry reads as its shortest decimal text.
 func (n *NamingService) Get(key string) (value []byte, version int64, ok bool) {
 	e, ok := n.read(key)
 	if !ok {
 		return nil, 0, false
 	}
-	return append([]byte(nil), e.value...), e.version, true
+	return append([]byte(nil), e.bytes()...), e.version, true
+}
+
+// Float returns the number stored under key by PutFloat. It counts as one
+// read, exactly like Get. ok is false when key is absent or holds bytes
+// written by Put.
+func (n *NamingService) Float(key string) (v float64, ok bool) {
+	e, ok := n.read(key)
+	if !ok || !e.number {
+		return 0, false
+	}
+	return e.num, true
+}
+
+// bytes returns the entry's value as Get and Decoded see it: the bytes
+// Put stored, or a number's shortest decimal form that parses back to it
+// (the bytes fmt's %g writes). The result may alias the stored bytes, so
+// callers must not modify it.
+func (e *namingEntry) bytes() []byte {
+	if e.number {
+		return strconv.AppendFloat(nil, e.num, 'g', -1, 64)
+	}
+	return e.value
 }
 
 // read counts one read and returns the entry under key.
@@ -182,10 +232,11 @@ func (n *NamingService) read(key string) (namingEntry, bool) {
 
 // Decoded returns the value under key as decode parses it. It counts as
 // one read, exactly like Get, but decodes at most once per entry version:
-// the first reader after a Put runs decode and every later reader of that
-// version gets the same result, error included. decode must be a pure function of the bytes, every reader of
-// a key must pass the same decoder, and since all readers share one
-// decoded value they must treat it as read-only.
+// the first reader after a write runs decode on the bytes Get would
+// return, and every later reader of that version gets the same result,
+// error included. decode must be a pure function of the bytes, every
+// reader of a key must pass the same decoder, and since all readers share
+// one decoded value they must treat it as read-only.
 func Decoded[T any](n *NamingService, key string, decode func([]byte) (T, error)) (value T, ok bool, err error) {
 	e, ok := n.read(key)
 	if !ok {
@@ -197,7 +248,7 @@ func Decoded[T any](n *NamingService, key string, decode func([]byte) (T, error)
 	}
 	// Decode outside the lock; the entry's bytes are never mutated, and
 	// the memo is installed only if no write replaced the entry meanwhile.
-	value, err = decode(e.value)
+	value, err = decode(e.bytes())
 	n.mu.Lock()
 	n.decodes[key]++
 	if cur, ok := n.entries[key]; ok && cur.version == e.version {
@@ -237,9 +288,9 @@ func (n *NamingService) Keys(prefix string) []string {
 	return out
 }
 
-// Reads returns the cumulative number of Get and Decoded calls served —
-// the load the metastore absorbs from polling readers (each node's
-// RgManager re-reads the models every refresh interval, §3.3.1).
+// Reads returns the cumulative number of Get, Float and Decoded calls
+// served — the load the metastore absorbs from polling readers (each
+// node's RgManager re-reads the models every refresh interval, §3.3.1).
 func (n *NamingService) Reads() int64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 )
@@ -15,6 +16,29 @@ func TestNamingPutGet(t *testing.T) {
 	got, ver, ok := n.Get("a")
 	if !ok || string(got) != "hello" || ver != v1 {
 		t.Fatalf("Get = %q, %d, %v", got, ver, ok)
+	}
+	if _, ok := n.Float("a"); ok {
+		t.Error("Float read an entry written by Put")
+	}
+	if _, ok := n.Float("missing"); ok {
+		t.Error("Float on missing key succeeded")
+	}
+	// A number entry reads as the shortest decimal that parses back to it.
+	text := func(b []byte) (string, error) { return string(b), nil }
+	for _, tc := range []struct {
+		v    float64
+		text string
+	}{{0.1, "0.1"}, {math.Copysign(0, -1), "-0"}, {1e21, "1e+21"}, {1234.5678, "1234.5678"}, {math.Inf(-1), "-Inf"}} {
+		ver := n.PutFloat("n", tc.v)
+		if v, ok := n.Float("n"); !ok || math.Float64bits(v) != math.Float64bits(tc.v) {
+			t.Errorf("Float after PutFloat(%v) = %v, %v", tc.v, v, ok)
+		}
+		if got, gotVer, ok := n.Get("n"); !ok || string(got) != tc.text || gotVer != ver {
+			t.Errorf("Get after PutFloat(%v) = %q, %d, %v, want %q, %d", tc.v, got, gotVer, ok, tc.text, ver)
+		}
+		if got, ok, err := Decoded(n, "n", text); !ok || err != nil || got != tc.text {
+			t.Errorf("Decoded after PutFloat(%v) = %q, %v, %v, want %q", tc.v, got, ok, err, tc.text)
+		}
 	}
 }
 
@@ -83,17 +107,25 @@ func TestNamingConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			key := string(rune('a' + g))
+			num := key + "/load"
 			for i := 0; i < 1000; i++ {
 				n.Put(key, []byte{byte(i)})
 				n.Get(key)
 				Decoded(n, key, func(b []byte) (int, error) { return len(b), nil })
 				Decoded(n, "shared", func(b []byte) (int, error) { return len(b), nil })
+				n.PutFloat(num, float64(i))
+				if v, ok := n.Float(num); !ok || v != float64(i) {
+					t.Errorf("Float(%s) = %v, %v, want %d", num, v, ok, i)
+				}
+				n.PutFloat("shared/load", float64(g))
+				n.Float("shared/load")
+				n.Get("shared/load")
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n.Len() != 9 {
-		t.Errorf("Len = %d, want 9", n.Len())
+	if n.Len() != 18 {
+		t.Errorf("Len = %d, want 18", n.Len())
 	}
 }
 

@@ -2,7 +2,6 @@ package models
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"toto/internal/rng"
@@ -165,16 +164,59 @@ type EvalContext struct {
 }
 
 // FNV-1a (64-bit) parameters. The per-database hashes below run the
-// hash/fnv algorithm inline over strconv digits in a stack buffer, so a
-// model evaluation formats and allocates nothing.
+// hash/fnv algorithm inline, taking a number's decimal digits four at a
+// time from digitGroups, so a model evaluation formats and allocates
+// nothing.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-func fnv1a[T string | []byte](h uint64, b T) uint64 {
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * fnvPrime64
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// digitGroups holds the four decimal digits of every integer below
+// 10,000, zero-padded, most significant first.
+var digitGroups = func() (t [10000][4]byte) {
+	for i := range t {
+		t[i] = [4]byte{'0' + byte(i/1000), '0' + byte(i/100%10), '0' + byte(i/10%10), '0' + byte(i%10)}
+	}
+	return t
+}()
+
+// fnv1aDecimal continues the hash h over the decimal digits of u, the
+// bytes strconv.FormatUint(u, 10) writes: 4-digit groups, most
+// significant first, with the leading group's zeros trimmed (0 is "0").
+func fnv1aDecimal(h, u uint64) uint64 {
+	var groups [4]uint64 // below the leading group; a uint64 has at most 20 digits
+	n := 0
+	for ; u >= 10000; n++ {
+		groups[n], u = u%10000, u/10000
+	}
+	d := &digitGroups[u]
+	switch {
+	case u >= 1000:
+		h = (h ^ uint64(d[0])) * fnvPrime64
+		fallthrough
+	case u >= 100:
+		h = (h ^ uint64(d[1])) * fnvPrime64
+		fallthrough
+	case u >= 10:
+		h = (h ^ uint64(d[2])) * fnvPrime64
+		fallthrough
+	default:
+		h = (h ^ uint64(d[3])) * fnvPrime64
+	}
+	for n--; n >= 0; n-- {
+		d := &digitGroups[groups[n]]
+		h = (h ^ uint64(d[0])) * fnvPrime64
+		h = (h ^ uint64(d[1])) * fnvPrime64
+		h = (h ^ uint64(d[2])) * fnvPrime64
+		h = (h ^ uint64(d[3])) * fnvPrime64
 	}
 	return h
 }
@@ -189,18 +231,21 @@ type DBKey uint64
 
 // NewDBKey hashes the "seed/db/" prefix of one database's draws.
 func NewDBKey(seed uint64, db string) DBKey {
-	var buf [20]byte
-	h := fnv1a(fnvOffset64, strconv.AppendUint(buf[:0], seed, 10))
+	h := fnv1aDecimal(fnvOffset64, seed)
 	h = fnv1a(h, "/")
 	h = fnv1a(h, db)
 	return DBKey(fnv1a(h, "/"))
 }
 
 // bucketSeed returns the seed of the database's random stream at one
-// report bucket: the hash of "seed/db/bucket".
+// report bucket: the hash of "seed/db/bucket". A negative bucket hashes
+// "-" and then its magnitude, which a uint64 holds even for MinInt64.
 func (k DBKey) bucketSeed(bucket int64) uint64 {
-	var buf [20]byte
-	return fnv1a(uint64(k), strconv.AppendInt(buf[:0], bucket, 10))
+	h, u := uint64(k), uint64(bucket)
+	if bucket < 0 {
+		h, u = (h^'-')*fnvPrime64, -u
+	}
+	return fnv1aDecimal(h, u)
 }
 
 // hash01 maps the key and a salt to a uniform value in [0,1) used for

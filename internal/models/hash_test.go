@@ -30,6 +30,11 @@ func TestDBKeyMatchesFmtOracle(t *testing.T) {
 	for k := int64(0); k < 5; k++ {
 		buckets = append(buckets, -1000-k)
 	}
+	// The edges of the 4-digit groups bucketSeed hashes from its table.
+	for _, b := range []int64{9, 10, 99, 100, 999, 1000, 9999, 10000, 10001,
+		99_999_999, 100_000_000, 1e12, 1e16, 1e18} {
+		buckets = append(buckets, b, -b)
+	}
 	salts := []string{"initial", "rapid", "cpu-idle", ""}
 	for _, seed := range seeds {
 		for _, db := range dbs {
@@ -46,6 +51,20 @@ func TestDBKeyMatchesFmtOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzBucketSeed checks the digit-table hash against the fmt formula for
+// any seed, database name and bucket.
+func FuzzBucketSeed(f *testing.F) {
+	f.Add(uint64(7), "db-gp-000042", int64(1_000_071))
+	f.Add(uint64(0), "", int64(0))
+	f.Add(uint64(math.MaxUint64), "a/b", int64(math.MinInt64))
+	f.Add(uint64(1<<32), "init-bc-0007", int64(-10000))
+	f.Fuzz(func(t *testing.T, seed uint64, db string, bucket int64) {
+		if got, want := NewDBKey(seed, db).bucketSeed(bucket), oracleBucketSeed(seed, db, bucket); got != want {
+			t.Errorf("bucketSeed(%d, %q, %d) = %#x, want %#x", seed, db, bucket, got, want)
+		}
+	})
 }
 
 // TestModelNextAllocatesNothing pins the per-report evaluation path at

@@ -14,13 +14,15 @@
 // process that reads the same bytes, shares one read-only decoded set.
 //
 // Persisted metrics (local-store disk) round-trip the previously reported
-// value through the Naming Service: only the primary replica executes the
-// model and writes the new value back; secondaries just read and report
-// it. On failover the newly promoted primary therefore continues from
-// exactly the disk usage the old primary last reported — production
-// behaviour for Premium/BC databases. Non-persisted metrics (remote-store
-// tempDB disk, memory) live in the Manager's process memory, so a replica
-// landing on a new node starts cold, which is also production behaviour.
+// value through the Naming Service, stored there as a number entry (no
+// text encoding or parse on the report path): only the primary replica
+// executes the model and writes the new value back; secondaries just read
+// and report it. On failover the newly promoted primary therefore
+// continues from exactly the disk usage the old primary last reported —
+// production behaviour for Premium/BC databases. Non-persisted metrics
+// (remote-store tempDB disk, memory) live in the Manager's process
+// memory, so a replica landing on a new node starts cold, which is also
+// production behaviour.
 //
 // Reports address their state by handle, never by name. Process memory is
 // one Store per cluster holding one record per live replica, indexed by the
@@ -34,7 +36,6 @@ package rgmanager
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"toto/internal/fabric"
@@ -268,26 +269,18 @@ func (m *Manager) memberState(rep *fabric.Replica, member *DBInfo) *record {
 // of one database.
 func loadNamingKey(db string) string { return "toto/load/" + db + "/diskGB" }
 
-// parseLoad decodes a persisted load value.
-func parseLoad(data []byte) (float64, error) { return strconv.ParseFloat(string(data), 64) }
-
 // persistedLoad reads the durable previously-reported disk value of db
-// (0 when none is stored). It is one counted Naming read; the value is
-// parsed once per write, by its first reader (fabric.Decoded).
+// (0 when none is stored). It is one counted Naming read.
 func (m *Manager) persistedLoad(db *DBInfo) float64 {
-	v, ok, err := fabric.Decoded(m.naming, db.namingKey(), parseLoad)
-	if !ok || err != nil {
-		return 0
-	}
+	v, _ := m.naming.Float(db.namingKey())
 	return v
 }
 
-// persistLoad durably stores the reported disk value of db, in the
-// shortest decimal form that parses back to v (the bytes fmt's %g
-// writes).
+// persistLoad durably stores the reported disk value of db as a number
+// entry; a reader of its bytes sees the shortest decimal form that parses
+// back to v (the bytes fmt's %g writes).
 func (m *Manager) persistLoad(db *DBInfo, v float64) {
-	var buf [32]byte
-	m.naming.Put(db.namingKey(), strconv.AppendFloat(buf[:0], v, 'g', -1, 64))
+	m.naming.PutFloat(db.namingKey(), v)
 }
 
 // ClearPersisted removes db's durable load entry (called when the

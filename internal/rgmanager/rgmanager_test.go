@@ -441,9 +441,9 @@ func TestManagersShareOneDecodePerVersion(t *testing.T) {
 	}
 }
 
-// TestPersistedLoadMatchesPercentG pins the persisted-load encoding to
-// the bytes fmt's %g writes and the values its %g scan reads back, so
-// stores written by either stay interchangeable.
+// TestPersistedLoadMatchesPercentG pins the persisted load's bytes, as a
+// reader of the Naming Service sees them, to the bytes fmt's %g writes,
+// and the value read back to the one its %g scan gives.
 func TestPersistedLoadMatchesPercentG(t *testing.T) {
 	e := newEnv(t, testModelSet())
 	m := e.managers["node-0"]
@@ -618,10 +618,12 @@ func TestNewModelSeedRekeysPersistedMetrics(t *testing.T) {
 	}
 }
 
-// TestPersistedLoadParsedOncePerWrite checks that a BC database's
-// persisted disk, written by the primary every round and read by it and
-// its three secondaries, is parsed once per written value.
-func TestPersistedLoadParsedOncePerWrite(t *testing.T) {
+// TestPersistedLoadNeverParsed checks that a BC database's persisted
+// disk, written by the primary every round and read by it and its three
+// secondaries, travels through the Naming Service as a number: no reader
+// ever decodes it, and every secondary reports the primary's last write
+// bit for bit.
+func TestPersistedLoadNeverParsed(t *testing.T) {
 	e := newEnv(t, testModelSet())
 	naming := e.cluster.Naming()
 	svc, _ := e.cluster.CreateService("bc1", 4, 2, nil)
@@ -629,24 +631,26 @@ func TestPersistedLoadParsedOncePerWrite(t *testing.T) {
 	p := svc.Primary()
 	e.managerOf(p).SeedLoad(p, info, 500)
 	key := loadNamingKey("bc1")
-	writes := int64(1)
 	for i := 1; i <= 10; i++ {
 		now := start.Add(time.Duration(i) * 20 * time.Minute)
-		for _, r := range []*fabric.Replica{p, svc.Replicas[1], svc.Replicas[2], svc.Replicas[3]} {
-			e.managerOf(r).ReportDisk(r, info, now)
+		written, _ := e.managerOf(p).ReportDisk(p, info, now)
+		for _, r := range svc.Replicas {
+			if r == p {
+				continue
+			}
+			if got, _ := e.managerOf(r).ReportDisk(r, info, now); math.Float64bits(got) != math.Float64bits(written) {
+				t.Fatalf("round %d: secondary %d reports %v, the primary wrote %v", i, r.ID.Index, got, written)
+			}
 		}
-		writes++
-		if got := naming.Decodes(key); got != writes {
-			t.Fatalf("round %d: %d parses of %d written values", i, got, writes)
+		if got := naming.Decodes(key); got != 0 {
+			t.Fatalf("round %d: %d parses of the persisted load, want 0", i, got)
 		}
 	}
 }
 
 // TestReportsAllocateNothing pins the per-replica report paths: a warmed
-// memory, CPU or tempDB-disk report allocates nothing; a BC primary's
-// persisted report costs exactly the Naming write's copy of the value
-// and the decode memo's one boxed float when the written value is first
-// read.
+// memory, CPU, tempDB-disk or BC primary's persisted report allocates
+// nothing, since the persisted load is read and written as a number.
 func TestReportsAllocateNothing(t *testing.T) {
 	set := testModelSet()
 	set.CPU[slo.StandardGP] = &models.CPUModel{TargetFraction: flatHourly(0.5, 0.1), ReportInterval: 20 * time.Minute}
@@ -664,7 +668,7 @@ func TestReportsAllocateNothing(t *testing.T) {
 		"memory":       {func() { gm.ReportMemory(gpRep, gi, now) }, 0},
 		"cpu":          {func() { gm.ReportCPU(gpRep, gi, 2, now) }, 0},
 		"tempDB disk":  {func() { gm.ReportDisk(gpRep, gi, now) }, 0},
-		"persisted BC": {func() { bm.ReportDisk(bcRep, bi, now) }, 2},
+		"persisted BC": {func() { bm.ReportDisk(bcRep, bi, now) }, 0},
 	} {
 		tc.report() // warm: claim the record, derive the keys
 		if got := testing.AllocsPerRun(100, tc.report); got != tc.want {
