@@ -40,6 +40,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -194,9 +196,9 @@ func main() {
 
 	sc := spec.Build(set)
 	if *topology != "" {
-		var fd, ud int
-		if n, err := fmt.Sscanf(*topology, "%dx%d", &fd, &ud); n != 2 || err != nil || fd < 0 || ud < 0 {
-			fail(fmt.Errorf("bad -topology %q, want FDxUD (e.g. 4x3)", *topology))
+		fd, ud, err := parseTopology(*topology)
+		if err != nil {
+			fail(err)
 		}
 		sc.FaultDomains, sc.UpgradeDomains = fd, ud
 	}
@@ -354,4 +356,16 @@ func main() {
 	write("failovers.csv", func(f *os.File) error { return telemetry.WriteFailoversCSV(f, res.Failovers) })
 	write("nodes.csv", func(f *os.File) error { return telemetry.WriteNodeSamplesCSV(f, res.NodeSamples) })
 	fmt.Printf("telemetry written to %s\n", *outDir)
+}
+
+// parseTopology reads -topology's FDxUD: two non-negative decimal counts
+// joined by one lower-case x, with nothing before, between or after.
+func parseTopology(s string) (fd, ud int, err error) {
+	a, b, ok := strings.Cut(s, "x")
+	fd, errFD := strconv.Atoi(a)
+	ud, errUD := strconv.Atoi(b)
+	if !ok || errFD != nil || errUD != nil || fd < 0 || ud < 0 {
+		return 0, 0, fmt.Errorf("bad -topology %q, want FDxUD (e.g. 4x3)", s)
+	}
+	return fd, ud, nil
 }

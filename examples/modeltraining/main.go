@@ -93,9 +93,10 @@ func main() {
 		fmt.Println()
 	}
 
-	// --- Step 4: serialize. This XML blob is what Toto writes into the
-	// Naming Service; every node's RgManager re-reads it every 15
-	// minutes, so editing it reconfigures the benchmark live.
+	// --- Step 4: serialize. This XML is the file format a benchmark
+	// reads its models from; Toto writes the validated set into the
+	// Naming Service, and every node's RgManager re-reads it every 15
+	// minutes, so rewriting it reconfigures the benchmark live.
 	data, err := set.EncodeXML()
 	if err != nil {
 		log.Fatal(err)

@@ -333,10 +333,6 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Checker returns the attached continuous invariant checker (nil when
-// disabled or not started).
-func (e *Engine) Checker() *fabric.InvariantChecker { return e.checker }
-
 func hours(h float64) time.Duration { return time.Duration(h * float64(time.Hour)) }
 func minutes(m float64) time.Duration {
 	return time.Duration(m * float64(time.Minute))

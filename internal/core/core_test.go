@@ -125,11 +125,10 @@ func TestModelRefreshPicksUpOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Start()
-	// Overwrite the XML directly in the Naming Service (no manual
-	// refresh): the 15-minute refresh ticker must pick it up.
+	// Overwrite the models directly in the Naming Service (no manual
+	// refresh): the 15-minute refresh ticker must pick them up.
 	live := cloneFrozen(sc.Models, false)
-	data, _ := live.EncodeXML()
-	o.Cluster.Naming().Put(models.NamingKey, data)
+	o.Cluster.Naming().PutValue(models.NamingKey, live)
 	o.Clock.RunUntil(sc.Start.Add(16 * time.Minute))
 	for _, n := range o.Cluster.Nodes() {
 		if o.Manager(n).Models().Frozen {

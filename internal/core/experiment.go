@@ -123,7 +123,7 @@ func (r *Result) TotalFailedOverCores() float64 {
 
 // Run executes the full experiment protocol of §5.2 on a scenario:
 //
-//  1. Deploy the cluster and inject the model XML with growth frozen.
+//  1. Deploy the cluster and inject the models with growth frozen.
 //  2. Bootstrap the initial population (disk usage initialized, growth
 //     fixed to 0) and let the PLB place and balance it.
 //  3. Unfreeze the models, start the Population Manager and telemetry,

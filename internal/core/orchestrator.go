@@ -279,16 +279,17 @@ func (o *Orchestrator) seedInitialLoad(svc *fabric.Service, sl slo.SLO, diskGB f
 	}
 }
 
-// WriteModels serializes set into the Naming Service and immediately
-// refreshes every manager (production managers would pick it up within 15
-// minutes; the immediate refresh models the experiment operator waiting
-// for propagation before proceeding).
+// WriteModels validates set, stores a copy of it in the Naming Service
+// and immediately refreshes every manager (production managers would pick
+// it up within 15 minutes; the immediate refresh models the experiment
+// operator waiting for propagation before proceeding). A set that fails
+// Validate is not written. The copy is what parsing set's XML would give,
+// so the caller may go on editing set.
 func (o *Orchestrator) WriteModels(set *models.ModelSet) error {
-	data, err := set.EncodeXML()
-	if err != nil {
+	if err := set.Validate(); err != nil {
 		return err
 	}
-	o.Cluster.Naming().Put(models.NamingKey, data)
+	o.Cluster.Naming().PutValue(models.NamingKey, set.Clone())
 	for _, mgr := range o.managers {
 		if err := mgr.Refresh(); err != nil {
 			return err
@@ -335,8 +336,9 @@ func (o *Orchestrator) Start() {
 	if o.Scenario.ModelRefreshInterval > 0 {
 		o.tickers = append(o.tickers, o.Clock.Every(o.Scenario.ModelRefreshInterval, func(time.Time) {
 			for _, mgr := range o.managers {
-				// A malformed blob leaves the previous models active;
-				// production RgManager is similarly defensive.
+				// An entry holding no model set leaves the previous
+				// models active; production RgManager is similarly
+				// defensive.
 				_ = mgr.Refresh()
 			}
 		}))
@@ -596,8 +598,8 @@ func (o *Orchestrator) RemovePoolMember(pool, db string) error {
 	return nil
 }
 
-// ScaleDatabase applies a customer SLO change and records the §5.4
-// scale-up latency in telemetry.
+// ScaleDatabase applies a customer SLO change and returns its outcome,
+// whose Latency is the §5.4 scale-up latency.
 func (o *Orchestrator) ScaleDatabase(db, newSLOName string) (fabric.ResizeOutcome, error) {
 	outcome, next, err := o.Control.ScaleDatabase(db, newSLOName)
 	if err != nil {
@@ -607,7 +609,6 @@ func (o *Orchestrator) ScaleDatabase(db, newSLOName string) (fabric.ResizeOutcom
 		e.info.MaxDiskGB = next.MaxDiskGB
 		e.info.MaxMemoryGB = next.MemoryGB
 	}
-	o.Recorder.RecordScale(db, outcome.OldCores, outcome.NewCores, outcome.Moves, outcome.Latency)
 	return outcome, nil
 }
 

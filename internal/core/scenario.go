@@ -88,7 +88,7 @@ type Scenario struct {
 	Catalog *slo.Catalog
 	// Seeds fixes the run's randomness.
 	Seeds Seeds
-	// ModelRefreshInterval is how often RgManagers re-read the model XML
+	// ModelRefreshInterval is how often RgManagers re-read the model set
 	// (15 minutes in the paper).
 	ModelRefreshInterval time.Duration
 	// TelemetryInterval spaces cluster-level samples (hourly in the

@@ -308,6 +308,29 @@ func TestNamingWriteRetryAndDrop(t *testing.T) {
 	if v, ok := ns.Float("n"); !ok || v != 1.5 {
 		t.Errorf("after the dropped write Float = %v, %v, want the previous 1.5", v, ok)
 	}
+
+	// So does a value write.
+	c = newTestCluster(t, 2, 1.0)
+	inj = &stubInjector{namingFail: func(_ string, attempt int) bool { return attempt <= 2 }}
+	c.SetFaultInjector(inj)
+	ns = c.Naming()
+	first := &struct{ n int }{1}
+	if v := ns.PutValue("m", first); v != 1 {
+		t.Fatalf("PutValue with transient failures returned version %d, want 1", v)
+	}
+	if ns.WriteRetries() != 2 || ns.WriteDrops() != 0 {
+		t.Fatalf("PutValue: retries=%d drops=%d, want 2/0", ns.WriteRetries(), ns.WriteDrops())
+	}
+	inj.namingFail = func(string, int) bool { return true }
+	if v := ns.PutValue("m", &struct{ n int }{2}); v != 0 {
+		t.Fatalf("PutValue past the retry budget returned %d, want 0 (dropped)", v)
+	}
+	if ns.WriteDrops() != 1 || ns.CurrentVersion() != 1 {
+		t.Fatalf("PutValue: drops = %d, version = %d, want 1, 1", ns.WriteDrops(), ns.CurrentVersion())
+	}
+	if v, ok := ns.Value("m"); !ok || v != first {
+		t.Errorf("after the dropped write Value = %v, %v, want the previous %p", v, ok, first)
+	}
 }
 
 func TestReportLostLeavesLastKnownGood(t *testing.T) {

@@ -18,7 +18,7 @@ package fabric
 // capacity the fabric tracks lives in a fixed-size float64 array, so the
 // PLB's hot paths (annealing, violation scans, load reports) are plain
 // array reads with no hashing or allocation. The human-readable name
-// only materializes at the API boundary via String and ParseMetric.
+// only materializes at the API boundary via String.
 type MetricName uint8
 
 // The resource metrics Azure SQL DB reports (§2 "Resources"). The
@@ -81,17 +81,6 @@ func (m MetricName) Valid() bool { return m < numMetrics }
 // Enforced reports whether the PLB enforces a node capacity for m.
 // MetricCPUUsedCores is observational only.
 func (m MetricName) Enforced() bool { return m < metricEnforcedEnd }
-
-// ParseMetric converts a metric's display name back to its index — the
-// inverse of String, for config files and CLI flags.
-func ParseMetric(s string) (MetricName, bool) {
-	for m := MetricName(0); m < numMetrics; m++ {
-		if metricNames[m] == s {
-			return m, true
-		}
-	}
-	return numMetrics, false
-}
 
 // AllMetrics lists the capacity-enforced metrics a node tracks, in a
 // stable order. MetricCPUUsedCores is deliberately absent (observational

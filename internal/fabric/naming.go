@@ -11,25 +11,23 @@ import (
 )
 
 // NamingService is a highly available key-value metastore, modeled on
-// Service Fabric's Naming Service (§3.3.1). Toto stores the serialized
-// model XML in it as bytes (Put), and the persisted-metric protocol
-// (§3.3.2) round-trips previously reported disk loads through it as
-// numbers (PutFloat, Float), so a newly promoted primary on a different
-// node sees the same disk usage the old primary reported without a text
-// encoding in between. A number entry still reads as its shortest decimal
-// text through Get and Decoded.
+// Service Fabric's Naming Service (§3.3.1). An entry holds bytes (Put,
+// Get), a number (PutFloat, Float) or a value (PutValue, Value). Toto
+// stores its validated model set in it as a value, which every reader
+// takes without a text encoding in between, and the persisted-metric
+// protocol (§3.3.2) round-trips previously reported disk loads through it
+// as numbers, so a newly promoted primary on a different node sees the
+// same disk usage the old primary reported. A number entry still reads as
+// its shortest decimal text through Get.
 //
 // Every write bumps a monotonically increasing version so readers can
-// detect changes cheaply. Readers that parse a value (the model XML) go
-// through Decoded, which decodes once per entry version and hands every
-// later reader the same result. The store is safe for concurrent use: in
-// the deployed system every node's RgManager reads it independently.
+// detect changes cheaply. The store is safe for concurrent use: in the
+// deployed system every node's RgManager reads it independently.
 type NamingService struct {
 	mu      sync.RWMutex
 	entries map[string]namingEntry
 	version int64
 	reads   int64
-	decodes map[string]int64
 
 	// registry counters (nil-safe no-ops when observability is off)
 	cReads        *obs.Counter
@@ -50,20 +48,24 @@ type NamingService struct {
 
 type namingEntry struct {
 	value   []byte  // written by Put
-	num     float64 // written by PutFloat, when number is set
-	number  bool
+	num     float64 // written by PutFloat
+	v       any     // written by PutValue
+	kind    entryKind
 	version int64
-
-	// Decoded's memo for this version. A write replaces the whole entry and
-	// Delete removes it, so a memo never outlives the bytes it came from.
-	memoized  bool
-	decoded   any
-	decodeErr error
 }
+
+// entryKind names the write that stored an entry.
+type entryKind uint8
+
+const (
+	bytesEntry entryKind = iota
+	numberEntry
+	valueEntry
+)
 
 // NewNamingService returns an empty metastore.
 func NewNamingService() *NamingService {
-	return &NamingService{entries: make(map[string]namingEntry), decodes: make(map[string]int64)}
+	return &NamingService{entries: make(map[string]namingEntry)}
 }
 
 // instrument attaches registry counters for reads, writes, write
@@ -104,7 +106,19 @@ func (n *NamingService) PutFloat(key string, v float64) int64 {
 	if !n.admitWrite(key) {
 		return 0
 	}
-	return n.install(key, namingEntry{num: v, number: true})
+	return n.install(key, namingEntry{num: v, kind: numberEntry})
+}
+
+// PutValue stores v under key and returns the new entry version. It is
+// the same write as Put, with the same fault injection, retries, drops and
+// counters; only Value reads v back. The store keeps v itself, not a
+// copy, and hands it to every reader, so the caller passes a value that
+// nothing will modify again.
+func (n *NamingService) PutValue(key string, v any) int64 {
+	if !n.admitWrite(key) {
+		return 0
+	}
+	return n.install(key, namingEntry{v: v, kind: valueEntry})
 }
 
 // admitWrite runs one write to key past the fault injector, retrying with
@@ -189,35 +203,38 @@ func (n *NamingService) MaxEntryVersion() int64 {
 }
 
 // Get returns the value and version stored under key. The returned slice
-// is a copy. A number entry reads as its shortest decimal text.
+// is a copy. A number entry reads as its shortest decimal text, the bytes
+// fmt's %g writes; ok is false when key is absent or holds a value
+// written by PutValue.
 func (n *NamingService) Get(key string) (value []byte, version int64, ok bool) {
 	e, ok := n.read(key)
-	if !ok {
+	switch {
+	case !ok || e.kind == valueEntry:
 		return nil, 0, false
+	case e.kind == numberEntry:
+		return strconv.AppendFloat(nil, e.num, 'g', -1, 64), e.version, true
 	}
-	return append([]byte(nil), e.bytes()...), e.version, true
+	return append([]byte(nil), e.value...), e.version, true
 }
 
 // Float returns the number stored under key by PutFloat. It counts as one
-// read, exactly like Get. ok is false when key is absent or holds bytes
-// written by Put.
+// read, exactly like Get. ok is false when key is absent or holds another
+// kind of entry.
 func (n *NamingService) Float(key string) (v float64, ok bool) {
 	e, ok := n.read(key)
-	if !ok || !e.number {
+	if !ok || e.kind != numberEntry {
 		return 0, false
 	}
 	return e.num, true
 }
 
-// bytes returns the entry's value as Get and Decoded see it: the bytes
-// Put stored, or a number's shortest decimal form that parses back to it
-// (the bytes fmt's %g writes). The result may alias the stored bytes, so
-// callers must not modify it.
-func (e *namingEntry) bytes() []byte {
-	if e.number {
-		return strconv.AppendFloat(nil, e.num, 'g', -1, 64)
-	}
-	return e.value
+// Value returns the value stored under key by PutValue. It counts as one
+// read, exactly like Get. ok reports whether key exists; v is nil when it
+// holds bytes or a number. Every reader gets the one stored value and
+// must not modify it.
+func (n *NamingService) Value(key string) (v any, ok bool) {
+	e, ok := n.read(key)
+	return e.v, ok
 }
 
 // read counts one read and returns the entry under key.
@@ -228,43 +245,6 @@ func (n *NamingService) read(key string) (namingEntry, bool) {
 	n.reads++
 	e, ok := n.entries[key]
 	return e, ok
-}
-
-// Decoded returns the value under key as decode parses it. It counts as
-// one read, exactly like Get, but decodes at most once per entry version:
-// the first reader after a write runs decode on the bytes Get would
-// return, and every later reader of that version gets the same result,
-// error included. decode must be a pure function of the bytes, every
-// reader of a key must pass the same decoder, and since all readers share
-// one decoded value they must treat it as read-only.
-func Decoded[T any](n *NamingService, key string, decode func([]byte) (T, error)) (value T, ok bool, err error) {
-	e, ok := n.read(key)
-	if !ok {
-		return value, false, nil
-	}
-	if e.memoized {
-		value, _ = e.decoded.(T)
-		return value, true, e.decodeErr
-	}
-	// Decode outside the lock; the entry's bytes are never mutated, and
-	// the memo is installed only if no write replaced the entry meanwhile.
-	value, err = decode(e.bytes())
-	n.mu.Lock()
-	n.decodes[key]++
-	if cur, ok := n.entries[key]; ok && cur.version == e.version {
-		cur.memoized, cur.decoded, cur.decodeErr = true, value, err
-		n.entries[key] = cur
-	}
-	n.mu.Unlock()
-	return value, true, err
-}
-
-// Decodes returns how many times Decoded ran a decoder on key: once per
-// written version of it that was read through Decoded.
-func (n *NamingService) Decodes(key string) int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.decodes[key]
 }
 
 // Delete removes key. Deleting an absent key is a no-op.
@@ -288,7 +268,7 @@ func (n *NamingService) Keys(prefix string) []string {
 	return out
 }
 
-// Reads returns the cumulative number of Get, Float and Decoded calls
+// Reads returns the cumulative number of Get, Float and Value calls
 // served — the load the metastore absorbs from polling readers (each
 // node's RgManager re-reads the models every refresh interval, §3.3.1).
 func (n *NamingService) Reads() int64 {

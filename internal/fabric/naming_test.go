@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -24,7 +23,6 @@ func TestNamingPutGet(t *testing.T) {
 		t.Error("Float on missing key succeeded")
 	}
 	// A number entry reads as the shortest decimal that parses back to it.
-	text := func(b []byte) (string, error) { return string(b), nil }
 	for _, tc := range []struct {
 		v    float64
 		text string
@@ -36,9 +34,39 @@ func TestNamingPutGet(t *testing.T) {
 		if got, gotVer, ok := n.Get("n"); !ok || string(got) != tc.text || gotVer != ver {
 			t.Errorf("Get after PutFloat(%v) = %q, %d, %v, want %q, %d", tc.v, got, gotVer, ok, tc.text, ver)
 		}
-		if got, ok, err := Decoded(n, "n", text); !ok || err != nil || got != tc.text {
-			t.Errorf("Decoded after PutFloat(%v) = %q, %v, %v, want %q", tc.v, got, ok, err, tc.text)
+	}
+	// A value entry is read by Value alone; Value of a byte or number
+	// entry finds the key but no value.
+	type set struct{ seed int }
+	stored := &set{seed: 7}
+	vv := n.PutValue("v", stored)
+	if got, ok := n.Value("v"); !ok || got != stored {
+		t.Errorf("Value after PutValue = %v, %v, want the stored %p", got, ok, stored)
+	}
+	if _, ver, ok := n.Get("v"); ok || ver != 0 {
+		t.Errorf("Get read a value entry: version %d, ok %v", ver, ok)
+	}
+	if _, ok := n.Float("v"); ok {
+		t.Error("Float read a value entry")
+	}
+	for _, key := range []string{"a", "n"} {
+		if got, ok := n.Value(key); !ok || got != nil {
+			t.Errorf("Value(%s) = %v, %v, want nil, true", key, got, ok)
 		}
+	}
+	if got, ok := n.Value("missing"); ok || got != nil {
+		t.Errorf("Value on missing key = %v, %v", got, ok)
+	}
+	if n.CurrentVersion() != vv || n.MaxEntryVersion() != vv {
+		t.Errorf("PutValue returned version %d; store at %d, newest entry %d", vv, n.CurrentVersion(), n.MaxEntryVersion())
+	}
+	// A later write of another kind replaces the value.
+	n.Put("v", []byte("bytes"))
+	if got, ok := n.Value("v"); !ok || got != nil {
+		t.Errorf("Value after Put over a value = %v, %v, want nil, true", got, ok)
+	}
+	if got, _, ok := n.Get("v"); !ok || string(got) != "bytes" {
+		t.Errorf("Get after Put over a value = %q, %v", got, ok)
 	}
 }
 
@@ -111,8 +139,9 @@ func TestNamingConcurrentAccess(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				n.Put(key, []byte{byte(i)})
 				n.Get(key)
-				Decoded(n, key, func(b []byte) (int, error) { return len(b), nil })
-				Decoded(n, "shared", func(b []byte) (int, error) { return len(b), nil })
+				n.Value(key)
+				n.PutValue("shared", g)
+				n.Value("shared")
 				n.PutFloat(num, float64(i))
 				if v, ok := n.Float(num); !ok || v != float64(i) {
 					t.Errorf("Float(%s) = %v, %v, want %d", num, v, ok, i)
@@ -126,58 +155,5 @@ func TestNamingConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if n.Len() != 18 {
 		t.Errorf("Len = %d, want 18", n.Len())
-	}
-}
-
-func TestNamingDecodedMemoizesPerVersion(t *testing.T) {
-	n := NewNamingService()
-	calls := 0
-	decode := func(b []byte) (*string, error) {
-		calls++
-		if string(b) == "bad" {
-			return nil, errors.New("malformed")
-		}
-		s := string(b)
-		return &s, nil
-	}
-	if _, ok, err := Decoded(n, "k", decode); ok || err != nil || calls != 0 {
-		t.Fatalf("missing key: ok=%v err=%v calls=%d", ok, err, calls)
-	}
-	n.Put("k", []byte("one"))
-	a, ok, err := Decoded(n, "k", decode)
-	b, _, _ := Decoded(n, "k", decode)
-	if !ok || err != nil || *a != "one" || a != b || calls != 1 {
-		t.Fatalf("first version: %v %v %v, shared=%v, calls=%d", *a, ok, err, a == b, calls)
-	}
-	// Every Decoded call is one counted read, memo hit or not.
-	if n.Reads() != 3 {
-		t.Errorf("Reads = %d, want 3", n.Reads())
-	}
-	// A Put drops the memo; so does a Delete.
-	n.Put("k", []byte("two"))
-	if c, _, _ := Decoded(n, "k", decode); *c != "two" || calls != 2 {
-		t.Fatalf("after Put: %q, calls=%d", *c, calls)
-	}
-	n.Delete("k")
-	n.Put("k", []byte("two"))
-	Decoded(n, "k", decode)
-	if calls != 3 {
-		t.Errorf("Delete kept the memo: calls=%d", calls)
-	}
-	// A decode error is memoized with the version, like a value.
-	n.Put("k", []byte("bad"))
-	for i := 0; i < 2; i++ {
-		if _, ok, err := Decoded(n, "k", decode); !ok || err == nil {
-			t.Fatalf("malformed value: ok=%v err=%v", ok, err)
-		}
-	}
-	if calls != 4 || n.Decodes("k") != 4 {
-		t.Errorf("calls=%d Decodes=%d, want 4 each", calls, n.Decodes("k"))
-	}
-	// The count is per key.
-	n.Put("other", []byte("x"))
-	Decoded(n, "other", decode)
-	if n.Decodes("k") != 4 || n.Decodes("other") != 1 || n.Decodes("absent") != 0 {
-		t.Errorf("Decodes k=%d other=%d absent=%d, want 4, 1, 0", n.Decodes("k"), n.Decodes("other"), n.Decodes("absent"))
 	}
 }

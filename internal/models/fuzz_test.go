@@ -12,9 +12,10 @@ import (
 )
 
 // FuzzUnmarshalModelSetXML exercises the XML parser with arbitrary
-// inputs: it must never panic, every number of a set it accepts must be
-// finite, and since the process-wide memo identifies sets by their bytes,
-// an accepted set's encoding must be a fixed point of parse-then-encode.
+// inputs. It must never panic, and a set it accepts must pass Validate,
+// hold only finite numbers, and Clone to exactly what parsing its encoding
+// gives. tototrain's files are read back by totosim, so an accepted set's
+// encoding must also be a fixed point of parse-then-encode.
 func FuzzUnmarshalModelSetXML(f *testing.F) {
 	// Seed the corpus with a real serialized model set and mutations the
 	// validator must reject.
@@ -49,11 +50,18 @@ func FuzzUnmarshalModelSetXML(f *testing.F) {
 	f.Add([]byte(`<TotoModels seed="1" ringShare="1"><LifetimeModel edition="Standard/GP" longLivedFraction="0.5"><Bin loGB="1" hiGB="Inf"/></LifetimeModel></TotoModels>`))
 	f.Add([]byte(`<not xml`))
 	f.Add([]byte(``))
+	// What Clone must reproduce: an SLO mix spread over two elements of
+	// one edition, a negative-zero cell, and bins left out.
+	f.Add([]byte(`<TotoModels seed="3" ringShare="0.5"><CreateModel edition="Premium/BC"><Hour weekend="true" hour="2" mean="-0" sigma="0"/><SLOMix><SLO name="a" weight="1"/></SLOMix></CreateModel><CreateModel edition="Premium/BC"><SLOMix><SLO name="b" weight="2"/></SLOMix><NewDBDisk loGB="1" hiGB="2"/></CreateModel></TotoModels>`))
+	f.Add([]byte(`<TotoModels seed="4" ringShare="1"><DiskUsageModel edition="Standard/GP" persisted="false" reportInterval="20m0s"><InitialGrowth probability="0.5" duration="-1h"/></DiskUsageModel><PoolPolicy edition="Standard/GP" memberFraction="1" poolSLO="p"/><LifetimeModel edition="Premium/BC" longLivedFraction="0"/></TotoModels>`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := UnmarshalModelSetXML(data)
 		if err != nil {
 			return // rejected input: fine, as long as no panic
+		}
+		if err := parsed.Validate(); err != nil {
+			t.Fatalf("accepted set fails Validate: %v", err)
 		}
 		eachFloat(reflect.ValueOf(parsed), "ModelSet", func(path string, v float64) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -67,6 +75,9 @@ func FuzzUnmarshalModelSetXML(f *testing.F) {
 		again, err := UnmarshalModelSetXML(out)
 		if err != nil {
 			t.Fatalf("round trip failed to re-parse: %v", err)
+		}
+		if clone := parsed.Clone(); !reflect.DeepEqual(clone, again) {
+			t.Fatalf("Clone differs from the XML round trip:\n%+v\nparsed back as\n%+v", clone, again)
 		}
 		out2, err := again.EncodeXML()
 		if err != nil {

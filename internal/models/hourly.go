@@ -3,13 +3,11 @@
 // distribution per weekday-or-weekend hour per edition, 96 + 96 models),
 // the Steady State disk growth model, the Initial Creation Growth model
 // (five equi-probable uniform bins), and the Predictable Rapid Growth
-// state machine. It also defines the XML serialization format the models
-// travel in: Toto writes model XML into the Naming Service, and every
-// node's RgManager re-reads it every refresh interval (15 minutes by
-// default, §3.3.1). The Naming Service decodes it once per written
-// version, and DecodeShared parses each distinct blob once per process,
-// so every reader in every cluster of the process shares one read-only
-// decoded ModelSet.
+// state machine. It also defines the XML file format the models travel
+// in between tototrain and totosim. Toto writes a validated copy of the
+// model set into the Naming Service, and every node's RgManager re-reads
+// it every refresh interval (15 minutes by default, §3.3.1), so every
+// reader in a cluster shares one read-only ModelSet.
 //
 // Model objects are stateless (§3.3.2): every evaluation derives its
 // randomness from (model seed, database name, time bucket), so any node
@@ -105,8 +103,19 @@ func (h *HourlyNormal) SampleCount(src *rng.Source, t time.Time) int {
 	return int(v + 0.5)
 }
 
-// MeanAt returns the cell mean at t (used for expected-value analyses).
-func (h *HourlyNormal) MeanAt(t time.Time) float64 { return h.At(t).Mean }
+// clone returns a copy of h with the cells EncodeXML omits, those whose
+// mean and sigma are both zero, set to zero.
+func (h *HourlyNormal) clone() *HourlyNormal {
+	c := &HourlyNormal{}
+	for w := range h.cells {
+		for hr, p := range h.cells[w] {
+			if p.Mean != 0 || p.Sigma != 0 {
+				c.cells[w][hr] = p
+			}
+		}
+	}
+	return c
+}
 
 // Buckets iterates all 48 cells in a stable order (weekday hours 0-23,
 // then weekend hours 0-23), calling fn for each.

@@ -11,18 +11,18 @@ import (
 
 // ModelSet is the full collection of models Toto injects into a cluster:
 // create/drop models for the Population Manager and disk/memory models
-// for every RgManager. It is serialized to XML and written into the
-// Naming Service; every RgManager re-reads it every refresh interval, so
-// overwriting the XML reconfigures resource behaviour declaratively
-// mid-run (§3.3.1: "Tweaking the growth behavior of subsets of databases
-// ... is easily configurable simply by changing XML properties").
+// for every RgManager. It is written into the Naming Service, and every
+// RgManager re-reads it every refresh interval, so overwriting it
+// reconfigures resource behaviour declaratively mid-run (§3.3.1:
+// "Tweaking the growth behavior of subsets of databases ... is easily
+// configurable simply by changing XML properties").
 //
-// The readers in a cluster decode the XML through DecodeShared, once per
-// distinct blob in the process, so one decoded ModelSet is shared by
-// every reader of those bytes in every cluster of the process, concurrent
-// ones included. The model types hold no mutable state, and a decoded set
-// must be treated as read-only. A set the caller builds, or gets from
-// UnmarshalModelSetXML, is its own to edit before it is encoded.
+// XML is the file format: tototrain writes it and totosim reads it. A
+// running cluster stores the set itself under NamingKey, as a validated
+// Clone, and every reader in the cluster shares that one copy, so a
+// stored set must be treated as read-only. The model types hold no
+// mutable state. A set the caller builds, or gets from
+// UnmarshalModelSetXML, is its own to edit.
 type ModelSet struct {
 	// Seed is the base model seed. Each node's RgManager splits a unique
 	// per-node stream from it (§5.2), and all per-database hashing keys
@@ -115,7 +115,7 @@ func NewModelSet(seed uint64) *ModelSet {
 	}
 }
 
-// NamingKey is the Naming Service key the model XML lives under.
+// NamingKey is the Naming Service key the model set lives under.
 const NamingKey = "toto/models"
 
 // DiskReportInterval returns the smallest disk report interval across the
@@ -132,6 +132,210 @@ func (m *ModelSet) DiskReportInterval() time.Duration {
 		return 20 * time.Minute
 	}
 	return best
+}
+
+// Validate returns the first value of m that breaks a model rule, or nil.
+// It checks what EncodeXML writes, with the parser's messages, walking
+// editions in slo.Editions() order and, within one, the elements in the
+// XML's order. A nil model, or a NaN or infinite number, is reported
+// before any range rule, since every range rule is false for NaN. The
+// rules: ring share > 0; sigma, SLO weight >= 0; disk, memory and CPU
+// report interval > 0; CPU idle, pool member and long-lived fractions in
+// [0, 1].
+func (m *ModelSet) Validate() error {
+	if math.IsNaN(m.RingShare) || math.IsInf(m.RingShare, 0) {
+		return fmt.Errorf("models: TotoModels: ringShare=%v is not a finite number", m.RingShare)
+	}
+	var c setCheck
+	if m.RingShare <= 0 {
+		c.broken(fmt.Errorf("models: non-positive ring share %f", m.RingShare))
+	}
+	for _, e := range slo.Editions() {
+		if h, ok := m.Create[e]; ok {
+			c.hourly("CreateModel", e, h)
+			for _, sw := range m.SLOMix[e] {
+				c.num("CreateModel SLOMix SLO", e, "weight", sw.Weight)
+				if sw.Weight < 0 {
+					c.broken(fmt.Errorf("models: negative SLO weight for %q", sw.Name))
+				}
+			}
+			if nd, ok := m.NewDBDiskGB[e]; ok {
+				c.bins("CreateModel NewDBDisk", e, []GrowthBin{nd})
+			}
+		}
+		if h, ok := m.Drop[e]; ok {
+			c.hourly("DropModel", e, h)
+		}
+		if d, ok := m.Disk[e]; ok && c.present("DiskUsageModel", e, d != nil) {
+			c.hourly("DiskUsageModel Steady", e, d.Steady)
+			c.interval("disk", d.ReportInterval)
+			if d.Initial != nil {
+				c.num("DiskUsageModel InitialGrowth", e, "probability", d.Initial.Probability)
+				c.bins("DiskUsageModel InitialGrowth Bin", e, d.Initial.Bins)
+			}
+			if d.Rapid != nil {
+				c.num("DiskUsageModel RapidGrowth", e, "probability", d.Rapid.Probability)
+				c.bins("DiskUsageModel RapidGrowth Bin", e, d.Rapid.IncreaseBins)
+			}
+		}
+		if mm, ok := m.Memory[e]; ok && c.present("MemoryModel", e, mm != nil) {
+			c.num("MemoryModel", e, "warmRate", mm.WarmRate)
+			c.num("MemoryModel", e, "coldStartGB", mm.ColdStartGB)
+			c.num("MemoryModel", e, "secondaryFactor", mm.SecondaryFactor)
+			c.hourly("MemoryModel Target", e, mm.Target)
+			c.interval("memory", mm.ReportInterval)
+		}
+		if cm := m.CPU[e]; cm != nil {
+			c.num("CPUModel", e, "idleFraction", cm.IdleFraction)
+			c.num("CPUModel", e, "secondaryFactor", cm.SecondaryFactor)
+			c.hourly("CPUModel Target", e, cm.TargetFraction)
+			c.interval("CPU", cm.ReportInterval)
+			c.fraction("CPU idle fraction", cm.IdleFraction)
+		}
+		if pp := m.Pools[e]; pp != nil {
+			c.num("PoolPolicy", e, "memberFraction", pp.MemberFraction)
+			c.num("PoolPolicy", e, "memberMaxDiskGB", pp.MemberMaxDiskGB)
+			c.fraction("pool member fraction", pp.MemberFraction)
+		}
+		if lt := m.Lifetime[e]; lt != nil {
+			c.num("LifetimeModel", e, "longLivedFraction", lt.LongLivedFraction)
+			c.bins("LifetimeModel Bin", e, lt.Bins)
+			c.fraction("long-lived fraction", lt.LongLivedFraction)
+		}
+	}
+	if c.shape != nil {
+		return c.shape
+	}
+	return c.rule
+}
+
+// setCheck keeps Validate's first nil model or non-finite number (shape)
+// and its first broken range rule (rule).
+type setCheck struct{ shape, rule error }
+
+func (c *setCheck) broken(err error) {
+	if c.rule == nil {
+		c.rule = err
+	}
+}
+
+// present records a nil model named by elem and edition e, and reports
+// whether the model is there to check.
+func (c *setCheck) present(elem string, e slo.Edition, ok bool) bool {
+	if !ok && c.shape == nil {
+		c.shape = fmt.Errorf("models: %s (edition %q) is nil", elem, e)
+	}
+	return ok
+}
+
+func (c *setCheck) num(elem string, e slo.Edition, attr string, v float64) {
+	if c.shape == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		c.shape = fmt.Errorf("models: %s (edition %q): %s=%v is not a finite number", elem, e, attr, v)
+	}
+}
+
+// hourly checks the cells an hourly model encodes, as elem's Hour
+// elements.
+func (c *setCheck) hourly(elem string, e slo.Edition, h *HourlyNormal) {
+	if !c.present(elem, e, h != nil) {
+		return
+	}
+	cell := elem + " Hour"
+	for w := range h.cells {
+		for _, p := range h.cells[w] {
+			c.num(cell, e, "mean", p.Mean)
+			c.num(cell, e, "sigma", p.Sigma)
+			if p.Sigma < 0 {
+				c.broken(fmt.Errorf("models: negative sigma %f", p.Sigma))
+			}
+		}
+	}
+}
+
+func (c *setCheck) bins(elem string, e slo.Edition, bins []GrowthBin) {
+	for _, b := range bins {
+		c.num(elem, e, "loGB", b.LoGB)
+		c.num(elem, e, "hiGB", b.HiGB)
+	}
+}
+
+func (c *setCheck) interval(what string, d time.Duration) {
+	if d <= 0 {
+		c.broken(fmt.Errorf("models: non-positive %s report interval %v", what, d))
+	}
+}
+
+func (c *setCheck) fraction(what string, f float64) {
+	if f < 0 || f > 1 {
+		c.broken(fmt.Errorf("models: %s %f outside [0,1]", what, f))
+	}
+}
+
+// Clone returns what UnmarshalModelSetXML(m.EncodeXML()) returns, built
+// without XML: a deep copy of every map, model and slice, leaving out
+// what the encoder leaves out. That is nil CPU, pool and lifetime
+// entries, editions outside slo.Editions(), the SLO mix and new-database
+// disk of an edition with no Create model, and hourly cells whose mean
+// and sigma are both zero (a negative zero reads back as zero). m must
+// pass Validate.
+func (m *ModelSet) Clone() *ModelSet {
+	c := NewModelSet(m.Seed)
+	c.RingShare, c.Frozen = m.RingShare, m.Frozen
+	for _, e := range slo.Editions() {
+		if h, ok := m.Create[e]; ok {
+			c.Create[e] = h.clone()
+			if mix := m.SLOMix[e]; len(mix) > 0 {
+				c.SLOMix[e] = append([]SLOWeight(nil), mix...)
+			}
+			if nd, ok := m.NewDBDiskGB[e]; ok {
+				c.NewDBDiskGB[e] = nd
+			}
+		}
+		if h, ok := m.Drop[e]; ok {
+			c.Drop[e] = h.clone()
+		}
+		if d, ok := m.Disk[e]; ok {
+			cd := *d
+			cd.Steady = d.Steady.clone()
+			if d.Initial != nil {
+				in := *d.Initial
+				in.Bins = cloneBins(in.Bins)
+				cd.Initial = &in
+			}
+			if d.Rapid != nil {
+				r := *d.Rapid
+				r.IncreaseBins = cloneBins(r.IncreaseBins)
+				cd.Rapid = &r
+			}
+			c.Disk[e] = &cd
+		}
+		if mm, ok := m.Memory[e]; ok {
+			cm := *mm
+			cm.Target = mm.Target.clone()
+			c.Memory[e] = &cm
+		}
+		if cm := m.CPU[e]; cm != nil {
+			cc := *cm
+			cc.TargetFraction = cm.TargetFraction.clone()
+			c.CPU[e] = &cc
+		}
+		if pp := m.Pools[e]; pp != nil {
+			cp := *pp
+			c.Pools[e] = &cp
+		}
+		if lt := m.Lifetime[e]; lt != nil {
+			cl := *lt
+			cl.Bins = cloneBins(lt.Bins)
+			c.Lifetime[e] = &cl
+		}
+	}
+	return c
+}
+
+// cloneBins copies bins into a new slice, empty rather than nil as the
+// parser builds it.
+func cloneBins(bins []GrowthBin) []GrowthBin {
+	return append(make([]GrowthBin, 0, len(bins)), bins...)
 }
 
 // --- XML wire format ---
@@ -239,16 +443,15 @@ func hourlyToCells(h *HourlyNormal) []xmlCell {
 	return cells
 }
 
+// cellsToHourly stores each cell as written, leaving its values to
+// Validate.
 func cellsToHourly(cells []xmlCell) (*HourlyNormal, error) {
 	h := NewHourlyNormal()
 	for _, c := range cells {
 		if c.Hour < 0 || c.Hour > 23 {
 			return nil, fmt.Errorf("models: hour %d out of range", c.Hour)
 		}
-		if c.Sigma < 0 {
-			return nil, fmt.Errorf("models: negative sigma %f", c.Sigma)
-		}
-		h.Set(HourBucket{Weekend: c.Weekend, Hour: c.Hour}, NormalParam{Mean: c.Mean, Sigma: c.Sigma})
+		h.cells[weekendIndex(c.Weekend)][c.Hour] = NormalParam{Mean: c.Mean, Sigma: c.Sigma}
 	}
 	return h, nil
 }
@@ -267,85 +470,6 @@ func xmlToBins(bins []xmlBin) []GrowthBin {
 		out[i] = GrowthBin{LoGB: b.LoGB, HiGB: b.HiGB}
 	}
 	return out
-}
-
-// finiteCheck keeps the first NaN or infinite number of a blob, naming
-// its element, edition and attribute. It runs before the range checks,
-// every one of which is false for NaN.
-type finiteCheck struct{ err error }
-
-func (c *finiteCheck) num(elem, edition, attr string, v float64) {
-	if c.err != nil || !(math.IsNaN(v) || math.IsInf(v, 0)) {
-		return
-	}
-	if edition != "" {
-		elem = fmt.Sprintf("%s (edition %q)", elem, edition)
-	}
-	c.err = fmt.Errorf("models: %s: %s=%v is not a finite number", elem, attr, v)
-}
-
-func (c *finiteCheck) cells(elem, edition string, cells []xmlCell) {
-	for _, h := range cells {
-		c.num(elem, edition, "mean", h.Mean)
-		c.num(elem, edition, "sigma", h.Sigma)
-	}
-}
-
-func (c *finiteCheck) bins(elem, edition string, bins []xmlBin) {
-	for _, b := range bins {
-		c.num(elem, edition, "loGB", b.LoGB)
-		c.num(elem, edition, "hiGB", b.HiGB)
-	}
-}
-
-// checkFinite rejects a NaN or infinite value in any number of w.
-func (w *xmlModelSet) checkFinite() error {
-	var c finiteCheck
-	c.num("TotoModels", "", "ringShare", w.RingShare)
-	for _, cm := range w.Create {
-		c.cells("CreateModel Hour", cm.Edition, cm.Cells)
-		for _, sw := range cm.SLOMix {
-			c.num("CreateModel SLOMix SLO", cm.Edition, "weight", sw.Weight)
-		}
-		if cm.NewDisk != nil {
-			c.num("CreateModel NewDBDisk", cm.Edition, "loGB", cm.NewDisk.LoGB)
-			c.num("CreateModel NewDBDisk", cm.Edition, "hiGB", cm.NewDisk.HiGB)
-		}
-	}
-	for _, cm := range w.Drop {
-		c.cells("DropModel Hour", cm.Edition, cm.Cells)
-	}
-	for _, dm := range w.Disk {
-		c.cells("DiskUsageModel Steady Hour", dm.Edition, dm.Steady)
-		if dm.Initial != nil {
-			c.num("DiskUsageModel InitialGrowth", dm.Edition, "probability", dm.Initial.Probability)
-			c.bins("DiskUsageModel InitialGrowth Bin", dm.Edition, dm.Initial.Bins)
-		}
-		if dm.Rapid != nil {
-			c.num("DiskUsageModel RapidGrowth", dm.Edition, "probability", dm.Rapid.Probability)
-			c.bins("DiskUsageModel RapidGrowth Bin", dm.Edition, dm.Rapid.IncreaseBins)
-		}
-	}
-	for _, mm := range w.Memory {
-		c.num("MemoryModel", mm.Edition, "warmRate", mm.WarmRate)
-		c.num("MemoryModel", mm.Edition, "coldStartGB", mm.ColdStartGB)
-		c.num("MemoryModel", mm.Edition, "secondaryFactor", mm.SecondaryFactor)
-		c.cells("MemoryModel Target Hour", mm.Edition, mm.Target)
-	}
-	for _, cm := range w.CPU {
-		c.num("CPUModel", cm.Edition, "idleFraction", cm.IdleFraction)
-		c.num("CPUModel", cm.Edition, "secondaryFactor", cm.SecondaryFactor)
-		c.cells("CPUModel Target Hour", cm.Edition, cm.Target)
-	}
-	for _, pp := range w.Pools {
-		c.num("PoolPolicy", pp.Edition, "memberFraction", pp.MemberFraction)
-		c.num("PoolPolicy", pp.Edition, "memberMaxDiskGB", pp.MemberMaxDiskGB)
-	}
-	for _, lt := range w.Lifetimes {
-		c.num("LifetimeModel", lt.Edition, "longLivedFraction", lt.LongLivedFraction)
-		c.bins("LifetimeModel Bin", lt.Edition, lt.Bins)
-	}
-	return c.err
 }
 
 func parseEdition(s string) (slo.Edition, error) {
@@ -438,23 +562,30 @@ func (m *ModelSet) EncodeXML() ([]byte, error) {
 	return xml.MarshalIndent(w, "", "  ")
 }
 
-// UnmarshalModelSetXML parses the wire format back into a fresh ModelSet
-// the caller owns. Readers that only evaluate the models share one parse
-// through DecodeShared.
+// UnmarshalModelSetXML parses the wire format into a fresh ModelSet the
+// caller owns: it unmarshals the XML, builds the set, failing only on
+// what cannot be stored (an unknown edition, an hour out of range, an
+// unparsable duration), and then runs Validate.
 func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 	var w xmlModelSet
 	if err := xml.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("models: parse XML: %w", err)
 	}
-	if err := w.checkFinite(); err != nil {
+	m, err := w.build()
+	if err != nil {
 		return nil, err
 	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// build turns the unmarshaled elements into a ModelSet.
+func (w *xmlModelSet) build() (*ModelSet, error) {
 	m := NewModelSet(w.Seed)
 	m.RingShare = w.RingShare
 	m.Frozen = w.Frozen
-	if m.RingShare <= 0 {
-		return nil, fmt.Errorf("models: non-positive ring share %f", w.RingShare)
-	}
 	for _, cm := range w.Create {
 		e, err := parseEdition(cm.Edition)
 		if err != nil {
@@ -466,9 +597,6 @@ func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 		}
 		m.Create[e] = h
 		for _, sw := range cm.SLOMix {
-			if sw.Weight < 0 {
-				return nil, fmt.Errorf("models: negative SLO weight for %q", sw.Name)
-			}
 			m.SLOMix[e] = append(m.SLOMix[e], SLOWeight{Name: sw.Name, Weight: sw.Weight})
 		}
 		if cm.NewDisk != nil {
@@ -499,9 +627,6 @@ func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("models: disk report interval: %w", err)
 		}
-		if interval <= 0 {
-			return nil, fmt.Errorf("models: non-positive disk report interval %v", interval)
-		}
 		d := &DiskUsageModel{Steady: steady, ReportInterval: interval, Persisted: dm.Persisted}
 		if dm.Initial != nil {
 			dur, err := time.ParseDuration(dm.Initial.Duration)
@@ -514,37 +639,20 @@ func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 				Bins:        xmlToBins(dm.Initial.Bins),
 			}
 		}
-		if dm.Rapid != nil {
-			parse := func(s, what string) (time.Duration, error) {
-				dur, err := time.ParseDuration(s)
-				if err != nil {
-					return 0, fmt.Errorf("models: rapid growth %s: %w", what, err)
+		if r := dm.Rapid; r != nil {
+			d.Rapid = &RapidGrowthModel{Probability: r.Probability, IncreaseBins: xmlToBins(r.IncreaseBins)}
+			for _, f := range []struct {
+				s, what string
+				dur     *time.Duration
+			}{
+				{r.SteadyDur, "steadyDur", &d.Rapid.SteadyDur},
+				{r.IncreaseDur, "increaseDur", &d.Rapid.IncreaseDur},
+				{r.SteadyBetweenDur, "steadyBetweenDur", &d.Rapid.SteadyBetweenDur},
+				{r.DecreaseDur, "decreaseDur", &d.Rapid.DecreaseDur},
+			} {
+				if *f.dur, err = time.ParseDuration(f.s); err != nil {
+					return nil, fmt.Errorf("models: rapid growth %s: %w", f.what, err)
 				}
-				return dur, nil
-			}
-			sd, err := parse(dm.Rapid.SteadyDur, "steadyDur")
-			if err != nil {
-				return nil, err
-			}
-			id, err := parse(dm.Rapid.IncreaseDur, "increaseDur")
-			if err != nil {
-				return nil, err
-			}
-			sb, err := parse(dm.Rapid.SteadyBetweenDur, "steadyBetweenDur")
-			if err != nil {
-				return nil, err
-			}
-			dd, err := parse(dm.Rapid.DecreaseDur, "decreaseDur")
-			if err != nil {
-				return nil, err
-			}
-			d.Rapid = &RapidGrowthModel{
-				Probability:      dm.Rapid.Probability,
-				SteadyDur:        sd,
-				IncreaseDur:      id,
-				SteadyBetweenDur: sb,
-				DecreaseDur:      dd,
-				IncreaseBins:     xmlToBins(dm.Rapid.IncreaseBins),
 			}
 		}
 		m.Disk[e] = d
@@ -561,9 +669,6 @@ func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 		interval, err := time.ParseDuration(mm.ReportInterval)
 		if err != nil {
 			return nil, fmt.Errorf("models: memory report interval: %w", err)
-		}
-		if interval <= 0 {
-			return nil, fmt.Errorf("models: non-positive memory report interval %v", interval)
 		}
 		m.Memory[e] = &MemoryModel{
 			Target:          target,
@@ -586,12 +691,6 @@ func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("models: CPU report interval: %w", err)
 		}
-		if interval <= 0 {
-			return nil, fmt.Errorf("models: non-positive CPU report interval %v", interval)
-		}
-		if cm.IdleFraction < 0 || cm.IdleFraction > 1 {
-			return nil, fmt.Errorf("models: CPU idle fraction %f outside [0,1]", cm.IdleFraction)
-		}
 		m.CPU[e] = &CPUModel{
 			TargetFraction:  target,
 			IdleFraction:    cm.IdleFraction,
@@ -604,9 +703,6 @@ func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pp.MemberFraction < 0 || pp.MemberFraction > 1 {
-			return nil, fmt.Errorf("models: pool member fraction %f outside [0,1]", pp.MemberFraction)
-		}
 		m.Pools[e] = &PoolPolicy{
 			MemberFraction:  pp.MemberFraction,
 			PoolSLO:         pp.PoolSLO,
@@ -617,9 +713,6 @@ func UnmarshalModelSetXML(data []byte) (*ModelSet, error) {
 		e, err := parseEdition(lt.Edition)
 		if err != nil {
 			return nil, err
-		}
-		if lt.LongLivedFraction < 0 || lt.LongLivedFraction > 1 {
-			return nil, fmt.Errorf("models: long-lived fraction %f outside [0,1]", lt.LongLivedFraction)
 		}
 		m.Lifetime[e] = &LifetimeModel{
 			LongLivedFraction: lt.LongLivedFraction,

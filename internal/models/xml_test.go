@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -208,5 +209,119 @@ func TestXMLOmitsEmptyCells(t *testing.T) {
 	data, _ := set.EncodeXML()
 	if n := strings.Count(string(data), "<Hour "); n != 1 {
 		t.Errorf("serialized %d cells, want 1 (empty cells omitted)", n)
+	}
+}
+
+// TestValidateRulesMatchTheParser breaks each value rule in an in-memory
+// set. Validate must reject it with the parser's message, and parsing the
+// set's XML must fail with the same error. A nil model, which EncodeXML
+// cannot write, is rejected by name.
+func TestValidateRulesMatchTheParser(t *testing.T) {
+	full := func() *ModelSet {
+		set := sampleModelSet()
+		set.CPU[slo.StandardGP] = &CPUModel{TargetFraction: NewHourlyNormal(), IdleFraction: 0.1, ReportInterval: 20 * time.Minute}
+		set.Pools[slo.StandardGP] = &PoolPolicy{MemberFraction: 0.5, PoolSLO: "GPPOOL_Gen5_8", MemberMaxDiskGB: 64}
+		set.Lifetime[slo.PremiumBC] = &LifetimeModel{LongLivedFraction: 0.5, Bins: []GrowthBin{{LoGB: 1, HiGB: 10}}}
+		return set
+	}
+	if err := full().Validate(); err != nil {
+		t.Fatalf("valid set rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	gp, bc := slo.StandardGP, slo.PremiumBC
+	cases := []struct {
+		name, want string
+		breakSet   func(s *ModelSet)
+	}{
+		{"NaN ring share", "models: TotoModels: ringShare=NaN is not a finite number", func(s *ModelSet) { s.RingShare = nan }},
+		{"zero ring share", "models: non-positive ring share 0.000000", func(s *ModelSet) { s.RingShare = 0 }},
+		{"NaN create mean", `models: CreateModel Hour (edition "Standard/GP"): mean=NaN is not a finite number`, func(s *ModelSet) {
+			s.Create[gp].Set(HourBucket{Hour: 3}, NormalParam{Mean: nan, Sigma: 1})
+		}},
+		{"infinite drop sigma", `models: DropModel Hour (edition "Premium/BC"): sigma=+Inf is not a finite number`, func(s *ModelSet) {
+			s.Drop[bc].Set(HourBucket{Weekend: true, Hour: 3}, NormalParam{Mean: 1, Sigma: inf})
+		}},
+		{"NaN SLO weight", `models: CreateModel SLOMix SLO (edition "Standard/GP"): weight=NaN is not a finite number`, func(s *ModelSet) {
+			s.SLOMix[gp][1].Weight = nan
+		}},
+		{"negative SLO weight", `models: negative SLO weight for "GP_Gen5_4"`, func(s *ModelSet) { s.SLOMix[gp][1].Weight = -1 }},
+		{"infinite new-database disk", `models: CreateModel NewDBDisk (edition "Premium/BC"): hiGB=+Inf is not a finite number`, func(s *ModelSet) {
+			s.NewDBDiskGB[bc] = GrowthBin{LoGB: 1, HiGB: inf}
+		}},
+		{"NaN steady mean", `models: DiskUsageModel Steady Hour (edition "Standard/GP"): mean=NaN is not a finite number`, func(s *ModelSet) {
+			s.Disk[gp].Steady.Set(HourBucket{Hour: 0}, NormalParam{Mean: nan})
+		}},
+		{"zero disk interval", "models: non-positive disk report interval 0s", func(s *ModelSet) { s.Disk[gp].ReportInterval = 0 }},
+		{"NaN initial probability", `models: DiskUsageModel InitialGrowth (edition "Premium/BC"): probability=NaN is not a finite number`, func(s *ModelSet) {
+			s.Disk[bc].Initial.Probability = nan
+		}},
+		{"infinite rapid bin", `models: DiskUsageModel RapidGrowth Bin (edition "Premium/BC"): loGB=-Inf is not a finite number`, func(s *ModelSet) {
+			s.Disk[bc].Rapid.IncreaseBins[0].LoGB = math.Inf(-1)
+		}},
+		{"NaN memory warm rate", `models: MemoryModel (edition "Standard/GP"): warmRate=NaN is not a finite number`, func(s *ModelSet) {
+			s.Memory[gp].WarmRate = nan
+		}},
+		{"negative memory interval", "models: non-positive memory report interval -20m0s", func(s *ModelSet) {
+			s.Memory[gp].ReportInterval = -20 * time.Minute
+		}},
+		{"infinite CPU secondary factor", `models: CPUModel (edition "Standard/GP"): secondaryFactor=+Inf is not a finite number`, func(s *ModelSet) {
+			s.CPU[gp].SecondaryFactor = inf
+		}},
+		{"zero CPU interval", "models: non-positive CPU report interval 0s", func(s *ModelSet) { s.CPU[gp].ReportInterval = 0 }},
+		{"CPU idle fraction above 1", "models: CPU idle fraction 1.500000 outside [0,1]", func(s *ModelSet) { s.CPU[gp].IdleFraction = 1.5 }},
+		{"NaN pool member fraction", `models: PoolPolicy (edition "Standard/GP"): memberFraction=NaN is not a finite number`, func(s *ModelSet) {
+			s.Pools[gp].MemberFraction = nan
+		}},
+		{"negative pool member fraction", "models: pool member fraction -0.100000 outside [0,1]", func(s *ModelSet) { s.Pools[gp].MemberFraction = -0.1 }},
+		{"infinite lifetime bin", `models: LifetimeModel Bin (edition "Premium/BC"): hiGB=+Inf is not a finite number`, func(s *ModelSet) {
+			s.Lifetime[bc].Bins[0].HiGB = inf
+		}},
+		{"long-lived fraction above 1", "models: long-lived fraction 2.000000 outside [0,1]", func(s *ModelSet) { s.Lifetime[bc].LongLivedFraction = 2 }},
+		// A non-finite number outranks a broken range rule met before it.
+		{"range rule, then NaN", `models: MemoryModel (edition "Standard/GP"): coldStartGB=NaN is not a finite number`, func(s *ModelSet) {
+			s.RingShare = -1
+			s.Memory[gp].ColdStartGB = nan
+		}},
+	}
+	for _, c := range cases {
+		set := full()
+		c.breakSet(set)
+		if err := set.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+		data, err := set.EncodeXML()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnmarshalModelSetXML(data); err == nil || err.Error() != c.want {
+			t.Errorf("%s: parsing its XML = %v, want %q", c.name, err, c.want)
+		}
+	}
+
+	nilCases := []struct {
+		want     string
+		breakSet func(s *ModelSet)
+	}{
+		{`models: CreateModel (edition "Premium/BC") is nil`, func(s *ModelSet) { s.Create[bc] = nil }},
+		{`models: DropModel (edition "Standard/GP") is nil`, func(s *ModelSet) { s.Drop[gp] = nil }},
+		{`models: DiskUsageModel (edition "Premium/BC") is nil`, func(s *ModelSet) { s.Disk[bc] = nil }},
+		{`models: DiskUsageModel Steady (edition "Standard/GP") is nil`, func(s *ModelSet) { s.Disk[gp].Steady = nil }},
+		{`models: MemoryModel (edition "Standard/GP") is nil`, func(s *ModelSet) { s.Memory[gp] = nil }},
+		{`models: MemoryModel Target (edition "Standard/GP") is nil`, func(s *ModelSet) { s.Memory[gp].Target = nil }},
+		{`models: CPUModel Target (edition "Standard/GP") is nil`, func(s *ModelSet) { s.CPU[gp].TargetFraction = nil }},
+	}
+	for _, c := range nilCases {
+		set := full()
+		c.breakSet(set)
+		if err := set.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("Validate = %v, want %q", err, c.want)
+		}
+	}
+	// The encoder leaves out nil CPU, pool and lifetime entries, so
+	// Validate does too.
+	set := full()
+	set.CPU[gp], set.Pools[gp], set.Lifetime[bc] = nil, nil, nil
+	if err := set.Validate(); err != nil {
+		t.Errorf("nil optional entries rejected: %v", err)
 	}
 }

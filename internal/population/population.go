@@ -6,10 +6,9 @@
 //
 // The daemon is stateless in the paper's sense: every wakeup re-reads the
 // declarative models from the Naming Service, so the benchmark scenario
-// can be reconfigured mid-run by overwriting the XML. The XML is decoded
-// once per distinct blob in the process (models.DecodeShared), and the
-// read-only set is shared with every node's RgManager and with every
-// other cluster in the process that reads the same bytes.
+// can be reconfigured mid-run by overwriting them. The models are the set
+// stored in the Naming Service, shared read-only with every node's
+// RgManager.
 package population
 
 import (
@@ -139,9 +138,8 @@ func (m *Manager) Stats() (creates, drops, failures int) {
 }
 
 // Models returns the model set the last wakeup read (nil before the first
-// wakeup, or when the models were absent or malformed). It is shared with
-// every reader of the same XML bytes in the process, other clusters'
-// included, and must not be modified.
+// wakeup, or when the key was absent or held no model set). It is shared
+// with every reader in the cluster and must not be modified.
 func (m *Manager) Models() *models.ModelSet { return m.set }
 
 // Wake runs one hourly cycle: re-read the models, sample the hour's
@@ -243,17 +241,13 @@ func (m *Manager) scheduleMemberDrop(e slo.Edition, hourStart time.Time) {
 	})
 }
 
-// readModels reads the model set through the Naming Service's
-// per-version memo, which decodes through the process-wide
-// models.DecodeShared, so the set is the one every reader of the same
-// bytes holds; nil when absent or malformed (a malformed blob disables
-// churn rather than crashing the daemon, matching a production service's
-// defensive posture).
+// readModels takes the model set stored in the Naming Service in one
+// counted read; nil when the key is absent or holds no model set (which
+// disables churn rather than crashing the daemon, matching a production
+// service's defensive posture).
 func (m *Manager) readModels() *models.ModelSet {
-	set, ok, err := fabric.Decoded(m.naming, models.NamingKey, models.DecodeShared)
-	if !ok || err != nil {
-		return nil
-	}
+	v, _ := m.naming.Value(models.NamingKey)
+	set, _ := v.(*models.ModelSet)
 	return set
 }
 

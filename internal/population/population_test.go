@@ -41,11 +41,7 @@ func newEnv(t *testing.T, set *models.ModelSet, nodes int) *env {
 	cp := controlplane.New(cluster, slo.Gen5())
 	mgr := New(clock, cluster.Naming(), cp, 42)
 	if set != nil {
-		data, err := set.EncodeXML()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cluster.Naming().Put(models.NamingKey, data)
+		cluster.Naming().PutValue(models.NamingKey, set)
 	}
 	return &env{clock: clock, cluster: cluster, cp: cp, mgr: mgr}
 }

@@ -5,13 +5,11 @@
 // One Manager runs on every cluster node. When a SQL replica needs to
 // report its metric loads to the PLB it consults the co-located Manager;
 // with Toto enabled, the Manager computes the value from declarative
-// models instead of the replica's actual usage. Models arrive as XML
-// through the Naming Service and are re-read every refresh interval
-// (15 minutes by default), so behaviour can be reconfigured mid-benchmark
-// by overwriting one key. The XML is decoded once per distinct blob in
-// the process (models.DecodeShared, behind the Naming Service's
-// per-version memo), so every node's Manager, and every cluster in the
-// process that reads the same bytes, shares one read-only decoded set.
+// models instead of the replica's actual usage. Models arrive through
+// the Naming Service, stored under one key as a validated model set, and
+// are re-read every refresh interval (15 minutes by default), so
+// behaviour can be reconfigured mid-benchmark by overwriting that key.
+// Every node's Manager holds the one stored set, read-only.
 //
 // Persisted metrics (local-store disk) round-trip the previously reported
 // value through the Naming Service, stored there as a number entry (no
@@ -211,33 +209,24 @@ func (m *Manager) SetObs(o *obs.Obs) {
 	m.cMemReports = o.Counter("rgmanager.memory_reports")
 }
 
-// NodeID returns the node this Manager governs.
-func (m *Manager) NodeID() string { return m.nodeID }
-
 // Models returns the currently loaded model set (nil before the first
-// successful Refresh). It is shared with every reader of the same XML
-// bytes in the process, other clusters' Managers included, and must not
-// be modified.
+// successful Refresh). It is the set stored in the Naming Service, shared
+// with every reader in the cluster, and must not be modified.
 func (m *Manager) Models() *models.ModelSet { return m.set }
 
-// Refresh re-reads the models from the Naming Service. It is scheduled
-// every refresh interval by the orchestrator. Only the first reader of
-// each stored version decodes (fabric.Decoded), and it gets the
-// process-wide parse of those bytes (models.DecodeShared), so the set it
-// installs is shared read-only across clusters. A missing key clears the
-// models (normal operating behaviour resumes); a malformed blob returns
+// Refresh re-reads the models from the Naming Service in one counted
+// read and installs the stored set. It is scheduled every refresh
+// interval by the orchestrator. A missing key clears the models (normal
+// operating behaviour resumes); an entry that holds no model set returns
 // an error and leaves the previous models active.
 func (m *Manager) Refresh() error {
 	m.cRefreshes.Inc()
-	set, ok, err := fabric.Decoded(m.naming, models.NamingKey, models.DecodeShared)
-	switch {
-	case !ok:
-		m.set = nil
-	case err != nil:
-		return fmt.Errorf("rgmanager %s: %w", m.nodeID, err)
-	default:
-		m.set = set
+	v, ok := m.naming.Value(models.NamingKey)
+	set, isSet := v.(*models.ModelSet)
+	if ok && !isSet {
+		return fmt.Errorf("rgmanager %s: %s holds no model set", m.nodeID, models.NamingKey)
 	}
+	m.set = set
 	return nil
 }
 

@@ -67,11 +67,7 @@ func newEnv(t *testing.T, set *models.ModelSet) *env {
 		e.managers[n.ID] = New(n, cluster.Naming(), e.store, uint64(1000+i))
 	}
 	if set != nil {
-		data, err := set.EncodeXML()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cluster.Naming().Put(models.NamingKey, data)
+		cluster.Naming().PutValue(models.NamingKey, set)
 		for _, m := range e.managers {
 			if err := m.Refresh(); err != nil {
 				t.Fatal(err)
@@ -108,18 +104,17 @@ func TestRefreshVersionShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Models() != first {
-		t.Error("unchanged version decoded the XML again")
+		t.Error("an unchanged entry installed another set")
 	}
 	// Overwrite: refresh must pick up the new set.
 	set2 := testModelSet()
 	set2.Frozen = true
-	data, _ := set2.EncodeXML()
-	e.cluster.Naming().Put(models.NamingKey, data)
+	e.cluster.Naming().PutValue(models.NamingKey, set2)
 	if err := m.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Models() == first || !m.Models().Frozen {
-		t.Error("refresh did not load the overwritten XML")
+	if m.Models() != set2 {
+		t.Error("refresh did not load the overwritten set")
 	}
 	// Removing the key clears the models.
 	e.cluster.Naming().Delete(models.NamingKey)
@@ -133,7 +128,7 @@ func TestRefreshRejectsMalformedXML(t *testing.T) {
 	e := newEnv(t, testModelSet())
 	e.cluster.Naming().Put(models.NamingKey, []byte("<broken"))
 	if err := e.managers["node-0"].Refresh(); err == nil {
-		t.Error("malformed XML accepted")
+		t.Error("an entry holding no model set accepted")
 	}
 }
 
@@ -413,31 +408,26 @@ func TestCPUModelIdleSubpopulation(t *testing.T) {
 	}
 }
 
+// TestManagersShareOneDecodePerVersion checks that every manager holds
+// the one stored set, and that an entry holding no set fails every
+// Refresh and keeps the previous set.
 func TestManagersShareOneDecodePerVersion(t *testing.T) {
-	e := newEnv(t, testModelSet())
+	set := testModelSet()
+	e := newEnv(t, set)
 	naming := e.cluster.Naming()
-	shared := e.managers["node-0"].Models()
 	for id, m := range e.managers {
-		if m.Models() != shared {
-			t.Errorf("%s holds its own decoded set", id)
+		if m.Models() != set {
+			t.Errorf("%s holds %p, not the stored set %p", id, m.Models(), set)
 		}
 	}
-	if naming.Decodes(models.NamingKey) != 1 {
-		t.Errorf("5 managers decoded the XML %d times, want once", naming.Decodes(models.NamingKey))
-	}
-	// A malformed blob is decoded once, fails on every manager, and
-	// leaves the previous models active.
 	naming.Put(models.NamingKey, []byte("<broken"))
 	for id, m := range e.managers {
 		if err := m.Refresh(); err == nil {
-			t.Errorf("%s accepted malformed XML", id)
+			t.Errorf("%s accepted an entry holding no model set", id)
 		}
-		if m.Models() != shared {
-			t.Errorf("%s dropped its models on a malformed blob", id)
+		if m.Models() != set {
+			t.Errorf("%s dropped its models on an entry holding no set", id)
 		}
-	}
-	if naming.Decodes(models.NamingKey) != 2 {
-		t.Errorf("Decodes = %d after the malformed write, want 2", naming.Decodes(models.NamingKey))
 	}
 }
 
@@ -601,11 +591,7 @@ func TestNewModelSeedRekeysPersistedMetrics(t *testing.T) {
 	}
 	rewrite := testModelSet()
 	rewrite.Seed = 8
-	data, err := rewrite.EncodeXML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.cluster.Naming().Put(models.NamingKey, data)
+	e.cluster.Naming().PutValue(models.NamingKey, rewrite)
 	for _, m := range e.managers {
 		if err := m.Refresh(); err != nil {
 			t.Fatal(err)
@@ -620,20 +606,20 @@ func TestNewModelSeedRekeysPersistedMetrics(t *testing.T) {
 
 // TestPersistedLoadNeverParsed checks that a BC database's persisted
 // disk, written by the primary every round and read by it and its three
-// secondaries, travels through the Naming Service as a number: no reader
-// ever decodes it, and every secondary reports the primary's last write
-// bit for bit.
+// secondaries, travels through the Naming Service as a number entry, and
+// every secondary reports the primary's last write bit for bit.
 func TestPersistedLoadNeverParsed(t *testing.T) {
 	e := newEnv(t, testModelSet())
-	naming := e.cluster.Naming()
 	svc, _ := e.cluster.CreateService("bc1", 4, 2, nil)
 	info := bcInfo("bc1", start)
 	p := svc.Primary()
 	e.managerOf(p).SeedLoad(p, info, 500)
-	key := loadNamingKey("bc1")
 	for i := 1; i <= 10; i++ {
 		now := start.Add(time.Duration(i) * 20 * time.Minute)
 		written, _ := e.managerOf(p).ReportDisk(p, info, now)
+		if v, ok := e.cluster.Naming().Float(loadNamingKey("bc1")); !ok || math.Float64bits(v) != math.Float64bits(written) {
+			t.Fatalf("round %d: the load entry holds %v (a number: %v), the primary wrote %v", i, v, ok, written)
+		}
 		for _, r := range svc.Replicas {
 			if r == p {
 				continue
@@ -641,9 +627,6 @@ func TestPersistedLoadNeverParsed(t *testing.T) {
 			if got, _ := e.managerOf(r).ReportDisk(r, info, now); math.Float64bits(got) != math.Float64bits(written) {
 				t.Fatalf("round %d: secondary %d reports %v, the primary wrote %v", i, r.ID.Index, got, written)
 			}
-		}
-		if got := naming.Decodes(key); got != 0 {
-			t.Fatalf("round %d: %d parses of the persisted load, want 0", i, got)
 		}
 	}
 }
@@ -678,24 +661,17 @@ func TestReportsAllocateNothing(t *testing.T) {
 }
 
 // TestReportRoundsShareOneModelSet runs two clusters' report rounds
-// concurrently over one decoded model set, as fleet cells share one. The
-// race detector fails it if a report writes anything onto the set.
+// concurrently over one model set, as every manager of a cluster shares
+// the stored one. The race detector fails it if a report writes anything
+// onto the set.
 func TestReportRoundsShareOneModelSet(t *testing.T) {
 	set := testModelSet()
 	set.CPU[slo.StandardGP] = &models.CPUModel{TargetFraction: flatHourly(0.5, 0.1), ReportInterval: 20 * time.Minute}
-	data, err := set.EncodeXML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := models.UnmarshalModelSetXML(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	envs := []*env{newEnv(t, nil), newEnv(t, nil)}
 	infos := make([][]*DBInfo, len(envs))
 	for i, e := range envs {
 		for _, m := range e.managers {
-			m.set = shared
+			m.set = set
 		}
 		for j := 0; j < 6; j++ {
 			name, info := fmt.Sprintf("gp-%d", j), gpInfo(fmt.Sprintf("gp-%d", j), start)

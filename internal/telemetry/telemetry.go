@@ -53,17 +53,6 @@ type FailoverRecord struct {
 	Metric      fabric.MetricName
 }
 
-// ScaleRecord captures one SLO change (§5.4: scale-up speed is an
-// efficiency notion of its own).
-type ScaleRecord struct {
-	Time      time.Time
-	DB        string
-	FromCores float64
-	ToCores   float64
-	Moves     int
-	Latency   time.Duration
-}
-
 // RedirectRecord captures one creation attempt redirected to another
 // tenant ring because this cluster lacked core capacity.
 type RedirectRecord struct {
@@ -89,7 +78,6 @@ type Recorder struct {
 	nodeSamples []NodeSample
 	failovers   []FailoverRecord
 	redirects   []RedirectRecord
-	scales      []ScaleRecord
 	creates     map[slo.Edition]int
 	drops       map[slo.Edition]int
 
@@ -258,21 +246,6 @@ func (r *Recorder) Failovers() []FailoverRecord { return r.failovers }
 
 // Redirects returns the redirect records.
 func (r *Recorder) Redirects() []RedirectRecord { return r.redirects }
-
-// RecordScale logs one SLO change.
-func (r *Recorder) RecordScale(db string, fromCores, toCores float64, moves int, latency time.Duration) {
-	r.scales = append(r.scales, ScaleRecord{
-		Time:      r.clock.Now(),
-		DB:        db,
-		FromCores: fromCores,
-		ToCores:   toCores,
-		Moves:     moves,
-		Latency:   latency,
-	})
-}
-
-// Scales returns the SLO-change records.
-func (r *Recorder) Scales() []ScaleRecord { return r.scales }
 
 // CreatesByEdition returns observed creation counts per edition since the
 // recorder subscribed.
