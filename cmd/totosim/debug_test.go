@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"toto/internal/core"
 	"toto/internal/obs"
 	"toto/internal/obs/alert"
 	"toto/internal/obs/reqtrace"
@@ -161,5 +165,105 @@ func TestDebugMuxTracesEndpoint(t *testing.T) {
 	off.ServeHTTP(w, httptest.NewRequest("GET", "/traces", nil))
 	if w.Code != http.StatusNotFound {
 		t.Errorf("/traces without -reqtrace = %d, want 404", w.Code)
+	}
+}
+
+// TestDebugMuxAttachesToALiveRun serves the endpoints on the handles a
+// run's orchestrator built, opens /stream before the run starts, and
+// polls /alerts and /traces while the run goes on in another goroutine:
+// the race detector checks every read the handlers make against the
+// simulation's writes. /stream must deliver samples and close when the
+// run returns.
+func TestDebugMuxAttachesToALiveRun(t *testing.T) {
+	data, err := os.ReadFile("../../scenarios/traffic-week-traced.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := core.ParseScenarioFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf.Days = 1
+	o, err := core.NewOrchestrator(sf.Build(core.DefaultModels().Set))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Alerts() == nil || o.Traces() == nil {
+		t.Fatal("the traced scenario built no alert engine or trace recorder")
+	}
+	srv := httptest.NewServer(newDebugMux(&obs.Session{}, nil, o.Alerts(), o.Traces()))
+	defer srv.Close()
+
+	// The handler subscribes before it sends the headers, so the stream
+	// misses nothing of the run.
+	stream, err := srv.Client().Get(srv.URL + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	samples := make(chan int, 1)
+	go func() {
+		n := 0
+		lines := bufio.NewScanner(stream.Body)
+		for lines.Scan() {
+			if lines.Text() == "event: sample" {
+				n++
+			}
+		}
+		samples <- n
+	}()
+	ran := make(chan error, 1)
+	go func() {
+		_, err := o.Run()
+		ran <- err
+	}()
+
+	var alerts struct {
+		Stats alert.Stats `json:"stats"`
+	}
+	var traces struct {
+		Stats reqtrace.Stats `json:"stats"`
+	}
+	getJSON := func(path string, v any) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	polls := 0
+	for running := true; running; polls++ {
+		select {
+		case err := <-ran:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		getJSON("/alerts", &alerts)
+		getJSON("/traces?limit=5", &traces)
+	}
+	if alerts.Stats.Rules != 3 {
+		t.Errorf("/alerts serves %d rules, want the scenario's 3", alerts.Stats.Rules)
+	}
+	if traces.Stats.Kept == 0 {
+		t.Error("/traces kept no trace over the run")
+	}
+	select {
+	case n := <-samples:
+		if n == 0 {
+			t.Error("/stream closed without a sample")
+		}
+		t.Logf("%d polls, %d stream samples", polls, n)
+	case <-time.After(time.Minute):
+		t.Fatal("/stream still open after the run returned")
 	}
 }

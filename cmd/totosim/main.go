@@ -212,7 +212,6 @@ func main() {
 		sc.DomainUpgrade.Start = time.Duration(*upgradeStart * float64(time.Hour))
 	}
 	sc.Obs = sess.Obs
-	var series *timeseries.Store
 	if jw != nil {
 		jw.Meta(sc.Name, sc.Start, map[string]string{
 			"tool":    "totosim",
@@ -221,40 +220,23 @@ func main() {
 			"days":    fmt.Sprintf("%g", sc.Duration.Hours()/24),
 		})
 		sc.Journal = jw
-		resolution := sc.NodeTelemetryInterval
-		if resolution <= 0 {
-			resolution = 10 * time.Minute
-		}
-		// Capacity covers the whole run at the sampling resolution (plus
-		// bootstrap), so nothing ages out of the rings mid-run.
-		capacity := int((sc.BootstrapDuration+sc.Duration)/resolution) + 2
-		series = timeseries.NewStore(resolution, capacity)
-		sc.SeriesStore = series
 	}
-	// A traced run builds its recorder up front so the debug endpoint's
-	// /traces handler can attach to the kept-trace ring before the run.
-	var rec *reqtrace.Recorder
-	if sc.Traffic != nil && sc.Traffic.Reqtrace != nil {
-		rec, err = reqtrace.NewRecorder(sc.Traffic.Reqtrace)
-		if err != nil {
-			fail(err)
-		}
-		sc.TraceRecorder = rec
+	// -http serves the run's alert engine (/alerts, /stream) even without
+	// rules: an empty spec builds an idle engine that feeds the dashboard.
+	if *httpAddr != "" && sc.Alerts == nil {
+		sc.Alerts = &alert.Spec{}
 	}
-	// With -http the alert engine is built here (even with zero rules) so
-	// the dashboard's /alerts and /stream endpoints can attach before the
-	// run starts; the orchestrator binds it to the cluster and sim clock.
-	// Without -http, rule-bearing scenarios get their engine from the
-	// orchestrator directly.
+	o, err := core.NewOrchestrator(sc)
+	if err != nil {
+		fail(err)
+	}
 	if *httpAddr != "" {
-		eng := alert.NewEngine(sc.Alerts)
-		sc.AlertEngine = eng
 		if jw != nil {
 			jw.EnableTail()
 		}
-		debugSrv.Store(serveDebug(*httpAddr, newDebugMux(sess, jw, eng, rec)))
+		debugSrv.Store(serveDebug(*httpAddr, newDebugMux(sess, jw, o.Alerts(), o.Traces())))
 	}
-	res, err := core.Run(sc)
+	res, err := o.Run()
 	if err != nil {
 		fail(err)
 	}
@@ -266,7 +248,7 @@ func main() {
 		if err := jw.Close(); err != nil {
 			fail(err)
 		}
-		if err := series.WriteFile(timeseries.PathFor(obsFlags.JournalOut)); err != nil {
+		if err := o.Series().WriteFile(timeseries.PathFor(obsFlags.JournalOut)); err != nil {
 			fail(err)
 		}
 		events, annotations := jw.Counts()

@@ -26,7 +26,7 @@ func TestChaosWeekScenario(t *testing.T) {
 	if sf.Chaos == nil {
 		t.Fatal("chaos-week.json has no chaos section")
 	}
-	if !sf.Alerts.Active() {
+	if sf.Alerts == nil || len(sf.Alerts.Rules)+len(sf.Alerts.SLOs) == 0 {
 		t.Fatal("chaos-week.json has no alerts section")
 	}
 	sc := sf.Build(DefaultModels().Set)

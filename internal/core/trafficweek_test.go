@@ -50,7 +50,11 @@ func TestTrafficWeekScenario(t *testing.T) {
 	var buf bytes.Buffer
 	sc.Journal = journal.NewWriter(&buf)
 
-	res, err := Run(sc)
+	o, err := NewOrchestrator(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := o.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -131,7 +135,7 @@ func TestTrafficWeekScenario(t *testing.T) {
 
 	// The error rate must spike under the faults and return to zero once
 	// the cluster heals: graceful degradation, then full recovery.
-	series, ok := sc.SeriesStore.Lookup(traffic.SeriesErrorRate)
+	series, ok := o.Series().Lookup(traffic.SeriesErrorRate)
 	if !ok {
 		t.Fatal("no traffic.error.rate series recorded")
 	}

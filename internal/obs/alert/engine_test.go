@@ -305,9 +305,6 @@ func TestSpecValidation(t *testing.T) {
 	if err := nilSpec.Validate(); err != nil {
 		t.Errorf("nil spec: %v", err)
 	}
-	if nilSpec.Active() {
-		t.Error("nil spec active")
-	}
 }
 
 func TestParseSpec(t *testing.T) {
@@ -319,7 +316,7 @@ func TestParseSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	if !s.Active() || len(s.Rules) != 1 || len(s.SLOs) != 1 {
+	if len(s.Rules) != 1 || len(s.SLOs) != 1 {
 		t.Fatalf("spec = %+v", s)
 	}
 	if _, err := ParseSpec([]byte(`{"rules": [{"name": "x"}]}`)); err == nil {

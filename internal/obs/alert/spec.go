@@ -119,12 +119,6 @@ type Spec struct {
 	SLOs  []SLORule       `json:"slos,omitempty"`
 }
 
-// Active reports whether any rule is loaded. Nil-safe: scenario wiring
-// calls it on an absent spec.
-func (s *Spec) Active() bool {
-	return s != nil && len(s.Rules)+len(s.SLOs) > 0
-}
-
 // Validate checks the spec; it is called from scenario validation so a
 // bad rule fails the run before the cluster boots.
 func (s *Spec) Validate() error {

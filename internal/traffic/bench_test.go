@@ -73,7 +73,7 @@ func warmTraffic(t *testing.T, spec *traffic.Spec) (*simclock.Clock, *traffic.En
 			t.Fatal(err)
 		}
 	}
-	eng, err := traffic.NewEngine(clock, c, spec, nil, nil, nil)
+	eng, err := traffic.NewEngine(clock, c, spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,12 +192,11 @@ type Engine struct {
 
 // NewEngine builds an engine for the given cluster. The spec is
 // validated and its defaults resolved; store may be nil (no series are
-// recorded then). rec is the request-trace recorder to feed; pass nil
-// to let the engine build one from spec.Reqtrace (or run untraced when
-// that is nil too). The recorder's sampler is seeded from a dedicated
-// split of the traffic seed, so enabling tracing never perturbs the
-// arrival, error, or latency streams.
-func NewEngine(clock *simclock.Clock, cluster *fabric.Cluster, spec *Spec, store *timeseries.Store, o *obs.Obs, rec *reqtrace.Recorder) (*Engine, error) {
+// recorded then). When spec.Reqtrace is set the engine builds its own
+// request-trace recorder (Recorder), whose sampler is seeded from a
+// dedicated split of the traffic seed, so enabling tracing never
+// perturbs the arrival, error, or latency streams.
+func NewEngine(clock *simclock.Clock, cluster *fabric.Cluster, spec *Spec, store *timeseries.Store, o *obs.Obs) (*Engine, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("traffic: nil spec")
 	}
@@ -206,7 +205,8 @@ func NewEngine(clock *simclock.Clock, cluster *fabric.Cluster, spec *Spec, store
 	}
 	resolved := spec.withDefaults()
 	root := rng.New(resolved.Seed)
-	if rec == nil && resolved.Reqtrace != nil {
+	var rec *reqtrace.Recorder
+	if resolved.Reqtrace != nil {
 		var err error
 		if rec, err = reqtrace.NewRecorder(resolved.Reqtrace); err != nil {
 			return nil, err

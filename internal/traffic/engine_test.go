@@ -99,7 +99,7 @@ func runDay(tb testing.TB, o dayOpts) (traffic.Stats, fabric.SlowNodeStats) {
 	var eng *traffic.Engine
 	if o.spec != nil {
 		var err error
-		if eng, err = traffic.NewEngine(clock, c, o.spec, nil, obs.New(obs.Options{}), nil); err != nil {
+		if eng, err = traffic.NewEngine(clock, c, o.spec, nil, obs.New(obs.Options{})); err != nil {
 			tb.Fatalf("NewEngine: %v", err)
 		}
 		if o.slow {

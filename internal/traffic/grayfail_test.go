@@ -263,7 +263,7 @@ func TestTrafficClassFollowsLabelRewrite(t *testing.T) {
 		Classes:  &traffic.ClassesSpec{Label: controlplane.LabelSLO, PremiumEditions: []string{"GP_Gen5_8"}},
 		Reqtrace: &reqtrace.Spec{SampleOneIn: 1},
 	}
-	eng, err := traffic.NewEngine(clock, c, spec, nil, nil, nil)
+	eng, err := traffic.NewEngine(clock, c, spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

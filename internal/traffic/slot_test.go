@@ -18,7 +18,7 @@ func TestDroppedSlotStartsFresh(t *testing.T) {
 	c := fabric.NewCluster(clock, 4, map[fabric.MetricName]float64{
 		fabric.MetricCores: 64, fabric.MetricDiskGB: 8192, fabric.MetricMemoryGB: 512,
 	}, fabric.DefaultConfig())
-	e, err := NewEngine(clock, c, &Spec{Seed: 1}, nil, nil, nil)
+	e, err := NewEngine(clock, c, &Spec{Seed: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
