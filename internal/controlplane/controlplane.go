@@ -10,7 +10,6 @@ package controlplane
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"toto/internal/fabric"
 	"toto/internal/slo"
@@ -190,26 +189,4 @@ func (cp *ControlPlane) LiveDatabases(dst []string, edition *slo.Edition) []stri
 		dst = append(dst, svc.Name)
 	})
 	return dst
-}
-
-// OldestLiveDatabase returns the live database of an edition with the
-// earliest creation time, or "" when none exists. Used by drop policies
-// that mimic aged-out databases.
-func (cp *ControlPlane) OldestLiveDatabase(edition slo.Edition) string {
-	var best *fabric.Service
-	var bestTime time.Time
-	cp.cluster.EachLiveService(func(svc *fabric.Service) {
-		e, err := ServiceEdition(svc)
-		if err != nil || e != edition {
-			return
-		}
-		if best == nil || svc.Created.Before(bestTime) {
-			best = svc
-			bestTime = svc.Created
-		}
-	})
-	if best == nil {
-		return ""
-	}
-	return best.Name
 }

@@ -160,19 +160,6 @@ func TestLiveDatabasesFilter(t *testing.T) {
 	}
 }
 
-func TestOldestLiveDatabase(t *testing.T) {
-	cp := newCP(t, 6)
-	cp.CreateDatabase("old", "GP_Gen5_2")
-	cp.Cluster().Clock().RunUntil(start.Add(time.Hour))
-	cp.CreateDatabase("new", "GP_Gen5_2")
-	if got := cp.OldestLiveDatabase(slo.StandardGP); got != "old" {
-		t.Errorf("oldest = %q", got)
-	}
-	if got := cp.OldestLiveDatabase(slo.PremiumBC); got != "" {
-		t.Errorf("oldest BC = %q on empty edition", got)
-	}
-}
-
 func TestServiceEditionUnknownLabel(t *testing.T) {
 	svc := &fabric.Service{Name: "x", Labels: map[string]string{LabelEdition: "weird"}}
 	if _, err := ServiceEdition(svc); err == nil {

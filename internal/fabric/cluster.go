@@ -377,16 +377,6 @@ func (c *Cluster) Naming() *NamingService { return c.naming }
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// SetDensity changes the density factor for subsequent admissions and
-// placements.
-func (c *Cluster) SetDensity(d float64) {
-	if d <= 0 {
-		panic("fabric: non-positive density")
-	}
-	c.cfg.Density = d
-	c.plb.cfg.Density = d
-}
-
 // Density returns the current density factor.
 func (c *Cluster) Density() float64 { return c.cfg.Density }
 
@@ -586,12 +576,6 @@ func (c *Cluster) removeLive(svc *Service) {
 	c.liveGen++
 	c.liveChanged = svc.Name
 }
-
-// FailoverCount returns the total number of failover movements so far.
-func (c *Cluster) FailoverCount() int { return c.failoverEvents }
-
-// BalanceMoveCount returns the total number of balancing movements so far.
-func (c *Cluster) BalanceMoveCount() int { return c.balanceMoves }
 
 // CreateService places a new service with replicaCount replicas, each
 // reserving reservedCores against node logical core capacity (scaled by

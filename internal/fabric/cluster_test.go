@@ -227,7 +227,7 @@ func TestDiskViolationTriggersFailover(t *testing.T) {
 
 	c.Clock().RunUntil(testStart.Add(10 * time.Minute))
 
-	if c.FailoverCount() == 0 {
+	if c.UnplannedFailoverCount() == 0 {
 		t.Fatal("no failover despite disk violation")
 	}
 	// The moved replica must have left the overloaded node and the
@@ -346,9 +346,5 @@ func TestClusterAccessors(t *testing.T) {
 	}
 	if c.FreeCores() != c.CoreCapacity()-10 {
 		t.Errorf("free cores = %v", c.FreeCores())
-	}
-	c.SetDensity(1.3)
-	if c.Density() != 1.3 {
-		t.Error("SetDensity")
 	}
 }

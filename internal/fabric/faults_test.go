@@ -516,9 +516,6 @@ func TestMaintenanceDrainStaysPlanned(t *testing.T) {
 	if svc.PlannedMoves == 0 || c.PlannedMoveCount() == 0 {
 		t.Error("maintenance drain not counted as planned")
 	}
-	if svc.TotalDowntime() != svc.Downtime+svc.PlannedDowntime {
-		t.Error("TotalDowntime does not sum the split")
-	}
 }
 
 // TestCrashEvacuationNoHeadroomStrands pins the escalation path of

@@ -127,7 +127,7 @@ func TestInvariantsUnderViolationPressure(t *testing.T) {
 		clock.RunUntil(clock.Now().Add(time.Hour))
 		checkInvariants(t, c)
 	}
-	if c.FailoverCount() == 0 {
+	if c.UnplannedFailoverCount() == 0 {
 		t.Error("pressure test produced no failovers")
 	}
 }

@@ -117,8 +117,8 @@ func TestEvacuationMovesAreNotFailoverKPI(t *testing.T) {
 	c.Subscribe(func(ev Event) { kinds = append(kinds, ev.Kind) })
 	c.SetNodeDown("node-0")
 	c.SetNodeDown("node-1")
-	if c.FailoverCount() != 0 {
-		t.Errorf("maintenance moves counted as failovers: %d", c.FailoverCount())
+	if c.UnplannedFailoverCount() != 0 {
+		t.Errorf("maintenance moves counted as failovers: %d", c.UnplannedFailoverCount())
 	}
 	sawDown := false
 	for _, k := range kinds {

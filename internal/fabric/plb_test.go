@@ -173,10 +173,10 @@ func TestBalancingMovesFromHotToCold(t *testing.T) {
 	c.ReportLoad(b.Replicas[0], MetricDiskGB, 1000)
 	// Spread = (4000 - 0)/8192 = 0.49 > 0.2: balancing should move one.
 	c.Clock().RunUntil(testStart.Add(10 * time.Minute))
-	if c.BalanceMoveCount() == 0 {
+	if c.PlannedMoveCount() == 0 {
 		t.Error("no balancing move despite large spread")
 	}
-	if c.FailoverCount() != 0 {
+	if c.UnplannedFailoverCount() != 0 {
 		t.Error("balancing move counted as failover")
 	}
 }

@@ -316,9 +316,6 @@ func (s *Service) TotalReservedCores() float64 {
 	return s.ReservedCoresPerReplica * float64(s.ReplicaCount)
 }
 
-// TotalDowntime returns planned plus unplanned unavailability.
-func (s *Service) TotalDowntime() time.Duration { return s.Downtime + s.PlannedDowntime }
-
 // Alive reports whether the service has not been dropped.
 func (s *Service) Alive() bool { return s.Dropped.IsZero() }
 

@@ -92,9 +92,7 @@ func (h *HourlyNormal) Sample(src *rng.Source, t time.Time) float64 {
 }
 
 // SampleCount draws a non-negative integer count from the cell covering
-// t: a normal draw rounded to the nearest integer and clamped at zero,
-// which is how the Population Manager turns the hourly normal into
-// creates/drops per hour.
+// t: a normal draw rounded to the nearest integer and clamped at zero.
 func (h *HourlyNormal) SampleCount(src *rng.Source, t time.Time) int {
 	v := h.Sample(src, t)
 	if v <= 0 {

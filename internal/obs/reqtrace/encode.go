@@ -55,9 +55,6 @@ func AppendDetail(buf []byte, tr *Trace) []byte {
 	return buf
 }
 
-// EncodeDetail is AppendDetail into a fresh string (analysis-side use).
-func EncodeDetail(tr *Trace) string { return string(AppendDetail(nil, tr)) }
-
 // DecodeDetail parses a Detail string back into a Trace. Time and
 // Service are not part of the wire format — they ride in the annotation
 // entry itself — so callers fill them from the journal entry.

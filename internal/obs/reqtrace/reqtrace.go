@@ -21,7 +21,7 @@
 // The engine is aggregate — it serves request groups, not individual
 // requests — so one Trace represents Count requests that took the same
 // path at the same modeled latency. Kept traces are encoded into the
-// journal's annotation Detail field (see EncodeDetail) inside the same
+// journal's annotation Detail field (see AppendDetail) inside the same
 // causal bracket as the failure they describe, so a trace's root cause
 // is exactly the journal's attribution for the incident.
 package reqtrace

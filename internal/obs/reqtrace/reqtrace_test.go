@@ -38,7 +38,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, in := range traces {
 		in.IDHex = IDString(in.ID)
 		in.OutcomeS = in.Outcome.String()
-		wire := EncodeDetail(&in)
+		wire := string(AppendDetail(nil, &in))
 		out, err := DecodeDetail(wire)
 		if err != nil {
 			t.Fatalf("decode %q: %v", wire, err)
@@ -57,7 +57,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 		// Re-encoding the decoded trace must reproduce the wire bytes.
-		if again := EncodeDetail(&out); again != wire {
+		if again := string(AppendDetail(nil, &out)); again != wire {
 			t.Fatalf("re-encode drifted:\n first=%q\nsecond=%q", wire, again)
 		}
 	}
@@ -308,8 +308,8 @@ func TestIDStringMatchesSprintf(t *testing.T) {
 			t.Fatalf("IDString(%d) = %q, want %q", id, got, want)
 		}
 		tr := Trace{ID: id}
-		if got := EncodeDetail(&tr); !strings.HasPrefix(got, want+"|") {
-			t.Fatalf("EncodeDetail of ID %d = %q, want prefix %q", id, got, want)
+		if got := string(AppendDetail(nil, &tr)); !strings.HasPrefix(got, want+"|") {
+			t.Fatalf("AppendDetail of ID %d = %q, want prefix %q", id, got, want)
 		}
 	}
 	for _, id := range []uint64{0, 1, 1 << 63, math.MaxUint64} {

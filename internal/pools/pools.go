@@ -68,9 +68,6 @@ func (p *Pool) Members() []Member {
 	return out
 }
 
-// MemberCount returns the number of member databases.
-func (p *Pool) MemberCount() int { return len(p.members) }
-
 // HasRoom reports whether another member fits under the SLO cap.
 func (p *Pool) HasRoom() bool { return len(p.members) < p.SLO.MaxMemberDBs }
 
@@ -118,19 +115,6 @@ func (m *Manager) CreatePool(name, sloName string) (*Pool, error) {
 	return p, nil
 }
 
-// DropPool removes a pool and all its members.
-func (m *Manager) DropPool(name string) error {
-	p, ok := m.pools[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchPool, name)
-	}
-	for db := range p.members {
-		delete(m.memberPool, db)
-	}
-	delete(m.pools, name)
-	return m.cp.DropDatabase(name)
-}
-
 // AddMember places a database into a pool. The member consumes no
 // cluster cores of its own — that is the pooling economics — but its
 // modeled disk usage counts against the pool's reported load.
@@ -170,12 +154,6 @@ func (m *Manager) Pool(name string) (*Pool, bool) {
 	return p, ok
 }
 
-// PoolOf returns the pool hosting member db, if any.
-func (m *Manager) PoolOf(db string) (string, bool) {
-	p, ok := m.memberPool[db]
-	return p, ok
-}
-
 // Pools returns all pools sorted by name.
 func (m *Manager) Pools() []*Pool {
 	out := make([]*Pool, 0, len(m.pools))
@@ -206,9 +184,6 @@ func (m *Manager) NextPoolName(e slo.Edition) string {
 	}
 	return fmt.Sprintf("pool-%s-%03d", slug, m.seq)
 }
-
-// TotalMembers counts member databases across all pools.
-func (m *Manager) TotalMembers() int { return len(m.memberPool) }
 
 // IsPoolService reports whether a fabric service is an elastic pool.
 func IsPoolService(svc *fabric.Service) bool { return svc.Labels[LabelPool] == "true" }

@@ -69,11 +69,11 @@ func TestMembershipLifecycle(t *testing.T) {
 	if err := m.AddMember("p", "db2", 32, start.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if p.MemberCount() != 2 || m.TotalMembers() != 2 {
-		t.Errorf("members = %d/%d", p.MemberCount(), m.TotalMembers())
+	if len(p.Members()) != 2 || len(m.memberPool) != 2 {
+		t.Errorf("members = %d/%d", len(p.Members()), len(m.memberPool))
 	}
-	if pool, ok := m.PoolOf("db1"); !ok || pool != "p" {
-		t.Errorf("PoolOf = %q, %v", pool, ok)
+	if pool, ok := m.memberPool["db1"]; !ok || pool != "p" {
+		t.Errorf("db1's pool = %q, %v", pool, ok)
 	}
 	// A member cannot join twice.
 	if err := m.AddMember("p", "db1", 32, start); err == nil {
@@ -82,7 +82,7 @@ func TestMembershipLifecycle(t *testing.T) {
 	if err := m.RemoveMember("p", "db1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.PoolOf("db1"); ok {
+	if _, ok := m.memberPool["db1"]; ok {
 		t.Error("removed member still registered")
 	}
 	if err := m.RemoveMember("p", "db1"); !errors.Is(err, ErrNoSuchMember) {
@@ -122,27 +122,6 @@ func TestPoolWithRoomPrefersExisting(t *testing.T) {
 	}
 	if got := m.PoolWithRoom(slo.PremiumBC); got != "p-bc" {
 		t.Errorf("BC pool = %q", got)
-	}
-}
-
-func TestDropPoolClearsMembers(t *testing.T) {
-	m, cp := newMgr(t, 5)
-	m.CreatePool("p", "GPPOOL_Gen5_4")
-	m.AddMember("p", "db1", 32, start)
-	if err := m.DropPool("p"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.PoolOf("db1"); ok {
-		t.Error("member survived pool drop")
-	}
-	if _, ok := m.Pool("p"); ok {
-		t.Error("pool survived drop")
-	}
-	if got := len(cp.Cluster().LiveServices()); got != 0 {
-		t.Errorf("live services = %d", got)
-	}
-	if err := m.DropPool("p"); !errors.Is(err, ErrNoSuchPool) {
-		t.Errorf("double drop err = %v", err)
 	}
 }
 

@@ -211,19 +211,6 @@ func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// Perm returns a random permutation of [0, n) using Fisher-Yates.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle randomizes the order of n elements via the provided swap
 // function, using Fisher-Yates.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {

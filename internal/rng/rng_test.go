@@ -222,18 +222,6 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(13)
-	p := s.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid or duplicate value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestChoiceRespectsWeights(t *testing.T) {
 	s := New(14)
 	weights := []float64{1, 0, 3}

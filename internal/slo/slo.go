@@ -125,25 +125,6 @@ func (c *Catalog) Lookup(name string) (SLO, bool) {
 // Names returns all SLO names in sorted order.
 func (c *Catalog) Names() []string { return append([]string(nil), c.names...) }
 
-// ByEdition returns the SLOs of one edition, sorted by core count then
-// name.
-func (c *Catalog) ByEdition(e Edition) []SLO {
-	var out []SLO
-	for _, name := range c.names {
-		s := c.byName[name]
-		if s.Edition == e {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cores != out[j].Cores {
-			return out[i].Cores < out[j].Cores
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // Len returns the number of SLOs in the catalog.
 func (c *Catalog) Len() int { return len(c.names) }
 

@@ -44,16 +44,18 @@ func TestGen5CatalogShape(t *testing.T) {
 	if c.Len() != 34 {
 		t.Errorf("catalog size = %d, want 34 (12 singleton + 5 pool core sizes x 2 editions)", c.Len())
 	}
-	gp := c.ByEdition(StandardGP)
-	bc := c.ByEdition(PremiumBC)
+	var gp, bc []SLO
+	for _, name := range c.Names() {
+		s, _ := c.Lookup(name)
+		switch s.Edition {
+		case StandardGP:
+			gp = append(gp, s)
+		case PremiumBC:
+			bc = append(bc, s)
+		}
+	}
 	if len(gp) != 17 || len(bc) != 17 {
 		t.Fatalf("per-edition sizes = %d, %d", len(gp), len(bc))
-	}
-	// Sorted by cores ascending.
-	for i := 1; i < len(gp); i++ {
-		if gp[i].Cores < gp[i-1].Cores {
-			t.Fatal("ByEdition not sorted by cores")
-		}
 	}
 	// BC compute is priced above GP (local SSD + 4x replication revenue),
 	// comparing within the same (cores, pool) shape.

@@ -153,21 +153,3 @@ func maxQ(vals []float64, minSeg int) (int, float64) {
 	}
 	return bestK, bestQ
 }
-
-// Nearest returns the detected point closest to index, if any.
-func Nearest(points []Point, index int) (Point, bool) {
-	best, ok := Point{}, false
-	for _, p := range points {
-		if !ok || abs(p.Index-index) < abs(best.Index-index) {
-			best, ok = p, true
-		}
-	}
-	return best, ok
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -26,13 +26,25 @@ func noisy(t *testing.T, seed uint64, sigma float64, means []float64, lens []int
 	return s
 }
 
+// nearest returns the detected point closest to index, if any.
+func nearest(points []Point, index int) (Point, bool) {
+	dist := func(p Point) int { return max(p.Index-index, index-p.Index) }
+	best, ok := Point{}, false
+	for _, p := range points {
+		if !ok || dist(p) < dist(best) {
+			best, ok = p, true
+		}
+	}
+	return best, ok
+}
+
 func TestDetectSingleShift(t *testing.T) {
 	s := noisy(t, 7, 0.3, []float64{1, 5}, []int{30, 30})
 	pts := Detect(s, DefaultOptions())
 	if len(pts) == 0 {
 		t.Fatal("no change point found in a 1→5 step series")
 	}
-	p, ok := Nearest(pts, 30)
+	p, ok := nearest(pts, 30)
 	if !ok || p.Index < 27 || p.Index > 33 {
 		t.Fatalf("strongest point at %d, want ≈30 (points: %+v)", p.Index, pts)
 	}
@@ -50,7 +62,7 @@ func TestDetectTwoShifts(t *testing.T) {
 	if len(pts) < 2 {
 		t.Fatalf("want ≥2 change points for a 0→4→0.5 series, got %+v", pts)
 	}
-	if _, ok := Nearest(pts, 25); !ok {
+	if _, ok := nearest(pts, 25); !ok {
 		t.Fatal("missing point near 25")
 	}
 	for i := 1; i < len(pts); i++ {

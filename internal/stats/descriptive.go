@@ -51,21 +51,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// PopulationVariance returns the biased (n denominator) variance of xs.
-func PopulationVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
 // Min returns the smallest value in xs. It panics on an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {

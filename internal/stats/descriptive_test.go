@@ -22,9 +22,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if sd := StdDev(xs); !almost(sd, math.Sqrt(32.0/7), 1e-12) {
 		t.Errorf("StdDev = %v", sd)
 	}
-	if pv := PopulationVariance(xs); !almost(pv, 4, 1e-12) {
-		t.Errorf("PopulationVariance = %v, want 4", pv)
-	}
 }
 
 func TestMeanEmpty(t *testing.T) {

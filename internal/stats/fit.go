@@ -196,23 +196,3 @@ func CompareDistributions(xs []float64) []DistributionFit {
 	}
 	return out
 }
-
-// BestFit returns the candidate with the highest K-S p-value among fits
-// that succeeded, or an error if none did.
-func BestFit(fits []DistributionFit) (DistributionFit, error) {
-	best := DistributionFit{}
-	found := false
-	for _, f := range fits {
-		if f.Err != nil {
-			continue
-		}
-		if !found || f.KS.P > best.KS.P {
-			best = f
-			found = true
-		}
-	}
-	if !found {
-		return DistributionFit{}, errors.New("stats: no distribution fit succeeded")
-	}
-	return best, nil
-}

@@ -287,12 +287,6 @@ func (r *Recorder) RedirectsByHour(start time.Time, hours int) []int {
 	return out
 }
 
-// WriteSamplesCSV writes the cluster-level series as CSV.
-func (r *Recorder) WriteSamplesCSV(w io.Writer) error { return WriteSamplesCSV(w, r.samples) }
-
-// WriteFailoversCSV writes the failover records as CSV.
-func (r *Recorder) WriteFailoversCSV(w io.Writer) error { return WriteFailoversCSV(w, r.failovers) }
-
 // WriteSamplesCSV writes any cluster-level sample series as CSV.
 func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 	cw := csv.NewWriter(w)

@@ -149,7 +149,7 @@ func TestCSVExport(t *testing.T) {
 	cluster.Clock().RunUntil(start.Add(2 * time.Hour))
 
 	var buf bytes.Buffer
-	if err := rec.WriteSamplesCSV(&buf); err != nil {
+	if err := WriteSamplesCSV(&buf, rec.Samples()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -161,7 +161,7 @@ func TestCSVExport(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := rec.WriteFailoversCSV(&buf); err != nil {
+	if err := WriteFailoversCSV(&buf, rec.Failovers()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "moved_cores") {
