@@ -45,9 +45,12 @@ func main() {
 	}
 	var alertSpec *alert.Spec
 	if obsFlags.AlertsPath != "" {
-		alertSpec, err = alert.LoadSpec(obsFlags.AlertsPath)
+		data, err := os.ReadFile(obsFlags.AlertsPath)
+		if err == nil {
+			alertSpec, err = alert.ParseSpec(core.ScenarioSection(data, "alerts"))
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "totobench:", err)
+			fmt.Fprintf(os.Stderr, "totobench: -alerts %s: %v\n", obsFlags.AlertsPath, err)
 			os.Exit(1)
 		}
 	}

@@ -137,22 +137,14 @@ func main() {
 		spec.Days = *days
 	}
 	if *chaosPath != "" {
-		data, err := os.ReadFile(*chaosPath)
-		if err != nil {
-			fail(err)
-		}
-		cs, err := chaos.ParseSpec(core.ScenarioSection(data, "chaos"))
+		cs, err := readSection(*chaosPath, "chaos", chaos.ParseSpec)
 		if err != nil {
 			fail(err)
 		}
 		spec.Chaos = cs
 	}
 	if *trafficPath != "" {
-		data, err := os.ReadFile(*trafficPath)
-		if err != nil {
-			fail(err)
-		}
-		ts, err := traffic.ParseSpec(core.ScenarioSection(data, "traffic"))
+		ts, err := readSection(*trafficPath, "traffic", traffic.ParseSpec)
 		if err != nil {
 			fail(err)
 		}
@@ -173,7 +165,7 @@ func main() {
 		spec.Chaos.Seed = *chaosSeed
 	}
 	if obsFlags.AlertsPath != "" {
-		as, err := alert.LoadSpec(obsFlags.AlertsPath)
+		as, err := readSection(obsFlags.AlertsPath, "alerts", alert.ParseSpec)
 		if err != nil {
 			fail(err)
 		}
@@ -338,6 +330,21 @@ func main() {
 	write("failovers.csv", func(f *os.File) error { return telemetry.WriteFailoversCSV(f, res.Failovers) })
 	write("nodes.csv", func(f *os.File) error { return telemetry.WriteNodeSamplesCSV(f, res.NodeSamples) })
 	fmt.Printf("telemetry written to %s\n", *outDir)
+}
+
+// readSection reads the file a spec flag names and parses either a bare
+// spec or the scenario section of that name (core.ScenarioSection), so
+// -chaos, -traffic and -alerts all take a whole scenario file too.
+func readSection[T any](path, section string, parse func([]byte) (*T, error)) (*T, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := parse(core.ScenarioSection(data, section))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return spec, nil
 }
 
 // parseTopology reads -topology's FDxUD: two non-negative decimal counts

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"toto/internal/obs/alert"
 )
 
 func TestParseTopology(t *testing.T) {
@@ -29,6 +33,36 @@ func TestParseTopology(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), "-topology") {
 			t.Errorf("parseTopology(%q) = %d, %d, %v; want an error naming -topology", tc.in, fd, ud, err)
+		}
+	}
+}
+
+// TestAlertsFlagTakesAScenarioFile: -alerts given a whole scenario file
+// loads that file's "alerts" section, and a misspelt key is a parse
+// error, not an empty rule set.
+func TestAlertsFlagTakesAScenarioFile(t *testing.T) {
+	spec, err := readSection("../../scenarios/chaos-week.json", "alerts", alert.ParseSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Rules) != 1 || spec.Rules[0].Name != "nodes-down" || len(spec.SLOs) != 1 || spec.SLOs[0].Name != "failover-budget" {
+		t.Errorf("chaos-week alerts = %+v, want rule nodes-down and SLO failover-budget", spec)
+	}
+	bare := filepath.Join(t.TempDir(), "alerts.json")
+	for body, ok := range map[string]bool{
+		`{"rules": [{"name": "up", "series": "cluster.upNodes", "op": "<", "threshold": 14}]}`: true,
+		`{"rulez": [{"name": "up", "series": "cluster.upNodes", "op": "<", "threshold": 14}]}`: false,
+		`{"rules": [{"name": "up", "series": "cluster.upNodes", "op": "<", "treshold": 14}]}`:  false,
+	} {
+		if err := os.WriteFile(bare, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := readSection(bare, "alerts", alert.ParseSpec)
+		if ok && (err != nil || len(spec.Rules) != 1) {
+			t.Errorf("%s: %+v, %v; want one rule", body, spec, err)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), "unknown field")) {
+			t.Errorf("%s: %+v, %v; want an unknown-field error", body, spec, err)
 		}
 	}
 }

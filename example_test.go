@@ -41,7 +41,7 @@ func ExampleDensityStudy() {
 		return sc
 	}
 	results, err := toto.DensityStudy(build, []float64{1.0, 1.2},
-		toto.Seeds{Population: 1, Models: 2, PLB: 3, Bootstrap: 4}, true)
+		toto.Seeds{Population: 1, Models: 2, PLB: 3, Bootstrap: 4})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -31,7 +31,7 @@ func main() {
 
 	densities := []float64{1.0, 1.1, 1.2, 1.4}
 	fmt.Printf("running %d-day experiments at %v density...\n\n", *days, densities)
-	results, err := toto.DensityStudy(build, densities, seeds, true)
+	results, err := toto.DensityStudy(build, densities, seeds)
 	if err != nil {
 		log.Fatal(err)
 	}

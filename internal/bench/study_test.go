@@ -41,7 +41,7 @@ func TestStudyMatchesSerialDensityStudy(t *testing.T) {
 		sc := core.DefaultScenario(fmt.Sprintf("density-%.0f%%", d*100), d, set, seeds)
 		sc.Duration = 24 * time.Hour
 		return sc
-	}, cfg.Densities, cfg.Seeds, true)
+	}, cfg.Densities, cfg.Seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,7 +266,7 @@ func TestDensityStudyOrdering(t *testing.T) {
 		sc.BootstrapDuration = 2 * time.Hour
 		return sc
 	}
-	results, err := DensityStudy(build, []float64{1.0, 1.2}, testSeeds(), true)
+	results, err := DensityStudy(build, []float64{1.0, 1.2}, testSeeds())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -334,7 +334,7 @@ func (o *Orchestrator) Run() (*Result, error) {
 		res.Alerts = &st
 		res.AlertHistory = o.alerts.History()
 	}
-	res.PoolsProvisioned = len(o.Pools.Pools())
+	res.PoolsProvisioned = o.poolsCreated
 	res.PoolMemberCreates, res.PoolMemberDrops = o.PopMgr.PoolStats()
 	runSp.End(
 		obs.Int("failovers", o.Cluster.UnplannedFailoverCount()),
@@ -405,18 +405,12 @@ func cloneFrozen(set *models.ModelSet, frozen bool) *models.ModelSet {
 }
 
 // DensityStudy runs the same scenario at several density levels,
-// reproducing the paper's §5 study. The PLB seed varies per density run
-// only if varyPLBSeed is set (the paper could not hold it fixed; keeping
-// it fixed here shows the framework's repeatability instead).
-func DensityStudy(base func(density float64, seeds Seeds) *Scenario, densities []float64, seeds Seeds, varyPLBSeed bool) ([]*Result, error) {
+// reproducing the paper's §5 study. Run i takes seeds.DensityRun(i): the
+// PLB seed steps per density, since the paper could not hold it fixed.
+func DensityStudy(base func(density float64, seeds Seeds) *Scenario, densities []float64, seeds Seeds) ([]*Result, error) {
 	var out []*Result
 	for i, d := range densities {
-		s := seeds
-		if varyPLBSeed {
-			s = seeds.DensityRun(i)
-		}
-		sc := base(d, s)
-		res, err := Run(sc)
+		res, err := Run(base(d, seeds.DensityRun(i)))
 		if err != nil {
 			return nil, fmt.Errorf("core: density %.0f%%: %w", d*100, err)
 		}

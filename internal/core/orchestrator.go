@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 	"time"
 
 	"toto/internal/chaos"
@@ -14,7 +12,6 @@ import (
 	"toto/internal/obs/alert"
 	"toto/internal/obs/reqtrace"
 	"toto/internal/obs/timeseries"
-	"toto/internal/pools"
 	"toto/internal/population"
 	"toto/internal/rgmanager"
 	"toto/internal/rng"
@@ -48,7 +45,6 @@ type Orchestrator struct {
 	Control  *controlplane.ControlPlane
 	PopMgr   *population.Manager
 	Recorder *telemetry.Recorder
-	Pools    *pools.Manager
 
 	// managers holds each node's RgManager at the node's Index; store is
 	// their shared process memory.
@@ -60,6 +56,10 @@ type Orchestrator struct {
 	// dbEntry.diskGBSeconds) for the revenue score.
 	droppedGBSeconds map[string]float64
 	lastReport       time.Time
+	// poolSeq numbers the pools the Population Manager provisions, one
+	// per attempt; poolsCreated counts the pools created
+	// (Result.PoolsProvisioned).
+	poolSeq, poolsCreated int
 
 	tickers []*simclock.Ticker
 	obs     *obs.Obs
@@ -79,9 +79,11 @@ type Orchestrator struct {
 type dbEntry struct {
 	svc  *fabric.Service
 	info rgmanager.DBInfo
-	// pool marks an elastic pool, whose disk reports sum its members;
-	// members holds their metadata in name order.
-	pool    bool
+	// poolCap, the pool SLO's MaxMemberDBs, marks an elastic pool (see
+	// pools.go) when positive. A pool's disk reports sum its members;
+	// members holds their metadata in name order, at most poolCap of
+	// them, and is the only record of the pool's membership.
+	poolCap int
 	members []*rgmanager.DBInfo
 	// diskGBSeconds integrates the primary's reported disk over time,
 	// feeding the storage-revenue term.
@@ -165,7 +167,6 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 
 	o.Recorder.RegisterMetrics(s.Obs.Registry())
 
-	o.Pools = pools.NewManager(o.Control)
 	o.PopMgr = population.New(clock, cluster.Naming(), o.Control, s.Seeds.Population)
 	o.PopMgr.SetObs(s.Obs)
 	o.PopMgr.OnCreated(func(svc *fabric.Service, sl slo.SLO, initialDiskGB float64) {
@@ -246,19 +247,18 @@ func (o *Orchestrator) entryNamed(db string) *dbEntry {
 	return nil
 }
 
-// dropDB clears a dropped database's persisted loads, evicts its
-// replicas' in-memory state and retires its entry, keeping its disk
-// integral for the revenue score.
+// dropDB clears the persisted loads of a dropped database and of its pool
+// members, evicts its replicas' in-memory state and retires its entry
+// (a pool's members with it), keeping its disk integral for the revenue
+// score.
 func (o *Orchestrator) dropDB(svc *fabric.Service) {
 	naming := o.Cluster.Naming()
 	rgmanager.ClearPersisted(naming, svc.Name)
-	if p, ok := o.Pools.Pool(svc.Name); ok {
-		for _, member := range p.Members() {
-			rgmanager.ClearPersisted(naming, member.DB)
-		}
-	}
 	o.store.Drop(svc)
 	if e := o.entry(svc); e != nil {
+		for _, member := range e.members {
+			rgmanager.ClearPersisted(naming, member.Name)
+		}
 		o.droppedGBSeconds[svc.Name] = e.diskGBSeconds
 		*e = dbEntry{}
 	}
@@ -283,7 +283,7 @@ func (o *Orchestrator) registerDB(svc *fabric.Service, sl slo.SLO) {
 	e := &o.dbs[i]
 	if e.svc != svc {
 		// A re-created name continues its predecessor's disk integral.
-		*e = dbEntry{svc: svc, pool: pools.IsPoolService(svc), diskGBSeconds: o.droppedGBSeconds[svc.Name]}
+		*e = dbEntry{svc: svc, diskGBSeconds: o.droppedGBSeconds[svc.Name]}
 		delete(o.droppedGBSeconds, svc.Name)
 	}
 	e.info = rgmanager.DBInfo{
@@ -448,7 +448,7 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 			mgr := o.managers[rep.Node.Index()]
 			var value float64
 			var modeled bool
-			if e.pool {
+			if e.poolCap > 0 {
 				value, modeled = mgr.ReportPoolDisk(rep, &e.info, e.members, now)
 			} else {
 				value, modeled = mgr.ReportDisk(rep, &e.info, now)
@@ -575,60 +575,6 @@ func editionSlug(e slo.Edition) string {
 	return "gp"
 }
 
-// CreatePool provisions an elastic pool and registers its metadata.
-func (o *Orchestrator) CreatePool(name, sloName string) error {
-	p, err := o.Pools.CreatePool(name, sloName)
-	if err != nil {
-		return err
-	}
-	svc, _ := o.Cluster.Service(name)
-	o.registerDB(svc, p.SLO)
-	return nil
-}
-
-// AddPoolMember places a member database into a pool and seeds its
-// initial reported disk.
-func (o *Orchestrator) AddPoolMember(pool, db string, maxDiskGB, initialDiskGB float64) error {
-	if err := o.Pools.AddMember(pool, db, maxDiskGB, o.Clock.Now()); err != nil {
-		return err
-	}
-	e := o.entryNamed(pool)
-	if e == nil {
-		return fmt.Errorf("core: pool service %s missing", pool)
-	}
-	member := &rgmanager.DBInfo{Name: db, Edition: e.info.Edition, Created: o.Clock.Now(), MaxDiskGB: maxDiskGB}
-	i, _ := slices.BinarySearchFunc(e.members, db, cmpDBName)
-	e.members = slices.Insert(e.members, i, member)
-	if initialDiskGB > maxDiskGB && maxDiskGB > 0 {
-		initialDiskGB = maxDiskGB
-	}
-	for _, rep := range e.svc.Replicas {
-		if rep.Node == nil {
-			continue
-		}
-		o.managers[rep.Node.Index()].SeedMemberLoad(rep, &e.info, member, initialDiskGB)
-	}
-	return nil
-}
-
-// cmpDBName orders pool members by name, the order their disks sum in.
-func cmpDBName(info *rgmanager.DBInfo, db string) int { return strings.Compare(info.Name, db) }
-
-// RemovePoolMember drops a member database from its pool and clears its
-// persisted state.
-func (o *Orchestrator) RemovePoolMember(pool, db string) error {
-	if err := o.Pools.RemoveMember(pool, db); err != nil {
-		return err
-	}
-	if e := o.entryNamed(pool); e != nil {
-		if i, ok := slices.BinarySearchFunc(e.members, db, cmpDBName); ok {
-			e.members = slices.Delete(e.members, i, i+1)
-		}
-	}
-	rgmanager.ClearPersisted(o.Cluster.Naming(), db)
-	return nil
-}
-
 // ScaleDatabase applies a customer SLO change and returns its outcome,
 // whose Latency is the §5.4 scale-up latency.
 func (o *Orchestrator) ScaleDatabase(db, newSLOName string) (fabric.ResizeOutcome, error) {
@@ -642,33 +588,3 @@ func (o *Orchestrator) ScaleDatabase(db, newSLOName string) (fabric.ResizeOutcom
 	}
 	return outcome, nil
 }
-
-// poolOps adapts the orchestrator to the population manager's pool
-// surface.
-type poolOps struct{ o *Orchestrator }
-
-func (p poolOps) EnsurePoolWithRoom(e slo.Edition, sloName string) (string, error) {
-	if name := p.o.Pools.PoolWithRoom(e); name != "" {
-		return name, nil
-	}
-	name := p.o.Pools.NextPoolName(e)
-	if err := p.o.CreatePool(name, sloName); err != nil {
-		return "", err
-	}
-	return name, nil
-}
-
-func (p poolOps) AddMember(pool, db string, maxDiskGB, initialDiskGB float64) error {
-	return p.o.AddPoolMember(pool, db, maxDiskGB, initialDiskGB)
-}
-
-func (p poolOps) Members(e slo.Edition) []population.MemberRef {
-	refs := p.o.Pools.MembersByEdition(e)
-	out := make([]population.MemberRef, len(refs))
-	for i, r := range refs {
-		out[i] = population.MemberRef{Pool: r.Pool, DB: r.DB}
-	}
-	return out
-}
-
-func (p poolOps) RemoveMember(pool, db string) error { return p.o.RemovePoolMember(pool, db) }

@@ -147,7 +147,7 @@ type Scenario struct {
 	// after the scenario's defaults — the hook ablation benches use to
 	// flip PLB policies (greedy placement, degradation accounting,
 	// balancing) without widening the scenario surface.
-	FabricOverrides func(*fabricConfigAlias)
+	FabricOverrides func(*fabric.Config)
 	// Obs, when set, instruments the whole run: the orchestrator binds
 	// it to the simulation clock and threads it through the fabric, the
 	// population manager, every RgManager, and telemetry. nil (the
@@ -310,7 +310,3 @@ func ChurnSLOMix() map[slo.Edition][]models.SLOWeight {
 		},
 	}
 }
-
-// fabricConfigAlias keeps the fabric import out of the Scenario type's
-// public field list while still letting callers override the config.
-type fabricConfigAlias = fabric.Config

@@ -1,6 +1,7 @@
 package alert
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -321,5 +322,9 @@ func TestParseSpec(t *testing.T) {
 	}
 	if _, err := ParseSpec([]byte(`{"rules": [{"name": "x"}]}`)); err == nil {
 		t.Fatal("invalid spec parsed")
+	}
+	// A misspelt key fails at parse time instead of loading no rules.
+	if _, err := ParseSpec([]byte(`{"rulez": []}`)); err == nil || !strings.Contains(err.Error(), `unknown field "rulez"`) {
+		t.Fatalf("misspelt key: err = %v", err)
 	}
 }

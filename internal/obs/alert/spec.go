@@ -13,9 +13,9 @@
 package alert
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 )
 
@@ -175,30 +175,20 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// ParseSpec decodes a standalone rule file ({"rules": [...], "slos":
-// [...]}) and validates it.
+// ParseSpec decodes a rule set ({"rules": [...], "slos": [...]}) and
+// validates it. Unknown fields are rejected, so a misspelt key fails
+// here instead of loading no rules.
 func ParseSpec(data []byte) (*Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("alert: parsing spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// LoadSpec reads and parses a -alerts rule file.
-func LoadSpec(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := ParseSpec(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 // budgetWindow returns the SLO window as a duration (default 30 days).

@@ -21,9 +21,10 @@ type Flags struct {
 	CPUProfile string
 	MemProfile string
 	LogLevel   string
-	// AlertsPath names a standalone alert-rule JSON file; each CLI parses
-	// it with alert.LoadSpec (kept out of this package so obs stays
-	// dependency-light) and it overrides a scenario file's "alerts"
+	// AlertsPath names an alert-rule JSON file: a bare alert spec, or a
+	// scenario file whose "alerts" section is used. Each CLI parses it
+	// with alert.ParseSpec (kept out of this package so obs stays
+	// dependency-light), and it overrides a scenario file's "alerts"
 	// section.
 	AlertsPath string
 }
@@ -38,7 +39,7 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
 	fs.StringVar(&f.LogLevel, "log-level", "", "sim-time log level on stderr: debug, info, warn, error (default off)")
-	fs.StringVar(&f.AlertsPath, "alerts", "", "load alert rules from this JSON file (overrides a scenario's \"alerts\" section)")
+	fs.StringVar(&f.AlertsPath, "alerts", "", "load alert rules from this JSON file: a bare alert spec or a scenario's \"alerts\" section (overrides the -scenario file's \"alerts\" section)")
 	return f
 }
 

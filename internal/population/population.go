@@ -30,7 +30,9 @@ type CreatedFunc func(svc *fabric.Service, s slo.SLO, initialDiskGB float64)
 
 // PoolOps is the elastic-pool surface the Population Manager drives when
 // the model set carries a PoolPolicy (§5.5). The orchestrator implements
-// it over the pool registry.
+// it over its database entries: a pool is a live pool service, and its
+// entry holds the pool's member list, so a dropped pool's members go
+// with it.
 type PoolOps interface {
 	// EnsurePoolWithRoom returns a pool of edition e with member
 	// capacity, provisioning a new pool with sloName if none has room.
@@ -39,7 +41,8 @@ type PoolOps interface {
 	// AddMember places db into pool with the given disk cap and initial
 	// reported load.
 	AddMember(pool, db string, maxDiskGB, initialDiskGB float64) error
-	// Members lists (pool, member) pairs of edition e in stable order.
+	// Members lists the (pool, member) pairs of the live pools of
+	// edition e, by pool name and then member name.
 	Members(e slo.Edition) []MemberRef
 	// RemoveMember drops a member database from its pool.
 	RemoveMember(pool, db string) error

@@ -94,9 +94,10 @@ func TrainDefaultModels(seed uint64) *TrainedModels { return core.TrainDefaultMo
 func DefaultModels() *TrainedModels { return core.DefaultModels() }
 
 // DensityStudy runs a scenario family across density levels (the §5
-// study). The build function receives the density and the seeds to use.
-func DensityStudy(build func(density float64, seeds Seeds) *Scenario, densities []float64, seeds Seeds, varyPLBSeed bool) ([]*Result, error) {
-	return core.DensityStudy(build, densities, seeds, varyPLBSeed)
+// study). The build function receives the density and the seeds to use:
+// run i gets seeds.DensityRun(i), whose PLB seed steps per density.
+func DensityStudy(build func(density float64, seeds Seeds) *Scenario, densities []float64, seeds Seeds) ([]*Result, error) {
+	return core.DensityStudy(build, densities, seeds)
 }
 
 // RepeatRun executes one scenario n times varying only the PLB seed

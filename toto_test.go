@@ -43,7 +43,7 @@ func TestPublicDensityStudy(t *testing.T) {
 		return sc
 	}
 	results, err := toto.DensityStudy(build, []float64{1.0, 1.4},
-		toto.Seeds{Population: 1, Models: 2, PLB: 3, Bootstrap: 4}, true)
+		toto.Seeds{Population: 1, Models: 2, PLB: 3, Bootstrap: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
