@@ -25,7 +25,7 @@ import (
 // 6-day experiments (100/110/120/140%) including bootstrap, churn,
 // reporting, PLB scans, and revenue scoring.
 func BenchmarkStudyCampaign(b *testing.B) {
-	core.DefaultModels() // train outside the timer
+	core.DefaultModels() // decode the deployed model set outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := bench.DefaultStudyConfig()
@@ -143,21 +143,29 @@ func BenchmarkFig3bUtilizationScatter(b *testing.B) {
 }
 
 func BenchmarkFig6CreateDispersion(b *testing.B) {
-	tm := core.DefaultModels()
+	tm := core.TrainDefaultModels(42) // Fig. 6 reads the count trainings DefaultModels does not carry
 	b.ResetTimer()
 	var f bench.Fig6
 	for i := 0; i < b.N; i++ {
-		f = bench.RunFig6(tm)
+		var err error
+		f, err = bench.RunFig6(tm)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(f.Boxes[slo.StandardGP][0][13].Median, "GP-WD-13h-median")
 }
 
 func BenchmarkFig7KSTest(b *testing.B) {
-	tm := core.DefaultModels()
+	tm := core.TrainDefaultModels(42) // Fig. 7 reads the count trainings DefaultModels does not carry
 	b.ResetTimer()
 	var f bench.Fig7
 	for i := 0; i < b.N; i++ {
-		f = bench.RunFig7(tm)
+		var err error
+		f, err = bench.RunFig7(tm)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	rejected := 0
 	for _, r := range f.Rejected {
@@ -167,7 +175,7 @@ func BenchmarkFig7KSTest(b *testing.B) {
 }
 
 func BenchmarkFig8CreateDropValidation(b *testing.B) {
-	tm := core.DefaultModels()
+	tm := core.TrainDefaultModels(42) // Fig. 8 reads the region trace and count trainings DefaultModels does not carry
 	b.ResetTimer()
 	var f bench.Fig8
 	for i := 0; i < b.N; i++ {
@@ -181,7 +189,7 @@ func BenchmarkFig8CreateDropValidation(b *testing.B) {
 }
 
 func BenchmarkFig9SteadyStateDisk(b *testing.B) {
-	tm := core.TrainDefaultModels(42) // Fig. 9 reads the raw disk inputs the cache drops
+	tm := core.TrainDefaultModels(42) // Fig. 9 reads the disk training DefaultModels does not carry
 	b.ResetTimer()
 	var f bench.Fig9
 	for i := 0; i < b.N; i++ {
@@ -275,7 +283,7 @@ func BenchmarkAblationModelRefresh(b *testing.B) {
 // BenchmarkAblationDiskModelChoice re-scores the §4.2.2 candidate
 // comparison (hourly normal vs KDE vs custom binning).
 func BenchmarkAblationDiskModelChoice(b *testing.B) {
-	tm := core.TrainDefaultModels(42) // Fig. 9 reads the raw disk inputs the cache drops
+	tm := core.TrainDefaultModels(42) // Fig. 9 reads the disk training DefaultModels does not carry
 	f9, err := bench.RunFig9(tm, slo.StandardGP, 202)
 	if err != nil {
 		b.Fatal(err)

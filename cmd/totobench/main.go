@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -91,54 +92,45 @@ func main() {
 		fmt.Fprintln(os.Stderr, "totobench:", err)
 		os.Exit(1)
 	}
-
-	// Modeling artifacts (trace + trainer based). The shared cache carries
-	// no raw disk inputs; Figure 9 trains its own full run below.
-	needModels := sel("tab1") || sel("fig6") || sel("fig7") || sel("fig8")
-	var tm *core.TrainedModels
-	if needModels || sel("fig2") || sel("fig10") || sel("fig11") || sel("fig12a") ||
-		sel("fig12b") || sel("fig14") || sel("tab2") || sel("tab3") || sel("fig13") {
-		tm = core.DefaultModels()
-	}
-
-	if sel("fig3a") {
-		bench.RunFig3a(seeds.Models).Print(out)
-		fmt.Fprintln(out)
-	}
-	if sel("fig3b") {
-		bench.RunFig3b(seeds.Models, 4000).Print(out)
-		fmt.Fprintln(out)
-	}
-	if sel("fig6") {
-		bench.RunFig6(tm).Print(out)
-		fmt.Fprintln(out)
-	}
-	if sel("fig7") {
-		bench.RunFig7(tm).Print(out)
-		fmt.Fprintln(out)
-	}
-	if sel("fig8") {
-		f8, err := bench.RunFig8(tm, 100, seeds.Models)
+	// show prints one artifact and a blank line, or fails on its error.
+	show := func(a interface{ Print(io.Writer) }, err error) {
 		if err != nil {
 			fail(err)
 		}
-		f8.Print(out)
+		a.Print(out)
 		fmt.Fprintln(out)
 	}
+
+	// Modeling artifacts (trace + trainer based). They read the §4
+	// training inputs, which the deployed model set (core.DefaultModels)
+	// does not carry, so one full training serves all five.
+	var tm *core.TrainedModels
+	if sel("tab1") || sel("fig6") || sel("fig7") || sel("fig8") || sel("fig9") {
+		tm = core.TrainDefaultModels(42)
+	}
+
+	if sel("fig3a") {
+		show(bench.RunFig3a(seeds.Models), nil)
+	}
+	if sel("fig3b") {
+		show(bench.RunFig3b(seeds.Models, 4000), nil)
+	}
+	if sel("fig6") {
+		show(bench.RunFig6(tm))
+	}
+	if sel("fig7") {
+		show(bench.RunFig7(tm))
+	}
+	if sel("fig8") {
+		show(bench.RunFig8(tm, 100, seeds.Models))
+	}
 	if sel("fig9") {
-		full := core.TrainDefaultModels(42)
 		for _, e := range slo.Editions() {
-			f9, err := bench.RunFig9(full, e, seeds.Models)
-			if err != nil {
-				fail(err)
-			}
-			f9.Print(out)
-			fmt.Fprintln(out)
+			show(bench.RunFig9(tm, e, seeds.Models))
 		}
 	}
 	if sel("tab1") {
-		bench.RunTab1(tm).Print(out)
-		fmt.Fprintln(out)
+		show(bench.RunTab1(tm), nil)
 	}
 
 	// Density-study artifacts.
@@ -197,28 +189,13 @@ func main() {
 	}
 
 	if want["abl-placement"] {
-		a, err := bench.RunPlacementAblation(seeds)
-		if err != nil {
-			fail(err)
-		}
-		a.Print(out)
-		fmt.Fprintln(out)
+		show(bench.RunPlacementAblation(seeds))
 	}
 	if want["abl-persistence"] {
-		a, err := bench.RunPersistenceAblation(seeds)
-		if err != nil {
-			fail(err)
-		}
-		a.Print(out)
-		fmt.Fprintln(out)
+		show(bench.RunPersistenceAblation(seeds))
 	}
 	if want["abl-refresh"] {
-		a, err := bench.RunRefreshAblation(seeds, []time.Duration{5 * time.Minute, 15 * time.Minute, time.Hour})
-		if err != nil {
-			fail(err)
-		}
-		a.Print(out)
-		fmt.Fprintln(out)
+		show(bench.RunRefreshAblation(seeds, []time.Duration{5 * time.Minute, 15 * time.Minute, time.Hour}))
 	}
 
 	if sel("fig13") {
@@ -226,12 +203,7 @@ func main() {
 		cfg.Runs = *repeats
 		cfg.Hours = *repeatHours
 		cfg.Seeds = seeds
-		f13, err := bench.RunFig13(cfg)
-		if err != nil {
-			fail(err)
-		}
-		f13.Print(out)
-		fmt.Fprintln(out)
+		show(bench.RunFig13(cfg))
 	}
 
 	if jw != nil {

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -93,7 +94,12 @@ func main() {
 		finish()
 		return
 	}
-	if err := os.WriteFile(*outPath, data, 0o644); err != nil {
+	// Through a temp file and a rename, so that an interrupted run (or
+	// `go generate ./internal/core`) leaves no truncated model file.
+	if err := obs.WriteFile(*outPath, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "tototrain: wrote %d bytes of model XML to %s\n", len(data), *outPath)
@@ -108,8 +114,10 @@ func report(tm *core.TrainedModels, seed uint64) {
 	fmt.Fprintf(w, "Training data: %d-day region trace (%d rings), %d disk traces over %d days\n\n",
 		tm.Region.Config.Days, tm.Region.Config.Rings, len(tm.DiskTraces), diskTraceDays(tm.DiskTraces))
 
-	bench.RunFig7(tm).Print(w)
-	fmt.Fprintln(w)
+	if f7, err := bench.RunFig7(tm); err == nil {
+		f7.Print(w)
+		fmt.Fprintln(w)
+	}
 
 	f8, err := bench.RunFig8(tm, 100, seed)
 	if err == nil {

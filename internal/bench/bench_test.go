@@ -189,9 +189,12 @@ func TestFig3Artifacts(t *testing.T) {
 	}
 }
 
-// TestFig9NeedsRawDiskInputs checks that Figure 9 turns a training run
-// without its raw disk inputs into an error that names the missing input
-// and points to a full training, where it used to index an empty curve.
+// TestFig9NeedsRawDiskInputs checks that each runner that reads the §4
+// training inputs (Figures 6-9) turns a training run without them, such
+// as core.DefaultModels, into an error that names the missing input and
+// points to a full training, where it used to panic on a nil map or index
+// an empty curve. Table 1 reads only the deployed create models, so it
+// takes core.DefaultModels too.
 func TestFig9NeedsRawDiskInputs(t *testing.T) {
 	cfg := trace.DefaultDiskTraceConfig(5)
 	cfg.Databases = map[slo.Edition]int{slo.StandardGP: 40}
@@ -207,30 +210,49 @@ func TestFig9NeedsRawDiskInputs(t *testing.T) {
 	noDeltas := *handBuilt.Disk[slo.StandardGP]
 	noDeltas.SteadyDeltas = nil
 	tracesOnly := &core.TrainedModels{DiskTraces: gpOnly, Disk: map[slo.Edition]*trainer.DiskTraining{slo.StandardGP: &noDeltas}}
+	deployed := core.DefaultModels()
 
+	fig6 := func(tm *core.TrainedModels) error { _, err := RunFig6(tm); return err }
+	fig7 := func(tm *core.TrainedModels) error { _, err := RunFig7(tm); return err }
+	fig8 := func(tm *core.TrainedModels) error { _, err := RunFig8(tm, 5, 9); return err }
+	fig9 := func(e slo.Edition) func(*core.TrainedModels) error {
+		return func(tm *core.TrainedModels) error { _, err := RunFig9(tm, e, 9); return err }
+	}
 	for _, c := range []struct {
 		name    string
+		run     func(*core.TrainedModels) error
 		tm      *core.TrainedModels
-		e       slo.Edition
 		missing string
 	}{
-		{"DefaultModels GP", core.DefaultModels(), slo.StandardGP, "DiskTraces"},
-		{"DefaultModels BC", core.DefaultModels(), slo.PremiumBC, "DiskTraces"},
-		{"GP traces only, BC", handBuilt, slo.PremiumBC, "DiskTraces"},
-		{"GP traces without steady deltas", tracesOnly, slo.StandardGP, "SteadyDeltas"},
+		{"fig6 DefaultModels", fig6, deployed, "(TrainedModels.Counts)"},
+		{"fig7 DefaultModels", fig7, deployed, "(TrainedModels.Counts)"},
+		{"fig8 DefaultModels", fig8, deployed, "(TrainedModels.Region)"},
+		{"fig8 region without counts", fig8, &core.TrainedModels{Region: &trace.Region{}}, "(TrainedModels.Counts)"},
+		{"fig9 DefaultModels GP", fig9(slo.StandardGP), deployed, "(TrainedModels.Disk)"},
+		{"fig9 DefaultModels BC", fig9(slo.PremiumBC), deployed, "(TrainedModels.Disk)"},
+		{"fig9 GP traces only, BC", fig9(slo.PremiumBC), handBuilt, "(TrainedModels.DiskTraces)"},
+		{"fig9 GP traces without steady deltas", fig9(slo.StandardGP), tracesOnly, "(DiskTraining.SteadyDeltas)"},
 	} {
-		_, err := RunFig9(c.tm, c.e, 9)
+		err := c.run(c.tm)
 		if err == nil || !strings.Contains(err.Error(), c.missing) || !strings.Contains(err.Error(), "TrainDefaultModels") {
 			t.Errorf("%s: err = %v, want one naming %s and pointing to TrainDefaultModels", c.name, err, c.missing)
+		}
+	}
+	for i, ok := range RunTab1(deployed).Distinguishes {
+		if !ok {
+			t.Errorf("DefaultModels: Table 1 feature %d not distinguished", i)
 		}
 	}
 }
 
 func TestModelingArtifacts(t *testing.T) {
-	tm := core.TrainDefaultModels(42) // fig9 reads the raw disk inputs the cache drops
+	tm := core.TrainDefaultModels(42) // figures 6-9 read the training inputs
 
 	t.Run("fig6", func(t *testing.T) {
-		f := RunFig6(tm)
+		f, err := RunFig6(tm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		gp := f.Boxes[slo.StandardGP]
 		// Weekday business hours above weekend for GP creates.
 		if gp[0][13].Median <= gp[1][13].Median {
@@ -243,7 +265,10 @@ func TestModelingArtifacts(t *testing.T) {
 	})
 
 	t.Run("fig7", func(t *testing.T) {
-		f := RunFig7(tm)
+		f, err := RunFig7(tm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(f.Boxes) != 8 {
 			t.Fatalf("boxes = %d, want 8 (2 editions x 2 kinds x WD/WE)", len(f.Boxes))
 		}

@@ -111,10 +111,15 @@ type Fig6 struct {
 }
 
 // RunFig6 aggregates the default region trace's create events by hour.
-func RunFig6(tm *core.TrainedModels) Fig6 {
+// It reads the count trainings, so tm must be a run from
+// core.TrainDefaultModels.
+func RunFig6(tm *core.TrainedModels) (Fig6, error) {
 	out := Fig6{Boxes: make(map[slo.Edition][2][24]stats.BoxPlot)}
 	for _, e := range slo.Editions() {
 		ct := tm.Counts[e][trainer.KindCreate]
+		if ct == nil {
+			return Fig6{}, errNoTraining("fig6", "count trainings (TrainedModels.Counts)")
+		}
 		var boxes [2][24]stats.BoxPlot
 		for w := 0; w < 2; w++ {
 			for h := 0; h < 24; h++ {
@@ -126,7 +131,7 @@ func RunFig6(tm *core.TrainedModels) Fig6 {
 		}
 		out.Boxes[e] = boxes
 	}
-	return out
+	return out, nil
 }
 
 // Print writes the Figure 6 hourly dispersion tables.
@@ -162,12 +167,17 @@ type Fig7 struct {
 	Rejected map[string]int
 }
 
-// RunFig7 computes the p-value dispersions from the default training.
-func RunFig7(tm *core.TrainedModels) Fig7 {
+// RunFig7 computes the p-value dispersions from the default training. It
+// reads the count trainings, so tm must be a run from
+// core.TrainDefaultModels.
+func RunFig7(tm *core.TrainedModels) (Fig7, error) {
 	out := Fig7{Boxes: make(map[string]stats.BoxPlot), Rejected: make(map[string]int)}
 	for _, e := range slo.Editions() {
 		for _, kind := range []trainer.CountKind{trainer.KindCreate, trainer.KindDrop} {
 			ct := tm.Counts[e][kind]
+			if ct == nil {
+				return Fig7{}, errNoTraining("fig7", "count trainings (TrainedModels.Counts)")
+			}
 			for _, weekend := range []bool{false, true} {
 				key := fmt.Sprintf("%s/%s/%s", e, kind, wdLabel(weekend))
 				ps := ct.PValues(weekend)
@@ -185,7 +195,7 @@ func RunFig7(tm *core.TrainedModels) Fig7 {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Print writes the Figure 7 table.
@@ -218,18 +228,27 @@ type Fig8 struct {
 	NetRMSE       float64
 }
 
-// RunFig8 validates the trained models with a 100-run ensemble.
+// RunFig8 validates the trained models with a 100-run ensemble. It reads
+// the region trace and the count trainings, so tm must be a run from
+// core.TrainDefaultModels.
 func RunFig8(tm *core.TrainedModels, runs int, seed uint64) (Fig8, error) {
 	out := Fig8{
 		Creates: make(map[slo.Edition]trainer.Validation),
 		Drops:   make(map[slo.Edition]trainer.Validation),
 	}
+	if tm.Region == nil {
+		return out, errNoTraining("fig8", "region trace (TrainedModels.Region)")
+	}
 	days := tm.Region.Config.Days
 	hours := days * 24
 	netModel := make([]float64, hours)
 	for _, e := range slo.Editions() {
-		_, cMean := trainer.SimulationEnsemble(tm.Counts[e][trainer.KindCreate].Model, days, runs, 1, seed)
-		_, dMean := trainer.SimulationEnsemble(tm.Counts[e][trainer.KindDrop].Model, days, runs, 1, seed+7)
+		create, drop := tm.Counts[e][trainer.KindCreate], tm.Counts[e][trainer.KindDrop]
+		if create == nil || drop == nil {
+			return out, errNoTraining("fig8", "count trainings (TrainedModels.Counts)")
+		}
+		_, cMean := trainer.SimulationEnsemble(create.Model, days, runs, 1, seed)
+		_, dMean := trainer.SimulationEnsemble(drop.Model, days, runs, 1, seed+7)
 		cv, err := trainer.Validate(tm.Region.Creates[e], cMean)
 		if err != nil {
 			return out, err
@@ -285,17 +304,21 @@ type Fig9 struct {
 	Candidates     []trainer.CandidateScore
 }
 
-// RunFig9 validates the disk model for one edition. It reads the raw disk
-// inputs, so tm must be a full run from core.TrainDefaultModels: the
-// core.DefaultModels cache drops them.
+// RunFig9 validates the disk model for one edition. It reads the disk
+// training and its raw inputs, so tm must be a run from
+// core.TrainDefaultModels.
 func RunFig9(tm *core.TrainedModels, e slo.Edition, seed uint64) (Fig9, error) {
+	fig := fmt.Sprintf("fig9 %s", e)
 	dt := tm.Disk[e]
-	prod := averageCurve(tm, e)
+	if dt == nil {
+		return Fig9{}, errNoTraining(fig, "disk training of this edition (TrainedModels.Disk)")
+	}
+	prod := trainer.AverageUsageCurve(tm.DiskTraces, e, dt.Opts.DeltaPeriod)
 	switch {
 	case len(prod) == 0:
-		return Fig9{}, fmt.Errorf("bench: fig9 %s: the training run holds no disk traces of this edition (TrainedModels.DiskTraces); core.DefaultModels drops them, so train with core.TrainDefaultModels", e)
+		return Fig9{}, errNoTraining(fig, "disk traces of this edition (TrainedModels.DiskTraces)")
 	case len(dt.SteadyDeltas) == 0:
-		return Fig9{}, fmt.Errorf("bench: fig9 %s: the training run holds no steady deltas (DiskTraining.SteadyDeltas); core.DefaultModels drops them, so train with core.TrainDefaultModels", e)
+		return Fig9{}, errNoTraining(fig, "steady deltas (DiskTraining.SteadyDeltas)")
 	}
 	sim := trainer.SimulateAverageUsage(dt, len(prod), prod[0], seed)
 	rmse, err := stats.RMSE(prod, sim)
@@ -321,9 +344,10 @@ func RunFig9(tm *core.TrainedModels, e slo.Edition, seed uint64) (Fig9, error) {
 	}, nil
 }
 
-func averageCurve(tm *core.TrainedModels, e slo.Edition) []float64 {
-	dt := tm.Disk[e]
-	return trainer.AverageUsageCurve(tm.DiskTraces, e, dt.Opts.DeltaPeriod)
+// errNoTraining is a §4 figure's error for a training run that lacks an
+// input the figure reads, such as the one core.DefaultModels returns.
+func errNoTraining(fig, input string) error {
+	return fmt.Errorf("bench: %s: the training run holds no %s; core.DefaultModels carries only the model set, so train with core.TrainDefaultModels", fig, input)
 }
 
 // Print writes the Figure 9 summary.
@@ -349,10 +373,12 @@ type Tab1 struct {
 	Distinguishes []bool
 }
 
-// RunTab1 checks the trained models vary along each Table 1 feature.
+// RunTab1 checks the trained models vary along each Table 1 feature. It
+// reads only the deployed create models, so tm may come from either
+// core.TrainDefaultModels or core.DefaultModels.
 func RunTab1(tm *core.TrainedModels) Tab1 {
-	gp := tm.Counts[slo.StandardGP][trainer.KindCreate].Model
-	bc := tm.Counts[slo.PremiumBC][trainer.KindCreate].Model
+	gp := tm.Set.Create[slo.StandardGP]
+	bc := tm.Set.Create[slo.PremiumBC]
 
 	hourVaries := false
 	for h := 1; h < 24; h++ {

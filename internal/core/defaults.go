@@ -1,6 +1,7 @@
 package core
 
 import (
+	_ "embed"
 	"sync"
 	"time"
 
@@ -31,11 +32,11 @@ func DefaultRegionConfig(seed uint64) trace.RegionConfig {
 // traces, the per-edition count and disk trainings, and the assembled
 // deployable ModelSet.
 //
-// TrainDefaultModels returns a full run. DefaultModels returns one without
-// its raw disk inputs: DiskTraces and every Disk[e].SteadyDeltas are nil,
-// as a simulation reads only Set (the paper's cluster sees only the model
-// XML). The Fig. 9 validation and the §4.2.2 candidate comparison read
-// those inputs, so they need a run from TrainDefaultModels.
+// TrainDefaultModels returns a full run. DefaultModels returns only Set,
+// decoded from the deployed model XML (the paper's cluster sees only
+// that file); Region, DiskTraces, Counts and Disk are nil. Figures 6-9
+// and the §4.2.2 candidate comparison read the training inputs, so they
+// need a run from TrainDefaultModels.
 type TrainedModels struct {
 	Region     *trace.Region
 	DiskTraces []trace.DBTrace
@@ -128,26 +129,32 @@ func businessHours(h int) float64 {
 	}
 }
 
+// defaultModelsXML is the model XML the seed-42 training deploys: the
+// bytes `tototrain -seed 42 -o` writes.
+//
+//go:generate go run ../../cmd/tototrain -seed 42 -o default_models.xml
+//go:embed default_models.xml
+var defaultModelsXML []byte
+
 var (
 	defaultModelsOnce sync.Once
 	defaultModels     *TrainedModels
 )
 
-// DefaultModels returns a process-wide cached training run with seed 42.
-// The benchmark harness and examples share it so repeated scenario runs
-// do not retrain. The cache keeps what simulations and the count figures
-// read (Region, Counts, each Disk[e] with its Model, Set) and drops the
-// raw disk inputs, which would otherwise stay live for the whole process:
-// DiskTraces and every Disk[e].SteadyDeltas are nil. Callers that need
-// them (Fig. 9, CompareDiskCandidates) take TrainDefaultModels(42).
+// DefaultModels returns the deployed default model set, the seed-42
+// training's, decoded once per process from the embedded
+// default_models.xml through the parser a scenario's modelXML takes. No
+// simulating process trains: the result carries only Set. Callers that
+// read the training inputs (Figures 6-9, CompareDiskCandidates) take
+// TrainDefaultModels(42). It panics if the embedded file does not
+// decode, which only a bad build can cause.
 func DefaultModels() *TrainedModels {
 	defaultModelsOnce.Do(func() {
-		tm := TrainDefaultModels(42)
-		tm.DiskTraces = nil
-		for _, dt := range tm.Disk {
-			dt.SteadyDeltas = nil
+		set, err := models.UnmarshalModelSetXML(defaultModelsXML)
+		if err != nil {
+			panic("core: internal/core/default_models.xml: " + err.Error() + "; regenerate it with `go generate ./internal/core`")
 		}
-		defaultModels = tm
+		defaultModels = &TrainedModels{Set: set}
 	})
 	return defaultModels
 }

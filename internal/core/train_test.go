@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"testing"
 
+	"toto/internal/models"
 	"toto/internal/slo"
 	"toto/internal/trace"
 )
@@ -103,44 +105,63 @@ func TestTrainDefaultModelsGolden(t *testing.T) {
 	}
 }
 
-// TestDefaultModelsKeepOnlyWhatSimulationsRead pins the shared cache's
-// contract: the deployable models and the count trainings stay, the raw
-// disk inputs go, and the model XML is the seed-42 training's.
-func TestDefaultModelsKeepOnlyWhatSimulationsRead(t *testing.T) {
-	tm := DefaultModels()
-	if tm.DiskTraces != nil {
-		t.Errorf("DefaultModels keeps %d disk traces", len(tm.DiskTraces))
+// TestDefaultModelsAreTheSeed42Training pins the embedded model XML to
+// the seed-42 training: its bytes carry the digest TrainDefaultModels(42)
+// encodes to, and the set decoded from it encodes back to those bytes.
+// `go generate ./internal/core` re-records the file.
+func TestDefaultModelsAreTheSeed42Training(t *testing.T) {
+	sum := sha256.Sum256(defaultModelsXML)
+	if got, want := hex.EncodeToString(sum[:]), trainGoldens[0].xml; got != want { // trainGoldens[0] is seed 42
+		t.Errorf("default_models.xml digest %s, want the seed-42 digest %s", got, want)
 	}
-	if tm.Region == nil {
-		t.Error("DefaultModels dropped the region")
-	}
-	for _, e := range slo.Editions() {
-		if dt := tm.Disk[e]; dt == nil || dt.Model == nil {
-			t.Errorf("%s: disk training or model missing", e)
-		} else if dt.SteadyDeltas != nil {
-			t.Errorf("%s: DefaultModels keeps %d steady deltas", e, len(dt.SteadyDeltas))
-		}
-		if len(tm.Counts[e]) != 2 {
-			t.Errorf("%s: %d count trainings, want create and drop", e, len(tm.Counts[e]))
-		}
-	}
-	data, err := tm.Set.EncodeXML()
+	data, err := DefaultModels().Set.EncodeXML()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(data)
-	if got, want := hex.EncodeToString(sum[:]), trainGoldens[0].xml; got != want { // trainGoldens[0] is seed 42
-		t.Errorf("DefaultModels XML digest %s, want the seed-42 digest %s", got, want)
+	if !bytes.Equal(data, defaultModelsXML) {
+		t.Error("the decoded default set does not encode back to default_models.xml")
+	}
+}
+
+// TestDefaultModelsKeepOnlyWhatSimulationsRead pins the shared value's
+// contract: the deployed model set and nothing of the training behind it.
+func TestDefaultModelsKeepOnlyWhatSimulationsRead(t *testing.T) {
+	tm := DefaultModels()
+	if tm.Set == nil {
+		t.Fatal("DefaultModels holds no model set")
+	}
+	if tm.Region != nil || tm.Counts != nil || tm.Disk != nil || tm.DiskTraces != nil {
+		t.Errorf("DefaultModels keeps training inputs: region %v, %d count editions, %d disk editions, %d disk traces",
+			tm.Region != nil, len(tm.Counts), len(tm.Disk), len(tm.DiskTraces))
+	}
+	if DefaultModels() != tm {
+		t.Error("DefaultModels decoded twice")
 	}
 }
 
 var trainSink *TrainedModels
 
-// BenchmarkTrainDefaultModels times one full §4 training run, the set-up
-// every simulating process pays before its first scenario.
+// BenchmarkTrainDefaultModels times one full §4 training run: what
+// `go generate ./internal/core` and the §4 figures pay, and no simulating
+// process does.
 func BenchmarkTrainDefaultModels(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		trainSink = TrainDefaultModels(42)
+	}
+}
+
+var setSink *models.ModelSet
+
+// BenchmarkDecodeDefaultModels times the decode of the embedded model
+// XML, the set-up DefaultModels costs a simulating process once.
+func BenchmarkDecodeDefaultModels(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		set, err := models.UnmarshalModelSetXML(defaultModelsXML)
+		if err != nil {
+			b.Fatal(err)
+		}
+		setSink = set
 	}
 }

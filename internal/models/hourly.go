@@ -91,16 +91,6 @@ func (h *HourlyNormal) Sample(src *rng.Source, t time.Time) float64 {
 	return src.Normal(p.Mean, p.Sigma)
 }
 
-// SampleCount draws a non-negative integer count from the cell covering
-// t: a normal draw rounded to the nearest integer and clamped at zero.
-func (h *HourlyNormal) SampleCount(src *rng.Source, t time.Time) int {
-	v := h.Sample(src, t)
-	if v <= 0 {
-		return 0
-	}
-	return int(v + 0.5)
-}
-
 // clone returns a copy of h with the cells EncodeXML omits, those whose
 // mean and sigma are both zero, set to zero.
 func (h *HourlyNormal) clone() *HourlyNormal {

@@ -67,29 +67,6 @@ func TestHourlyNormalPanics(t *testing.T) {
 	h.Set(HourBucket{Hour: 0}, NormalParam{Sigma: -1})
 }
 
-func TestHourlyNormalSampleCount(t *testing.T) {
-	h := NewHourlyNormal()
-	h.Set(HourBucket{Hour: 0}, NormalParam{Mean: 5, Sigma: 1})
-	src := rng.New(1)
-	sum := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		c := h.SampleCount(src, monday)
-		if c < 0 {
-			t.Fatal("negative count")
-		}
-		sum += c
-	}
-	if m := float64(sum) / n; math.Abs(m-5) > 0.1 {
-		t.Errorf("mean count = %v", m)
-	}
-	// A strongly negative cell clamps to zero.
-	h.Set(HourBucket{Hour: 1}, NormalParam{Mean: -10, Sigma: 0.1})
-	if c := h.SampleCount(src, monday.Add(time.Hour)); c != 0 {
-		t.Errorf("negative-mean count = %d", c)
-	}
-}
-
 func TestHourlyNormalBucketsIteratesAll48(t *testing.T) {
 	h := NewHourlyNormal()
 	count := 0

@@ -113,7 +113,7 @@ func (s *Session) Close() error {
 		s.cpu = nil
 	}
 	if s.flags.TraceOut != "" && s.Obs != nil {
-		keep(writeFile(s.flags.TraceOut, func(f io.Writer) error {
+		keep(WriteFile(s.flags.TraceOut, func(f io.Writer) error {
 			if strings.HasSuffix(s.flags.TraceOut, ".jsonl") {
 				return s.Obs.Tracer().WriteTraceJSONL(f)
 			}
@@ -124,29 +124,33 @@ func (s *Session) Close() error {
 		}
 	}
 	if s.flags.MetricsOut != "" && s.Obs != nil {
-		keep(writeFile(s.flags.MetricsOut, func(f io.Writer) error {
+		keep(WriteFile(s.flags.MetricsOut, func(f io.Writer) error {
 			return s.Obs.Registry().WriteJSON(f)
 		}))
 	}
 	if s.flags.MemProfile != "" {
 		runtime.GC() // materialize up-to-date heap statistics
-		keep(writeFile(s.flags.MemProfile, pprof.WriteHeapProfile))
+		keep(WriteFile(s.flags.MemProfile, pprof.WriteHeapProfile))
 	}
 	return first
 }
 
-// writeFile writes an artifact atomically: the content lands in a temp
+// WriteFile writes an artifact atomically: the content lands in a temp
 // file in the destination directory and is renamed into place only after
 // a successful write and close, so an interrupted run (SIGINT, crash,
 // full disk) never leaves a torn half-artifact where a previous good one
-// stood.
-func writeFile(path string, fn func(io.Writer) error) error {
+// stood. The artifact is readable by all (0644), not private as the temp
+// file is created.
+func WriteFile(path string, fn func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
-	if err := fn(f); err != nil {
+	if err = f.Chmod(0o644); err == nil {
+		err = fn(f)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return err

@@ -3,7 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -278,5 +282,49 @@ func TestLoggerSimTimestamps(t *testing.T) {
 	out := buf.String()
 	if want := "2020-06-03T14:30:00Z WARN  stranded 2 replicas\n"; out != want {
 		t.Errorf("log output %q, want %q", out, want)
+	}
+}
+
+// TestWriteFileReplacesWhole checks the artifact writer behind -trace-out,
+// -metrics-out and tototrain -o: a failed write leaves the previous file
+// as it was and no temp file beside it, and a good one replaces the file
+// whole, readable by all.
+func TestWriteFileReplacesWhole(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "models.xml")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	write := func(content string, fail error) error {
+		return WriteFile(path, func(w io.Writer) error {
+			if _, err := io.WriteString(w, content); err != nil {
+				return err
+			}
+			return fail
+		})
+	}
+	check := func(stage, want string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Errorf("%s: file holds %q (%v), want %q", stage, got, err, want)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Errorf("%s: %d entries in the directory, want only the artifact", stage, len(entries))
+		}
+	}
+	interrupted := errors.New("interrupted")
+	if err := write("trunc", interrupted); !errors.Is(err, interrupted) {
+		t.Fatalf("failed write returned %v", err)
+	}
+	check("after a failed write", "old")
+	if err := write("new", nil); err != nil {
+		t.Fatal(err)
+	}
+	check("after a good write", "new")
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Mode().Perm() != 0o644 {
+		t.Errorf("artifact mode %v, want 0644", fi.Mode().Perm())
 	}
 }

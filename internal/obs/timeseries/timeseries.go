@@ -13,11 +13,12 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"toto/internal/obs"
 )
 
 // Series is one named metric stream: a ring buffer holding the most
@@ -243,24 +244,9 @@ func (st *Store) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// WriteFile serializes the store to path via a temp file and rename, so
-// a crash mid-write never leaves a torn sidecar.
-func (st *Store) WriteFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-series-*")
-	if err != nil {
-		return err
-	}
-	if err := st.WriteJSON(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
+// WriteFile serializes the store to path through obs.WriteFile, so a
+// crash mid-write never leaves a torn sidecar.
+func (st *Store) WriteFile(path string) error { return obs.WriteFile(path, st.WriteJSON) }
 
 // ReadFile loads a sidecar written by WriteFile.
 func ReadFile(path string) (*Store, error) {

@@ -17,6 +17,7 @@ package rng
 import (
 	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // Source is a deterministic random stream. It is not safe for concurrent
@@ -79,25 +80,11 @@ func (s *Source) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := s.next()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // UniformRange returns a uniform value in [lo, hi). It panics if hi < lo.

@@ -194,36 +194,6 @@ func RMSE(a, b []float64) (float64, error) {
 	return math.Sqrt(ss / float64(len(a))), nil
 }
 
-// ECDF is an empirical cumulative distribution function built from a
-// sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs. It panics on an empty sample.
-func NewECDF(xs []float64) *ECDF {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}
-}
-
-// At returns the fraction of the sample <= x.
-func (e *ECDF) At(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with sorted[i] >= x, so
-	// scan forward over ties to count values <= x.
-	i := sort.SearchFloat64s(e.sorted, x)
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Len returns the sample size underlying the ECDF.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // Correlation returns the Pearson correlation coefficient of two
 // equal-length series, or an error if lengths differ or either series has
 // zero variance.

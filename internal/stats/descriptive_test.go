@@ -114,39 +114,6 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {9, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); got != c.want {
-			t.Errorf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len = %d", e.Len())
-	}
-}
-
-func TestECDFMonotoneProperty(t *testing.T) {
-	src := rng.New(77)
-	xs := make([]float64, 50)
-	for i := range xs {
-		xs[i] = src.Normal(0, 5)
-	}
-	e := NewECDF(xs)
-	f := func(a, b float64) bool {
-		if a > b {
-			a, b = b, a
-		}
-		return e.At(a) <= e.At(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCorrelation(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{2, 4, 6, 8}

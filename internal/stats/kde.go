@@ -26,19 +26,6 @@ func NewKDE(xs []float64) *KDE {
 	return &KDE{data: data, bandwidth: silverman(data)}
 }
 
-// NewKDEBandwidth builds a Gaussian KDE with an explicit bandwidth > 0.
-func NewKDEBandwidth(xs []float64, bandwidth float64) *KDE {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	if bandwidth <= 0 {
-		panic("stats: KDE with non-positive bandwidth")
-	}
-	data := append([]float64(nil), xs...)
-	sort.Float64s(data)
-	return &KDE{data: data, bandwidth: bandwidth}
-}
-
 // silverman computes Silverman's rule-of-thumb bandwidth:
 // 0.9 * min(sd, IQR/1.34) * n^(-1/5), with fallbacks for degenerate
 // spreads so the bandwidth is always positive.

@@ -75,19 +75,6 @@ func TestKDEBandwidthPositiveForDegenerateData(t *testing.T) {
 	}
 }
 
-func TestNewKDEBandwidthExplicit(t *testing.T) {
-	k := NewKDEBandwidth([]float64{1, 2, 3}, 0.5)
-	if k.Bandwidth() != 0.5 {
-		t.Errorf("bandwidth = %v", k.Bandwidth())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive bandwidth not rejected")
-		}
-	}()
-	NewKDEBandwidth([]float64{1}, 0)
-}
-
 func TestHistogramCounts(t *testing.T) {
 	xs := []float64{0, 0.1, 0.2, 0.5, 0.9, 1.0}
 	h := NewHistogram(xs, 2)

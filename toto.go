@@ -44,8 +44,8 @@ type Result = core.Result
 type InitialPopulation = core.InitialPopulation
 
 // TrainedModels is a §4 training run over synthetic production traces.
-// A run from DefaultModels carries no raw disk inputs (DiskTraces and
-// SteadyDeltas are nil); TrainDefaultModels returns them.
+// The value DefaultModels returns carries only the model set (Set);
+// TrainDefaultModels returns the training inputs too.
 type TrainedModels = core.TrainedModels
 
 // ModelSet is the deployable collection of behaviour models, serialized
@@ -84,13 +84,14 @@ func DefaultScenario(name string, density float64, set *ModelSet, seeds Seeds) *
 }
 
 // TrainDefaultModels generates synthetic production traces and trains the
-// full model suite of §4 on them.
+// full model suite of §4 on them. The result carries the training inputs
+// Figures 6-9 read as well as the model set.
 func TrainDefaultModels(seed uint64) *TrainedModels { return core.TrainDefaultModels(seed) }
 
-// DefaultModels returns a process-wide cached default training run
-// (seed 42) that keeps only what simulations and the count figures read:
-// its DiskTraces and every Disk[e].SteadyDeltas are nil. Use
-// TrainDefaultModels for the disk-model validation of Figure 9.
+// DefaultModels returns the deployed default model set, the seed-42
+// training's model XML that the repository ships, decoded once per
+// process. It trains nothing and carries only Set; use TrainDefaultModels
+// for the training inputs.
 func DefaultModels() *TrainedModels { return core.DefaultModels() }
 
 // DensityStudy runs a scenario family across density levels (the §5
