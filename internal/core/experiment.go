@@ -108,6 +108,9 @@ type Result struct {
 	AlertHistory []alert.Transition
 	// PoolsProvisioned, PoolMemberCreates, and PoolMemberDrops summarize
 	// elastic-pool churn (zero unless the model set carries a PoolPolicy).
+	// PoolMemberDrops counts the members the Population Manager dropped
+	// and the members a dropped pool took with it, so creates minus drops
+	// is the number of members left.
 	PoolsProvisioned  int
 	PoolMemberCreates int
 	PoolMemberDrops   int
@@ -336,6 +339,7 @@ func (o *Orchestrator) Run() (*Result, error) {
 	}
 	res.PoolsProvisioned = o.poolsCreated
 	res.PoolMemberCreates, res.PoolMemberDrops = o.PopMgr.PoolStats()
+	res.PoolMemberDrops += o.droppedMembers
 	runSp.End(
 		obs.Int("failovers", o.Cluster.UnplannedFailoverCount()),
 		obs.Int("creates", res.Creates),

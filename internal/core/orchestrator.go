@@ -58,8 +58,9 @@ type Orchestrator struct {
 	lastReport       time.Time
 	// poolSeq numbers the pools the Population Manager provisions, one
 	// per attempt; poolsCreated counts the pools created
-	// (Result.PoolsProvisioned).
-	poolSeq, poolsCreated int
+	// (Result.PoolsProvisioned), and droppedMembers the members that
+	// dropped pools took with them (part of Result.PoolMemberDrops).
+	poolSeq, poolsCreated, droppedMembers int
 
 	tickers []*simclock.Ticker
 	obs     *obs.Obs
@@ -249,8 +250,8 @@ func (o *Orchestrator) entryNamed(db string) *dbEntry {
 
 // dropDB clears the persisted loads of a dropped database and of its pool
 // members, evicts its replicas' in-memory state and retires its entry
-// (a pool's members with it), keeping its disk integral for the revenue
-// score.
+// (a pool's members with it, counted as member drops), keeping its disk
+// integral for the revenue score.
 func (o *Orchestrator) dropDB(svc *fabric.Service) {
 	naming := o.Cluster.Naming()
 	rgmanager.ClearPersisted(naming, svc.Name)
@@ -259,6 +260,7 @@ func (o *Orchestrator) dropDB(svc *fabric.Service) {
 		for _, member := range e.members {
 			rgmanager.ClearPersisted(naming, member.Name)
 		}
+		o.droppedMembers += len(e.members)
 		o.droppedGBSeconds[svc.Name] = e.diskGBSeconds
 		*e = dbEntry{}
 	}

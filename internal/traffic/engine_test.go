@@ -32,6 +32,9 @@ type dayOpts struct {
 	slow   bool            // attach grayfailSlowFn as the engine's fail-slow view
 	labels bool            // label every 4th service Premium/BC
 	w      *journal.Writer // journal the day when set
+	// afterTick, when set, runs right after every engine tick, at the
+	// tick's timestamp.
+	afterTick func(eng *traffic.Engine, now time.Time)
 }
 
 // runDay drives a 10-node cluster hosting 48 services through 24
@@ -106,6 +109,11 @@ func runDay(tb testing.TB, o dayOpts) (traffic.Stats, fabric.SlowNodeStats) {
 			eng.SetSlowFactor(grayfailSlowFn)
 		}
 		eng.Start(harnessStart)
+		if o.afterTick != nil {
+			// Registered after the engine's ticker, so at equal timestamps
+			// it fires after the tick.
+			clock.Every(eng.TickEvery(), func(now time.Time) { o.afterTick(eng, now) })
+		}
 	}
 
 	if o.outage {
@@ -303,5 +311,45 @@ func TestQuietDayNoFailures(t *testing.T) {
 	}
 	if st.P50Ms <= 0 || st.P99Ms < st.P50Ms || st.P999Ms < st.P99Ms {
 		t.Errorf("quantiles not ordered: p50=%.2f p99=%.2f p999=%.2f", st.P50Ms, st.P99Ms, st.P999Ms)
+	}
+}
+
+// TestNodeTableFreshWithinTick checks that the node table a tick fills
+// at its start still describes every live node when the tick ends: on
+// the outage day, whose crashes and restarts take nodes down and up, and
+// on the gray-failure day, whose slow node is routed around, hedged
+// against, fed to the detector and quarantined. Both days must put the
+// table through the states they are chosen for.
+func TestNodeTableFreshWithinTick(t *testing.T) {
+	days := []struct {
+		name                 string
+		opts                 dayOpts
+		wantDown, wantSlowed bool
+	}{
+		{"outage", dayOpts{spec: &traffic.Spec{Seed: 11}, outage: true}, true, false},
+		{"grayfail", dayOpts{spec: mitigatedSpec(29), detect: true, slow: true, labels: true}, true, true},
+	}
+	for _, d := range days {
+		t.Run(d.name, func(t *testing.T) {
+			ticks, unroutable, slowed := 0, 0, 0
+			d.opts.afterTick = func(eng *traffic.Engine, now time.Time) {
+				u, s, err := eng.CheckNodeTable(now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ticks, unroutable, slowed = ticks+1, unroutable+u, slowed+s
+			}
+			runDay(t, d.opts)
+			t.Logf("%d ticks checked: %d unroutable and %d slowed node entries", ticks, unroutable, slowed)
+			if ticks != 24*60 {
+				t.Errorf("checked %d ticks, want %d", ticks, 24*60)
+			}
+			if d.wantDown && unroutable == 0 {
+				t.Error("no tick saw an unroutable node")
+			}
+			if d.wantSlowed && slowed == 0 {
+				t.Error("no tick saw a slowed node")
+			}
+		})
 	}
 }

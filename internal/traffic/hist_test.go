@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // logBucketIndex is the histogram's defining formula, which BucketIndex
@@ -81,6 +82,27 @@ func TestBucketIndexMatchesLogFormula(t *testing.T) {
 		histBaseMs, math.MaxFloat64, bucketFloor[histBuckets-1] * 2,
 	} {
 		check(ms)
+	}
+}
+
+// TestBucketSlicesHoldOneFloor pins the bound sliceFirst's comment
+// states: BucketIndex is monotone, so the first and last float of each
+// slice below the top edge land in sliceFirst[q] and at most one bucket
+// above it.
+func TestBucketSlicesHoldOneFloor(t *testing.T) {
+	top := bucketFloor[histBuckets-1]
+	for q, first := range sliceFirst {
+		lo := math.Ldexp(1+float64(q&15)/16, q>>4-2)
+		hi := math.Nextafter(math.Ldexp(1+float64(q&15+1)/16, q>>4-2), 0)
+		if lo >= top {
+			continue
+		}
+		if hi >= top {
+			hi = math.Nextafter(top, 0)
+		}
+		if a, b := BucketIndex(lo), BucketIndex(hi); a != int(first) || b > int(first)+1 {
+			t.Errorf("slice %d [%v, %v] spans buckets %d..%d, sliceFirst says %d and at most one above", q, lo, hi, a, b, first)
+		}
 	}
 }
 
@@ -283,6 +305,90 @@ func TestHistAddZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("hist.add with exemplars allocates %.1f per call", n)
 	}
+}
+
+// observeCellsRef is observe's latency split with one hist.add per
+// non-empty cell: the oracle the plain-cell path must match.
+func observeCellsRef(h *hist, ms float64, count int) {
+	assigned := int64(0)
+	for _, qs := range latSpread {
+		upto := int64(qs.cum*float64(count) + 0.5)
+		if upto > int64(count) {
+			upto = int64(count)
+		}
+		if k := upto - assigned; k > 0 {
+			h.add(ms*qs.mult, k)
+			assigned = upto
+		}
+	}
+	if k := int64(count) - assigned; k > 0 {
+		h.add(ms*latSpread[len(latSpread)-1].mult, k)
+	}
+}
+
+// sameHistBits reports whether two histograms hold the same counts, the
+// same total and the same sum, bit for bit.
+func sameHistBits(a, b *hist) bool {
+	return a.counts == b.counts && a.total == b.total &&
+		math.Float64bits(a.sum) == math.Float64bits(b.sum)
+}
+
+// TestObservePlainCellsMatchHistAdd checks the plain-cell path against
+// one hist.add per cell. An untraced engine without a hedging tick makes
+// every cell plain, with or without the hedge flag, so the flag
+// alternates. Each latency is fed every count from 0 to 10,000 into one
+// histogram, so the sum also has to accumulate in the same order. The
+// latencies cover every bucket floor ±3 ulps, every floor divided by a
+// spread multiplier (a cell that lands on an edge), and the degenerate
+// inputs the clamp and the bucket lookup must absorb.
+func TestObservePlainCellsMatchHistAdd(t *testing.T) {
+	var lats []float64
+	for _, f := range bucketFloor[1:] {
+		bits := math.Float64bits(f)
+		for d := uint64(0); d <= 3; d++ {
+			lats = append(lats, math.Float64frombits(bits+d), math.Float64frombits(bits-d))
+		}
+		for _, qs := range latSpread {
+			lats = append(lats, f/qs.mult)
+		}
+	}
+	lats = append(lats, 0, math.Copysign(0, -1), -1, -histBaseMs, -math.MaxFloat64, math.Inf(-1),
+		math.NaN(), math.SmallestNonzeroFloat64, math.Nextafter(0x1p-1022, 0), 0x1p-1022,
+		math.Inf(1), bucketFloor[histBuckets-1]*2, math.MaxFloat64)
+	for _, ms := range lats {
+		var e Engine
+		var ref hist
+		for count := 0; count <= 10_000; count++ {
+			hedge := count%2 == 1
+			e.observe(time.Time{}, "db-0", count, ms, 0, 0, 0, hedge)
+			observeCellsRef(&ref, ms, count)
+			if !sameHistBits(&e.hourHist, &ref) {
+				t.Fatalf("observe(%v = %#016x, count %d, hedge %v): total %d sum %#016x, one add per cell gives total %d sum %#016x",
+					ms, math.Float64bits(ms), count, hedge, e.hourHist.total, math.Float64bits(e.hourHist.sum),
+					ref.total, math.Float64bits(ref.sum))
+			}
+		}
+	}
+}
+
+// FuzzObserveCells checks the plain-cell path against one hist.add per
+// cell for any latency and count.
+func FuzzObserveCells(f *testing.F) {
+	for _, ms := range []float64{0, 7.5, 103.4, bucketFloor[4], bucketFloor[32] / 1.6, math.NaN(), math.Inf(1), -3} {
+		f.Add(ms, 17)
+		f.Add(ms, 10_000)
+	}
+	f.Fuzz(func(t *testing.T, ms float64, count int) {
+		var e Engine
+		var ref hist
+		e.observe(time.Time{}, "db-0", count, ms, 0, 0, 0, true)
+		observeCellsRef(&ref, ms, count)
+		if !sameHistBits(&e.hourHist, &ref) {
+			t.Fatalf("observe(%v = %#016x, count %d): counts %v total %d sum %#016x, one add per cell gives %v %d %#016x",
+				ms, math.Float64bits(ms), count, e.hourHist.counts, e.hourHist.total, math.Float64bits(e.hourHist.sum),
+				ref.counts, ref.total, math.Float64bits(ref.sum))
+		}
+	})
 }
 
 // BenchmarkHistAdd is the per-add cost over a latency spread like the
