@@ -3,7 +3,7 @@
 // benches for the design choices DESIGN.md §5 calls out.
 //
 // The four 6-day density-study runs behind Figures 2, 10, 11, 12, 14 and
-// Tables 2-3 are executed once per process (bench.SharedStudy) and shared
+// Tables 2-3 are executed once per process (sharedStudy) and shared
 // across those benchmarks, exactly as the paper derives all of §5.3 from
 // one experiment campaign; BenchmarkStudyCampaign measures the full
 // campaign itself. Custom metrics surface the headline numbers in the
@@ -13,6 +13,7 @@ package toto_test
 
 import (
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,13 +37,22 @@ func BenchmarkStudyCampaign(b *testing.B) {
 	}
 }
 
+var (
+	studyOnce sync.Once
+	studyVal  *bench.Study
+	studyErr  error
+)
+
+// sharedStudy returns the default density study, run once per process.
 func sharedStudy(b *testing.B) *bench.Study {
 	b.Helper()
-	study, err := bench.SharedStudy()
-	if err != nil {
-		b.Fatal(err)
+	studyOnce.Do(func() {
+		studyVal, studyErr = bench.RunStudy(bench.DefaultStudyConfig())
+	})
+	if studyErr != nil {
+		b.Fatal(studyErr)
 	}
-	return study
+	return studyVal
 }
 
 func BenchmarkFig2DensityStudy(b *testing.B) {
@@ -80,17 +90,22 @@ func BenchmarkFig10CreationRedirects(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		study.PrintFig10(io.Discard, 6)
 	}
-	_, first := study.Fig10Series()
+	first := make(map[float64]int)
+	for _, r := range study.Results {
+		first[r.Density] = r.FirstRedirectHour
+	}
 	b.ReportMetric(float64(first[1.0]), "firstRedirectHour@100%")
 	b.ReportMetric(float64(first[1.4]), "firstRedirectHour@140%")
 }
 
 func BenchmarkFig11CoresVsDisk(b *testing.B) {
 	study := sharedStudy(b)
-	var points int
 	for i := 0; i < b.N; i++ {
-		points = len(study.Fig11())
 		study.PrintFig11(io.Discard)
+	}
+	points := 0
+	for _, r := range study.Results {
+		points += len(r.Samples)
 	}
 	b.ReportMetric(float64(points), "hourly-points")
 }

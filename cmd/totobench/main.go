@@ -46,12 +46,9 @@ func main() {
 	}
 	var alertSpec *alert.Spec
 	if obsFlags.AlertsPath != "" {
-		data, err := os.ReadFile(obsFlags.AlertsPath)
-		if err == nil {
-			alertSpec, err = alert.ParseSpec(core.ScenarioSection(data, "alerts"))
-		}
+		alertSpec, err = core.ReadSection(obsFlags.AlertsPath, "alerts", alert.ParseSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "totobench: -alerts %s: %v\n", obsFlags.AlertsPath, err)
+			fmt.Fprintln(os.Stderr, "totobench: -alerts:", err)
 			os.Exit(1)
 		}
 	}

@@ -68,12 +68,7 @@ func main() {
 		Workers:   *workers,
 	}
 	if *trafficPath != "" {
-		data, err := os.ReadFile(*trafficPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "totolab:", err)
-			os.Exit(1)
-		}
-		ts, err := traffic.ParseSpec(core.ScenarioSection(data, "traffic"))
+		ts, err := core.ReadSection(*trafficPath, "traffic", traffic.ParseSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "totolab:", err)
 			os.Exit(1)

@@ -137,14 +137,14 @@ func main() {
 		spec.Days = *days
 	}
 	if *chaosPath != "" {
-		cs, err := readSection(*chaosPath, "chaos", chaos.ParseSpec)
+		cs, err := core.ReadSection(*chaosPath, "chaos", chaos.ParseSpec)
 		if err != nil {
 			fail(err)
 		}
 		spec.Chaos = cs
 	}
 	if *trafficPath != "" {
-		ts, err := readSection(*trafficPath, "traffic", traffic.ParseSpec)
+		ts, err := core.ReadSection(*trafficPath, "traffic", traffic.ParseSpec)
 		if err != nil {
 			fail(err)
 		}
@@ -165,7 +165,7 @@ func main() {
 		spec.Chaos.Seed = *chaosSeed
 	}
 	if obsFlags.AlertsPath != "" {
-		as, err := readSection(obsFlags.AlertsPath, "alerts", alert.ParseSpec)
+		as, err := core.ReadSection(obsFlags.AlertsPath, "alerts", alert.ParseSpec)
 		if err != nil {
 			fail(err)
 		}
@@ -330,21 +330,6 @@ func main() {
 	write("failovers.csv", func(f *os.File) error { return telemetry.WriteFailoversCSV(f, res.Failovers) })
 	write("nodes.csv", func(f *os.File) error { return telemetry.WriteNodeSamplesCSV(f, res.NodeSamples) })
 	fmt.Printf("telemetry written to %s\n", *outDir)
-}
-
-// readSection reads the file a spec flag names and parses either a bare
-// spec or the scenario section of that name (core.ScenarioSection), so
-// -chaos, -traffic and -alerts all take a whole scenario file too.
-func readSection[T any](path, section string, parse func([]byte) (*T, error)) (*T, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := parse(core.ScenarioSection(data, section))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return spec, nil
 }
 
 // parseTopology reads -topology's FDxUD: two non-negative decimal counts

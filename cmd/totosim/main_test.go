@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"toto/internal/core"
 	"toto/internal/obs/alert"
 )
 
@@ -41,7 +42,7 @@ func TestParseTopology(t *testing.T) {
 // loads that file's "alerts" section, and a misspelt key is a parse
 // error, not an empty rule set.
 func TestAlertsFlagTakesAScenarioFile(t *testing.T) {
-	spec, err := readSection("../../scenarios/chaos-week.json", "alerts", alert.ParseSpec)
+	spec, err := core.ReadSection("../../scenarios/chaos-week.json", "alerts", alert.ParseSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestAlertsFlagTakesAScenarioFile(t *testing.T) {
 		if err := os.WriteFile(bare, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		spec, err := readSection(bare, "alerts", alert.ParseSpec)
+		spec, err := core.ReadSection(bare, "alerts", alert.ParseSpec)
 		if ok && (err != nil || len(spec.Rules) != 1) {
 			t.Errorf("%s: %+v, %v; want one rule", body, spec, err)
 		}

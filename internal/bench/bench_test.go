@@ -70,23 +70,24 @@ func TestStudyArtifacts(t *testing.T) {
 	})
 
 	t.Run("fig10", func(t *testing.T) {
-		series, _ := study.Fig10Series()
-		for d, s := range series {
+		for _, r := range study.Results {
+			s := r.RedirectsByHour
 			if len(s) != 24 {
-				t.Fatalf("series length at %v = %d", d, len(s))
+				t.Fatalf("series length at %v = %d", r.Density, len(s))
 			}
 			for i := 1; i < len(s); i++ {
 				if s[i] < s[i-1] {
-					t.Fatalf("cumulative series decreased at %v", d)
+					t.Fatalf("cumulative series decreased at %v", r.Density)
 				}
 			}
 		}
 	})
 
 	t.Run("fig11", func(t *testing.T) {
-		pts := study.Fig11()
-		if len(pts) == 0 {
-			t.Fatal("no points")
+		for _, r := range study.Results {
+			if len(r.Samples) == 0 {
+				t.Fatalf("no points at %v", r.Density)
+			}
 		}
 	})
 

@@ -8,7 +8,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"toto/internal/asciichart"
@@ -98,22 +97,6 @@ func RunStudy(cfg StudyConfig) (*Study, error) {
 		results[i] = rr.Result
 	}
 	return &Study{Config: cfg, Results: results}, nil
-}
-
-var (
-	studyOnce sync.Once
-	studyVal  *Study
-	studyErr  error
-)
-
-// SharedStudy returns a process-wide cached default density study. The
-// fig2/10/11/12/14 and tab2/3 harnesses all consume the same four runs,
-// exactly as the paper derives all of §5.3 from one experiment campaign.
-func SharedStudy() (*Study, error) {
-	studyOnce.Do(func() {
-		studyVal, studyErr = RunStudy(DefaultStudyConfig())
-	})
-	return studyVal, studyErr
 }
 
 // baseline returns the study's 100% density run.
@@ -211,18 +194,6 @@ func (s *Study) PrintTab3(w io.Writer) {
 	}
 }
 
-// Fig10Series returns each density's cumulative creation-redirect series
-// plus the first redirect hour.
-func (s *Study) Fig10Series() (series map[float64][]int, firstHour map[float64]int) {
-	series = make(map[float64][]int)
-	firstHour = make(map[float64]int)
-	for _, r := range s.Results {
-		series[r.Density] = r.RedirectsByHour
-		firstHour[r.Density] = r.FirstRedirectHour
-	}
-	return series, firstHour
-}
-
 // PrintFig10 writes the redirect series, sampled every sampleEvery hours.
 // A sampleEvery below 1 is clamped to 1 (print every hour); without the
 // clamp a zero or negative stride would loop forever on the first row.
@@ -252,31 +223,6 @@ func (s *Study) PrintFig10(w io.Writer, sampleEvery int) {
 		fmt.Fprintf(w, "%4.0f%%  %s  first redirect: hour %d\n",
 			r.Density*100, asciichart.SparklineN(series, 48), r.FirstRedirectHour)
 	}
-}
-
-// Fig11Point is one hourly observation of Figure 11.
-type Fig11Point struct {
-	Density       float64
-	Hour          int
-	ReservedCores float64
-	DiskUsageGB   float64
-}
-
-// Fig11 returns the reserved-cores-vs-disk scatter (one point per hour
-// per density).
-func (s *Study) Fig11() []Fig11Point {
-	var pts []Fig11Point
-	for _, r := range s.Results {
-		for i, sm := range r.Samples {
-			pts = append(pts, Fig11Point{
-				Density:       r.Density,
-				Hour:          i,
-				ReservedCores: sm.ReservedCores,
-				DiskUsageGB:   sm.DiskUsageGB,
-			})
-		}
-	}
-	return pts
 }
 
 // PrintFig11 writes a per-density summary of the cores-vs-disk trajectory

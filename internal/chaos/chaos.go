@@ -311,17 +311,6 @@ func (e *Engine) Start(from time.Time) {
 	)
 }
 
-// Stop uninstalls the injector, closes every rate window, and leaves
-// degraded mode. Scheduled-but-unfired faults still fire; they will find
-// the rates zeroed and inject nothing through the injector paths, but
-// crashes and restarts still apply (the schedule is part of the run).
-func (e *Engine) Stop() {
-	e.cluster.SetFaultInjector(nil)
-	e.cluster.DisableDegradedMode()
-	e.buildFailRate, e.buildSlowFactor, e.reportLossRate, e.namingFailRate = 0, 0, 0, 0
-	e.slowNodes = nil
-}
-
 // Stats returns what the schedule injected so far, with the invariant
 // checker's results folded in.
 func (e *Engine) Stats() Stats {

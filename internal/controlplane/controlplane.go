@@ -38,10 +38,6 @@ type ControlPlane struct {
 	cluster    *fabric.Cluster
 	catalog    *slo.Catalog
 	onRedirect []RedirectFunc
-
-	creates   int
-	drops     int
-	redirects int
 }
 
 // New builds a control plane over cluster using catalog for SLO lookups.
@@ -53,9 +49,6 @@ func New(cluster *fabric.Cluster, catalog *slo.Catalog) *ControlPlane {
 func (cp *ControlPlane) OnRedirect(fn RedirectFunc) {
 	cp.onRedirect = append(cp.onRedirect, fn)
 }
-
-// Cluster returns the fronted cluster.
-func (cp *ControlPlane) Cluster() *fabric.Cluster { return cp.cluster }
 
 // Catalog returns the SLO catalog.
 func (cp *ControlPlane) Catalog() *slo.Catalog { return cp.catalog }
@@ -97,7 +90,6 @@ func (cp *ControlPlane) create(db string, sloName string, initialDiskGB float64)
 	svc, err := cp.cluster.CreateServiceWithLoads(db, s.Edition.ReplicaCount(), float64(s.Cores), labels, loads)
 	if err != nil {
 		if errors.Is(err, fabric.ErrInsufficientCores) {
-			cp.redirects++
 			for _, fn := range cp.onRedirect {
 				fn(db, s)
 			}
@@ -105,7 +97,6 @@ func (cp *ControlPlane) create(db string, sloName string, initialDiskGB float64)
 		}
 		return nil, err
 	}
-	cp.creates++
 	return svc, nil
 }
 
@@ -140,11 +131,7 @@ func (cp *ControlPlane) ScaleDatabase(db string, newSLOName string) (fabric.Resi
 
 // DropDatabase removes a database.
 func (cp *ControlPlane) DropDatabase(db string) error {
-	if err := cp.cluster.DropService(db); err != nil {
-		return err
-	}
-	cp.drops++
-	return nil
+	return cp.cluster.DropService(db)
 }
 
 // ServiceSLO recovers the SLO of a placed service from its labels.
@@ -166,11 +153,6 @@ func ServiceEdition(svc *fabric.Service) (slo.Edition, error) {
 		}
 	}
 	return 0, fmt.Errorf("controlplane: service %s has unknown edition label %q", svc.Name, label)
-}
-
-// Stats returns cumulative create/drop/redirect counts.
-func (cp *ControlPlane) Stats() (creates, drops, redirects int) {
-	return cp.creates, cp.drops, cp.redirects
 }
 
 // LiveDatabases appends to dst the names of live databases of the given

@@ -67,9 +67,8 @@ func TestRedirectOnExhaustion(t *testing.T) {
 	if len(redirected) != 1 || redirected[0] != "b" {
 		t.Errorf("redirect observer saw %v", redirected)
 	}
-	creates, drops, redirects := cp.Stats()
-	if creates != 1 || drops != 0 || redirects != 1 {
-		t.Errorf("stats = %d %d %d", creates, drops, redirects)
+	if live := cp.LiveDatabases(nil, nil); len(live) != 1 || live[0] != "a" {
+		t.Errorf("live databases = %v, want [a]", live)
 	}
 }
 
@@ -77,7 +76,7 @@ func TestSeededCreateIsDiskAware(t *testing.T) {
 	cp := newCP(t, 2)
 	// Fill one node's disk.
 	fill, _ := cp.CreateDatabase("fill", "GP_Gen5_2")
-	cp.Cluster().ReportLoad(fill.Replicas[0], fabric.MetricDiskGB, 8000)
+	cp.cluster.ReportLoad(fill.Replicas[0], fabric.MetricDiskGB, 8000)
 	full := fill.Replicas[0].Node
 
 	// A seeded single-replica GP create with a large known tempDB load
@@ -116,9 +115,8 @@ func TestDropDatabase(t *testing.T) {
 	if err := cp.DropDatabase("db1"); err == nil {
 		t.Error("double drop accepted")
 	}
-	_, drops, _ := cp.Stats()
-	if drops != 1 {
-		t.Errorf("drops = %d", drops)
+	if live := cp.LiveDatabases(nil, nil); len(live) != 0 {
+		t.Errorf("live databases after drop = %v", live)
 	}
 }
 
@@ -177,12 +175,12 @@ func TestScaleDatabase(t *testing.T) {
 	if out.OldCores != 2 || out.NewCores != 8 || next.Name != "GP_Gen5_8" {
 		t.Errorf("outcome = %+v, %v", out, next)
 	}
-	svc, _ := cp.Cluster().Service("db")
+	svc, _ := cp.cluster.Service("db")
 	if svc.Labels[LabelSLO] != "GP_Gen5_8" {
 		t.Errorf("label = %q", svc.Labels[LabelSLO])
 	}
-	if cp.Cluster().ReservedCores() != 8 {
-		t.Errorf("reserved = %v", cp.Cluster().ReservedCores())
+	if cp.cluster.ReservedCores() != 8 {
+		t.Errorf("reserved = %v", cp.cluster.ReservedCores())
 	}
 }
 

@@ -90,8 +90,8 @@ func TestBootstrapPopulationState(t *testing.T) {
 
 	// Every database has registered metadata.
 	for _, svc := range o.Cluster.LiveServices() {
-		if _, ok := o.DBInfo(svc.Name); !ok {
-			t.Fatalf("no DBInfo for %s", svc.Name)
+		if o.entryNamed(svc.Name) == nil {
+			t.Fatalf("no registered metadata for %s", svc.Name)
 		}
 	}
 }
@@ -107,7 +107,7 @@ func TestModelInjectionReachesAllManagers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range o.Cluster.Nodes() {
-		mgr := o.Manager(n)
+		mgr := o.managers[n.Index()]
 		if mgr == nil || mgr.Models() == nil {
 			t.Fatalf("manager on %s has no models after WriteModels", n.ID)
 		}
@@ -131,7 +131,7 @@ func TestModelRefreshPicksUpOverwrite(t *testing.T) {
 	o.Cluster.Naming().PutValue(models.NamingKey, live)
 	o.Clock.RunUntil(sc.Start.Add(16 * time.Minute))
 	for _, n := range o.Cluster.Nodes() {
-		if o.Manager(n).Models().Frozen {
+		if o.managers[n.Index()].Models().Frozen {
 			t.Fatalf("manager on %s still frozen after refresh interval", n.ID)
 		}
 	}
@@ -156,14 +156,15 @@ func TestDropClearsPersistedState(t *testing.T) {
 	bc2, _ := sc.Catalog.Lookup("BC_Gen5_2")
 	o.registerDB(svc, bc2)
 	o.seedInitialLoad(svc, bc2, 400)
-	if keys := o.Cluster.Naming().Keys("toto/load/"); len(keys) != 1 {
-		t.Fatalf("persisted keys = %v", keys)
+	const key = "toto/load/bc-test/diskGB"
+	if _, ok := o.Cluster.Naming().Float(key); !ok {
+		t.Fatalf("no persisted load at %s", key)
 	}
 	if err := o.Control.DropDatabase("bc-test"); err != nil {
 		t.Fatal(err)
 	}
-	if keys := o.Cluster.Naming().Keys("toto/load/"); len(keys) != 0 {
-		t.Errorf("persisted keys not cleared on drop: %v", keys)
+	if _, ok := o.Cluster.Naming().Float(key); ok {
+		t.Errorf("persisted load %s not cleared on drop", key)
 	}
 }
 

@@ -425,13 +425,11 @@ func DensityStudy(base func(density float64, seeds Seeds) *Scenario, densities [
 
 // RepeatRun executes the identical scenario n times varying only the PLB
 // seed, reproducing the paper's §5.3.4 repeatability analysis (three
-// identical 18-hour experiments).
+// identical 18-hour experiments). Run i takes seeds.RepeatRun(i).
 func RepeatRun(build func(seeds Seeds) *Scenario, seeds Seeds, n int) ([]*Result, error) {
 	var out []*Result
 	for i := 0; i < n; i++ {
-		s := seeds
-		s.PLB = seeds.PLB + uint64(i)*104729
-		res, err := Run(build(s))
+		res, err := Run(build(seeds.RepeatRun(i)))
 		if err != nil {
 			return nil, fmt.Errorf("core: repeat %d: %w", i, err)
 		}

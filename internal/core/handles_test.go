@@ -20,7 +20,7 @@ func liveReplicas(o *Orchestrator) int {
 func memEntries(o *Orchestrator) int {
 	n := 0
 	for _, node := range o.Cluster.Nodes() {
-		n += o.Manager(node).MemEntries()
+		n += o.managers[node.Index()].MemEntries()
 	}
 	return n
 }
@@ -142,8 +142,8 @@ func TestScaleDatabaseCapsApplyNextRound(t *testing.T) {
 	if _, err := o.ScaleDatabase("gp-scale", "GP_Gen5_8"); err != nil {
 		t.Fatal(err)
 	}
-	if info, _ := o.DBInfo("gp-scale"); info.MaxMemoryGB != big.MemoryGB || info.MaxDiskGB != big.MaxDiskGB {
-		t.Fatalf("DBInfo caps after the scale-up = %v GB memory, %v GB disk; want %v, %v",
+	if info := o.entryNamed("gp-scale").info; info.MaxMemoryGB != big.MemoryGB || info.MaxDiskGB != big.MaxDiskGB {
+		t.Fatalf("registered caps after the scale-up = %v GB memory, %v GB disk; want %v, %v",
 			info.MaxMemoryGB, info.MaxDiskGB, big.MemoryGB, big.MaxDiskGB)
 	}
 	o.reportMemory(now.Add(20 * time.Minute))
@@ -168,8 +168,8 @@ func TestRecycledSlotRegistration(t *testing.T) {
 	if err := o.Control.DropDatabase("gp-old"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := o.DBInfo("gp-old"); ok {
-		t.Error("a dropped database keeps its DBInfo")
+	if o.entryNamed("gp-old") != nil {
+		t.Error("a dropped database keeps its registered metadata")
 	}
 	if memEntries(o) != 0 {
 		t.Errorf("%d in-memory records after the only database was dropped", memEntries(o))

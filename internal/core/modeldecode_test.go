@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"toto/internal/fabric"
 	"toto/internal/models"
 	"toto/internal/slo"
 )
@@ -46,7 +47,7 @@ func TestModelXMLDecodedOncePerWrite(t *testing.T) {
 		t.Helper()
 		var set *models.ModelSet
 		for _, n := range o.Cluster.Nodes() {
-			got := o.Manager(n).Models()
+			got := o.managers[n.Index()].Models()
 			if set == nil {
 				set = got
 			}
@@ -92,7 +93,7 @@ func TestModelXMLDecodedOncePerWrite(t *testing.T) {
 
 	// An entry that holds no model set: the RgManagers keep the previous
 	// models and the Population Manager skips churn.
-	naming.Put(models.NamingKey, []byte("<broken"))
+	naming.PutFloat(models.NamingKey, 1)
 	writes++
 	o.Clock.RunUntil(now.Add(5 * time.Hour))
 	if shared("malformed", false) != rewrite {
@@ -112,14 +113,19 @@ func TestModelXMLDecodedOncePerWrite(t *testing.T) {
 	}
 
 	// Every write other than the model writes stored a persisted load, as
-	// a number.
+	// a number under a live database's key: the store holds the model set
+	// and those numbers only.
 	if loadWrites := naming.CurrentVersion() - writes; loadWrites == 0 {
 		t.Error("no persisted load was written")
 	}
-	for _, key := range naming.Keys("toto/load/") {
-		if _, ok := naming.Float(key); !ok {
-			t.Errorf("%s is not a number entry", key)
+	numbers := 0
+	o.Cluster.EachLiveService(func(svc *fabric.Service) {
+		if _, ok := naming.Float("toto/load/" + svc.Name + "/diskGB"); ok {
+			numbers++
 		}
+	})
+	if numbers == 0 || naming.Len() != numbers+1 {
+		t.Errorf("Naming holds %d entries; %d are the live databases' persisted loads, want those and the model set", naming.Len(), numbers)
 	}
 }
 
@@ -170,7 +176,7 @@ func TestOrchestratorsShareDecodedModels(t *testing.T) {
 		t.Helper()
 		var set *models.ModelSet
 		for _, n := range o.Cluster.Nodes() {
-			got := o.Manager(n).Models()
+			got := o.managers[n.Index()].Models()
 			if set == nil {
 				set = got
 			}
@@ -277,7 +283,7 @@ func TestRejectedModelWriteLandsNothing(t *testing.T) {
 		c0, d0, _ := o.PopMgr.Stats()
 		o.Clock.RunUntil(measured.Add(24 * time.Hour))
 		for _, n := range o.Cluster.Nodes() {
-			if o.Manager(n).Models() != live {
+			if o.managers[n.Index()].Models() != live {
 				t.Fatalf("manager on %s left the live set", n.ID)
 			}
 		}

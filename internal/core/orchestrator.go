@@ -212,17 +212,6 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	return o, nil
 }
 
-// Manager returns the RgManager of one node (for tests and tools).
-func (o *Orchestrator) Manager(n *fabric.Node) *rgmanager.Manager { return o.managers[n.Index()] }
-
-// DBInfo returns the registered metadata of a live database.
-func (o *Orchestrator) DBInfo(db string) (rgmanager.DBInfo, bool) {
-	if e := o.entryNamed(db); e != nil {
-		return e.info, true
-	}
-	return rgmanager.DBInfo{}, false
-}
-
 // DiskGBSeconds returns the integral of a database's disk usage (GB·s).
 func (o *Orchestrator) DiskGBSeconds(db string) float64 {
 	if e := o.entryNamed(db); e != nil {
@@ -405,7 +394,14 @@ func (o *Orchestrator) Traces() *reqtrace.Recorder {
 	return o.traffic.Recorder()
 }
 
-// Stop halts everything the orchestrator scheduled.
+// Stop halts what the orchestrator itself keeps on the clock: its report
+// and refresh tickers, the alert engine, the series collector (after one
+// closing sample), the cluster's PLB scans, the Population Manager and
+// the telemetry recorder. The chaos and traffic engines that Run starts
+// are left running: their tickers and pending faults stay on the clock,
+// which is safe because nothing advances the clock after Run returns, and
+// degraded mode stays as the chaos engine set it, so a metrics snapshot
+// taken after the run still shows fabric.degraded_mode as the run ended.
 func (o *Orchestrator) Stop() {
 	for _, t := range o.tickers {
 		t.Stop()

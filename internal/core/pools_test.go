@@ -355,14 +355,16 @@ func TestDroppedPoolClearsMemberLoads(t *testing.T) {
 		}
 	}
 	naming := o.Cluster.Naming()
-	if keys := naming.Keys("toto/load/m"); len(keys) != 2 {
-		t.Fatalf("persisted member loads = %v, want m1 and m2", keys)
+	for _, m := range []string{"m1", "m2"} {
+		if _, ok := naming.Float("toto/load/" + m + "/diskGB"); !ok {
+			t.Fatalf("no persisted load for member %s", m)
+		}
 	}
 	if err := o.Control.DropDatabase("bcpool"); err != nil {
 		t.Fatal(err)
 	}
-	if keys := naming.Keys("toto/load/"); len(keys) != 0 {
-		t.Errorf("persisted loads left after the pool was dropped: %v", keys)
+	if n := naming.Len(); n != 1 {
+		t.Errorf("%d Naming entries after the pool was dropped, want only the model set", n)
 	}
 	if err := o.AddPoolMember("bcpool", "m3", 500, 100); !errors.Is(err, errNoSuchPool) {
 		t.Errorf("member of a dropped pool: err = %v", err)

@@ -64,6 +64,14 @@ func (s Seeds) DensityRun(i int) Seeds {
 	return s
 }
 
+// RepeatRun returns the seeds of run i of a repeatability study that
+// varies only the PLB seed (§5.3.4): the annealing seed steps by i·104729
+// per run, so run 0 is s itself.
+func (s Seeds) RepeatRun(i int) Seeds {
+	s.PLB += uint64(i) * 104729
+	return s
+}
+
 // Scenario declaratively specifies one benchmark run. Besides the Obs and
 // Journal sinks it holds values and specs only: NewOrchestrator builds
 // each optional layer (the series store, the alert engine, the chaos

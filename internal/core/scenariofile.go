@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"time"
 
 	"toto/internal/chaos"
@@ -142,9 +143,25 @@ func ScenarioSection(data []byte, name string) []byte {
 	return data
 }
 
+// ReadSection reads the file a spec flag names and parses either a bare
+// spec or the scenario section of that name (ScenarioSection), so the
+// commands' -chaos, -traffic and -alerts flags all take a whole scenario
+// file too. A parse error names the file.
+func ReadSection[T any](path, section string, parse func([]byte) (*T, error)) (*T, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := parse(ScenarioSection(data, section))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return spec, nil
+}
+
 // Build materializes the file into a runnable Scenario. set is the model
 // set to use when the file does not name its own XML (the caller resolves
-// ModelXML; this keeps file I/O out of the core package).
+// ModelXML, so Build reads no file).
 func (sf *ScenarioFile) Build(set *models.ModelSet) *Scenario {
 	name := sf.Name
 	if name == "" {

@@ -178,13 +178,9 @@ type Cluster struct {
 
 	// fault-hardening state (see faults.go); all zero-valued and inert
 	// unless a fault injector is installed or degraded mode is enabled.
-	injector      FaultInjector
-	degraded      bool
-	retryRnd      *rng.Source
-	buildRetries  int
-	buildFailures int
-	buildAborts   int
-	reportsLost   int
+	injector FaultInjector
+	degraded bool
+	retryRnd *rng.Source
 
 	// quorum-availability state (see topology.go); only maintained while
 	// a topology is configured. The sweep is incremental: instead of
@@ -368,14 +364,8 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// Clock returns the cluster's simulation clock.
-func (c *Cluster) Clock() *simclock.Clock { return c.clock }
-
 // Naming returns the cluster's Naming Service.
 func (c *Cluster) Naming() *NamingService { return c.naming }
-
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Density returns the current density factor.
 func (c *Cluster) Density() float64 { return c.cfg.Density }
@@ -668,7 +658,6 @@ func (c *Cluster) ReportLoad(r *Replica, m MetricName, value float64) error {
 	// loads; degraded mode bounds how long it will keep doing so (see
 	// the staleness check in fixViolations).
 	if c.injector != nil && c.injector.ReportLost(r.ID, m) {
-		c.reportsLost++
 		c.metrics.reportsLost.Inc()
 		return nil
 	}
@@ -712,26 +701,19 @@ func (c *Cluster) noteCapacityCrossing(n *Node, m MetricName, wasOver bool) {
 	})
 }
 
-func (c *Cluster) replica(id ReplicaID) (*Replica, error) {
-	svc, ok := c.services[id.Service]
-	if !ok || !svc.Alive() {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchService, id.Service)
-	}
-	if id.Index < 0 || id.Index >= len(svc.Replicas) {
-		return nil, fmt.Errorf("fabric: replica index %d out of range for %s", id.Index, id.Service)
-	}
-	return svc.Replicas[id.Index], nil
-}
-
 // ForceMove relocates a replica to a named node with full failover
 // bookkeeping — the equivalent of Service Fabric's administrative
 // Move-Replica commands. The move is refused if the target already hosts
 // a sibling replica.
 func (c *Cluster) ForceMove(id ReplicaID, targetNode string) error {
-	r, err := c.replica(id)
-	if err != nil {
-		return err
+	svc, ok := c.services[id.Service]
+	if !ok || !svc.Alive() {
+		return fmt.Errorf("%w: %s", ErrNoSuchService, id.Service)
 	}
+	if id.Index < 0 || id.Index >= len(svc.Replicas) {
+		return fmt.Errorf("fabric: replica index %d out of range for %s", id.Index, id.Service)
+	}
+	r := svc.Replicas[id.Index]
 	var target *Node
 	for _, n := range c.nodes {
 		if n.ID == targetNode {

@@ -225,7 +225,7 @@ func TestDiskViolationTriggersFailover(t *testing.T) {
 	}
 	c.ReportLoad(other.Replicas[0], MetricDiskGB, 500) // 8500 > 8192
 
-	c.Clock().RunUntil(testStart.Add(10 * time.Minute))
+	c.clock.RunUntil(testStart.Add(10 * time.Minute))
 
 	if c.UnplannedFailoverCount() == 0 {
 		t.Fatal("no failover despite disk violation")
@@ -305,8 +305,8 @@ func TestSingleReplicaMoveDowntime(t *testing.T) {
 		}
 	}
 	c.moveReplica(rep, target, MetricDiskGB, EventFailover)
-	if svc.Downtime != c.Config().SingleReplicaMoveDowntime {
-		t.Errorf("downtime = %v, want %v", svc.Downtime, c.Config().SingleReplicaMoveDowntime)
+	if svc.Downtime != c.cfg.SingleReplicaMoveDowntime {
+		t.Errorf("downtime = %v, want %v", svc.Downtime, c.cfg.SingleReplicaMoveDowntime)
 	}
 	if rep.Role != Primary {
 		t.Error("single replica must stay primary")
@@ -316,13 +316,13 @@ func TestSingleReplicaMoveDowntime(t *testing.T) {
 func TestLifetime(t *testing.T) {
 	c := newTestCluster(t, 2, 1.0)
 	svc, _ := c.CreateService("x", 1, 2, nil)
-	c.Clock().RunUntil(testStart.Add(2 * time.Hour))
-	if lt := svc.Lifetime(c.Clock().Now()); lt != 2*time.Hour {
+	c.clock.RunUntil(testStart.Add(2 * time.Hour))
+	if lt := svc.Lifetime(c.clock.Now()); lt != 2*time.Hour {
 		t.Errorf("lifetime = %v", lt)
 	}
 	c.DropService("x")
-	c.Clock().RunUntil(testStart.Add(5 * time.Hour))
-	if lt := svc.Lifetime(c.Clock().Now()); lt != 2*time.Hour {
+	c.clock.RunUntil(testStart.Add(5 * time.Hour))
+	if lt := svc.Lifetime(c.clock.Now()); lt != 2*time.Hour {
 		t.Errorf("lifetime after drop = %v", lt)
 	}
 }

@@ -30,15 +30,17 @@ const goldenEventStreamCount = 545
 // balancing moves, resizes, and a rolling maintenance upgrade — and
 // returns the SHA-256 over the ordered, fully-serialized event stream.
 func simulatedDayEventStream(plbSeed uint64) (hash string, events int, kinds map[EventKind]int) {
-	return simulatedDayEventStreamCfg(plbSeed, 0.45, 80)
+	return simulatedDay(plbSeed, nil)
 }
 
-func simulatedDayEventStreamCfg(plbSeed uint64, balanceSpread, fastGrow float64) (hash string, events int, kinds map[EventKind]int) {
+// simulatedDay is simulatedDayEventStream with attach, when set, called
+// on the cluster after the hash subscribes and before the cluster starts.
+func simulatedDay(plbSeed uint64, attach func(*Cluster)) (hash string, events int, kinds map[EventKind]int) {
 	clock := simclock.New(testStart)
 	cfg := DefaultConfig()
 	cfg.PLBSeed = plbSeed
 	cfg.BalancingEnabled = true
-	cfg.BalanceSpread = balanceSpread
+	cfg.BalanceSpread = 0.45
 	c := NewCluster(clock, 12, testCapacity(), cfg)
 
 	h := sha256.New()
@@ -65,6 +67,9 @@ func simulatedDayEventStreamCfg(plbSeed uint64, balanceSpread, fastGrow float64)
 			metric, ev.MovedCores, ev.MovedDiskGB,
 			ev.BuildDuration.Nanoseconds(), ev.Downtime.Nanoseconds())
 	})
+	if attach != nil {
+		attach(c)
+	}
 	c.Start()
 
 	src := rng.New(0x70707)
@@ -105,7 +110,7 @@ func simulatedDayEventStreamCfg(plbSeed uint64, balanceSpread, fastGrow float64)
 		for _, svc := range c.LiveServices() {
 			grow := 2.2
 			if svc.Labels["growth"] == "fast" {
-				grow = fastGrow
+				grow = 80
 			}
 			for _, rep := range svc.Replicas {
 				_ = c.ReportLoad(rep, MetricDiskGB, rep.Load(MetricDiskGB)+src.UniformRange(0, grow))

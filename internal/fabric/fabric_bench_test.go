@@ -161,21 +161,6 @@ func BenchmarkReportLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkNamingService measures the metastore round trip used by the
-// persisted-metric protocol (one read + one write per BC primary report).
-func BenchmarkNamingService(b *testing.B) {
-	n := NewNamingService()
-	payload := []byte("1234.5678")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Put("toto/load/db/diskGB", payload)
-		if _, _, ok := n.Get("toto/load/db/diskGB"); !ok {
-			b.Fatal("missing key")
-		}
-	}
-}
-
 // BenchmarkNamingServiceFloat measures the persisted-metric protocol's
 // actual round trip: the load travels as a number entry, one write and
 // one read per BC primary report, and allocates nothing.

@@ -67,9 +67,6 @@ func (c *Cluster) SetFaultInjector(fi FaultInjector) {
 	})
 }
 
-// FaultInjector returns the currently installed injector (nil when none).
-func (c *Cluster) FaultInjector() FaultInjector { return c.injector }
-
 // EnableDegradedMode switches the PLB into its defensive posture:
 // failover moves per scan are capped, restarting crashed nodes are
 // quarantined from placement targets, and nodes with stale load reports
@@ -80,24 +77,10 @@ func (c *Cluster) EnableDegradedMode() {
 	c.metrics.degradedMode.Set(1)
 }
 
-// DisableDegradedMode returns the PLB to normal operation. Standing
-// quarantines lapse naturally.
-func (c *Cluster) DisableDegradedMode() {
-	c.degraded = false
-	c.metrics.degradedMode.Set(0)
-}
-
-// DegradedMode reports whether the PLB is in degraded mode.
-func (c *Cluster) DegradedMode() bool { return c.degraded }
-
 // Quarantined reports whether the node is excluded from placement and
 // failover targets at now (set when a crashed node restarts while the
 // PLB is degraded; see RestartNode).
 func (n *Node) Quarantined(now time.Time) bool { return n.quarantinedUntil.After(now) }
-
-// Crashed reports whether the node is down due to an abrupt failure (as
-// opposed to a maintenance drain).
-func (n *Node) Crashed() bool { return n.down && n.crashed }
 
 // retryPolicy bundles the cluster's bounded-retry settings.
 type retryPolicy struct {
@@ -155,7 +138,6 @@ func (c *Cluster) buildWithRetries(r *Replica, target *Node, build time.Duration
 		if !c.injector.BuildAttemptFails(r.ID, target.ID, attempt) {
 			return total
 		}
-		c.buildRetries++
 		c.metrics.buildRetries.Inc()
 		delay := pol.backoff(attempt, c.retryRnd)
 		c.metrics.backoffSeconds.Observe(delay.Seconds())
@@ -163,7 +145,6 @@ func (c *Cluster) buildWithRetries(r *Replica, target *Node, build time.Duration
 		// attempt (pessimistic, keeps the model simple) plus the backoff.
 		total += delay + build
 	}
-	c.buildFailures++
 	c.metrics.buildFailures.Inc()
 	if log := c.obs.Log(); log.Enabled(obs.LevelWarn) {
 		log.Warnf("fabric: build of %s on %s failed %d attempts; escalated to backup restore",
@@ -192,8 +173,6 @@ func (c *Cluster) CrashNode(id string) (evacuated, stranded int, err error) {
 	c.metrics.nodeCrashes.Inc()
 	now := c.clock.Now()
 	n.down = true
-	n.crashed = true
-	n.lastCrash = now
 	// The crash anchor inherits the ambient cause (a chaos injection when
 	// the chaos engine bracketed this call) and becomes the cause of every
 	// evacuation failover and of the EventNodeCrashed itself — so a
@@ -231,7 +210,6 @@ func (c *Cluster) RestartNode(id string) error {
 	}
 	now := c.clock.Now()
 	n.down = false
-	n.crashed = false
 	if c.degraded && c.cfg.QuarantineWindow > 0 {
 		n.quarantinedUntil = now.Add(c.cfg.QuarantineWindow)
 		c.metrics.quarantines.Inc()
@@ -270,7 +248,6 @@ func (c *Cluster) evacuateNode(n *Node, kind EventKind, crash bool) (evacuated, 
 			// finish. detach (inside moveReplica) rolls the node's load
 			// accounting back.
 			r.buildDoneAt = time.Time{}
-			c.buildAborts++
 			c.metrics.buildAborts.Inc()
 			c.obs.Instant("fabric.build_aborted",
 				obs.Str("replica", r.ID.String()), obs.Str("node", n.ID))
@@ -289,22 +266,6 @@ func (c *Cluster) evacuateNode(n *Node, kind EventKind, crash bool) (evacuated, 
 	}
 	return evacuated, stranded
 }
-
-// BuildRetryCount returns the cumulative number of failed build attempts
-// that were retried.
-func (c *Cluster) BuildRetryCount() int { return c.buildRetries }
-
-// BuildFailureCount returns the number of builds that exhausted their
-// retry budget.
-func (c *Cluster) BuildFailureCount() int { return c.buildFailures }
-
-// BuildAbortCount returns the number of in-flight builds aborted by node
-// crashes.
-func (c *Cluster) BuildAbortCount() int { return c.buildAborts }
-
-// ReportsLostCount returns the number of load reports dropped by the
-// fault injector.
-func (c *Cluster) ReportsLostCount() int { return c.reportsLost }
 
 // UnplannedFailoverCount returns the total unplanned movements (capacity
 // violations, resizes, crash evacuations, ForceMove) so far.

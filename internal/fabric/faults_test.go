@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"toto/internal/obs"
 	"toto/internal/simclock"
 )
 
@@ -28,6 +29,18 @@ func (s *stubInjector) ReportLost(id ReplicaID, m MetricName) bool {
 func (s *stubInjector) NamingWriteFails(key string, attempt int) bool {
 	return s.namingFail != nil && s.namingFail(key, attempt)
 }
+
+// newObservedCluster is newTestCluster at density 1 with an
+// observability layer, so a test can read the fabric's counters.
+func newObservedCluster(t *testing.T, nodes int) *Cluster {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Obs = obs.New(obs.Options{})
+	return NewCluster(simclock.New(testStart), nodes, testCapacity(), cfg)
+}
+
+// count reads the named counter of a cluster built by newObservedCluster.
+func count(c *Cluster, name string) int64 { return c.obs.Counter(name).Value() }
 
 func TestCrashEvacuationAccountsUnplanned(t *testing.T) {
 	c := newTestCluster(t, 5, 1.0)
@@ -56,13 +69,13 @@ func TestCrashEvacuationAccountsUnplanned(t *testing.T) {
 	if crashed != 1 {
 		t.Fatalf("EventNodeCrashed count = %d", crashed)
 	}
-	if !primaryNode.Crashed() {
-		t.Error("node not marked crashed")
+	if primaryNode.Up() {
+		t.Error("crashed node still up")
 	}
 
 	// The evacuation is an unplanned failover: SLA-priced downtime
 	// includes the crash-detection delay plus the promotion swap.
-	cfg := c.Config()
+	cfg := c.cfg
 	wantDowntime := cfg.CrashDetectionDelay + cfg.PrimarySwapDowntime
 	if svc.Downtime != wantDowntime {
 		t.Errorf("Downtime = %v, want %v", svc.Downtime, wantDowntime)
@@ -85,8 +98,8 @@ func TestCrashEvacuationAccountsUnplanned(t *testing.T) {
 	if err := c.RestartNode(primaryNode.ID); err != nil {
 		t.Fatal(err)
 	}
-	if restarted != 1 || !primaryNode.Up() || primaryNode.Crashed() {
-		t.Errorf("restart: events=%d up=%v crashed=%v", restarted, primaryNode.Up(), primaryNode.Crashed())
+	if restarted != 1 || !primaryNode.Up() {
+		t.Errorf("restart: events=%d up=%v", restarted, primaryNode.Up())
 	}
 	// Without degraded mode the restarted node is NOT quarantined.
 	if primaryNode.Quarantined(c.clock.Now()) {
@@ -100,7 +113,7 @@ func TestCrashEvacuationAccountsUnplanned(t *testing.T) {
 // accounting) and re-place the replica through the normal deterministic
 // path, never leaving a half-built replica attached to a dead node.
 func TestCrashDuringBuildAbortsAndReplaces(t *testing.T) {
-	c := newTestCluster(t, 6, 1.0)
+	c := newObservedCluster(t, 6)
 	svc, err := c.CreateServiceWithLoads("bc", 3, 4, nil,
 		map[MetricName]float64{MetricDiskGB: 400})
 	if err != nil {
@@ -133,8 +146,8 @@ func TestCrashDuringBuildAbortsAndReplaces(t *testing.T) {
 	if _, _, err := c.CrashNode(target.ID); err != nil {
 		t.Fatal(err)
 	}
-	if c.BuildAbortCount() != 1 {
-		t.Errorf("build aborts = %d, want 1", c.BuildAbortCount())
+	if got := count(c, "fabric.build_aborts"); got != 1 {
+		t.Errorf("build aborts = %d, want 1", got)
 	}
 	if r.Node == target {
 		t.Fatal("replica still attached to the crashed node")
@@ -157,7 +170,7 @@ func TestCrashDuringBuildAbortsAndReplaces(t *testing.T) {
 }
 
 func TestBuildRetriesStretchBuildAndEscalate(t *testing.T) {
-	c := newTestCluster(t, 6, 1.0)
+	c := newObservedCluster(t, 6)
 	a, err := c.CreateServiceWithLoads("bc-a", 3, 4, nil, map[MetricName]float64{MetricDiskGB: 250})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +185,7 @@ func TestBuildRetriesStretchBuildAndEscalate(t *testing.T) {
 			builds = append(builds, ev.BuildDuration)
 		}
 	})
-	base := time.Duration(250 / c.Config().BuildRateGBPerSec * float64(time.Second))
+	base := time.Duration(250 / c.cfg.BuildRateGBPerSec * float64(time.Second))
 
 	// Fail the first two attempts of every build: the move still lands,
 	// but the event's build duration carries two wasted copies plus
@@ -197,8 +210,9 @@ func TestBuildRetriesStretchBuildAndEscalate(t *testing.T) {
 		t.Fatal("no movable secondary")
 	}
 	moveSecondary(a)
-	if c.BuildRetryCount() != 2 || c.BuildFailureCount() != 0 {
-		t.Fatalf("retries=%d failures=%d, want 2/0", c.BuildRetryCount(), c.BuildFailureCount())
+	retries, failures := count(c, "fabric.build_retries"), count(c, "fabric.build_failures")
+	if retries != 2 || failures != 0 {
+		t.Fatalf("retries=%d failures=%d, want 2/0", retries, failures)
 	}
 	if len(builds) != 1 || builds[0] < 3*base {
 		t.Fatalf("build duration %v does not include 2 retried copies of %v", builds, base)
@@ -208,9 +222,10 @@ func TestBuildRetriesStretchBuildAndEscalate(t *testing.T) {
 	// attempt proceeds via the slow path; the replica still lands.
 	inj.buildFail = func(ReplicaID, string, int) bool { return true }
 	moveSecondary(b)
-	max := c.Config().RetryMaxAttempts
-	if c.BuildRetryCount() != 2+max || c.BuildFailureCount() != 1 {
-		t.Fatalf("retries=%d failures=%d, want %d/1", c.BuildRetryCount(), c.BuildFailureCount(), 2+max)
+	max := c.cfg.RetryMaxAttempts
+	retries, failures = count(c, "fabric.build_retries"), count(c, "fabric.build_failures")
+	if retries != int64(2+max) || failures != 1 {
+		t.Fatalf("retries=%d failures=%d, want %d/1", retries, failures, 2+max)
 	}
 	if err := CheckInvariants(c); err != nil {
 		t.Fatal(err)
@@ -248,34 +263,38 @@ func TestBuildSlowdownFactorScalesBuild(t *testing.T) {
 		}
 		break
 	}
-	base := time.Duration(100 / c.Config().BuildRateGBPerSec * float64(time.Second))
+	base := time.Duration(100 / c.cfg.BuildRateGBPerSec * float64(time.Second))
 	if len(builds) != 1 || builds[0] != 3*base {
 		t.Fatalf("build = %v, want exactly 3×%v", builds, base)
 	}
 }
 
 func TestNamingWriteRetryAndDrop(t *testing.T) {
-	c := newTestCluster(t, 2, 1.0)
+	c := newObservedCluster(t, 2)
 	inj := &stubInjector{namingFail: func(_ string, attempt int) bool { return attempt <= 2 }}
 	c.SetFaultInjector(inj)
 	ns := c.Naming()
-
-	if v := ns.Put("k", []byte("v")); v != 1 {
-		t.Fatalf("Put with transient failures returned version %d, want 1", v)
-	}
-	if ns.WriteRetries() != 2 || ns.WriteDrops() != 0 {
-		t.Fatalf("retries=%d drops=%d, want 2/0", ns.WriteRetries(), ns.WriteDrops())
+	retriesAndDrops := func() (int64, int64) {
+		return count(c, "fabric.naming_write_retries"), count(c, "fabric.naming_write_drops")
 	}
 
+	// A number write is retried past transient failures...
+	if v := ns.PutFloat("n", 1.5); v != 1 {
+		t.Fatalf("PutFloat with transient failures returned version %d, want 1", v)
+	}
+	if r, d := retriesAndDrops(); r != 2 || d != 0 {
+		t.Fatalf("PutFloat: retries=%d drops=%d, want 2/0", r, d)
+	}
+	// ...and dropped past the retry budget, leaving the entry as it was.
 	inj.namingFail = func(string, int) bool { return true }
-	if v := ns.Put("k2", []byte("v")); v != 0 {
-		t.Fatalf("Put past the retry budget returned %d, want 0 (dropped)", v)
+	if v := ns.PutFloat("n", 2.5); v != 0 {
+		t.Fatalf("PutFloat past the retry budget returned %d, want 0 (dropped)", v)
 	}
-	if ns.WriteDrops() != 1 {
-		t.Fatalf("drops = %d, want 1", ns.WriteDrops())
+	if _, d := retriesAndDrops(); d != 1 {
+		t.Fatalf("PutFloat: drops = %d, want 1", d)
 	}
-	if _, _, ok := ns.Get("k2"); ok {
-		t.Error("dropped write is visible")
+	if v, ok := ns.Float("n"); !ok || v != 1.5 {
+		t.Errorf("after the dropped write Float = %v, %v, want the previous 1.5", v, ok)
 	}
 	if ns.MaxEntryVersion() > ns.CurrentVersion() {
 		t.Error("entry version exceeds store version")
@@ -283,34 +302,12 @@ func TestNamingWriteRetryAndDrop(t *testing.T) {
 
 	// Removing the injector restores normal writes.
 	c.SetFaultInjector(nil)
-	if v := ns.Put("k3", []byte("v")); v == 0 {
+	if v := ns.PutFloat("n2", 1); v == 0 {
 		t.Error("write failed with injector removed")
 	}
 
-	// A number write goes through the same retries and drops.
-	c = newTestCluster(t, 2, 1.0)
-	inj = &stubInjector{namingFail: func(_ string, attempt int) bool { return attempt <= 2 }}
-	c.SetFaultInjector(inj)
-	ns = c.Naming()
-	if v := ns.PutFloat("n", 1.5); v != 1 {
-		t.Fatalf("PutFloat with transient failures returned version %d, want 1", v)
-	}
-	if ns.WriteRetries() != 2 || ns.WriteDrops() != 0 {
-		t.Fatalf("PutFloat: retries=%d drops=%d, want 2/0", ns.WriteRetries(), ns.WriteDrops())
-	}
-	inj.namingFail = func(string, int) bool { return true }
-	if v := ns.PutFloat("n", 2.5); v != 0 {
-		t.Fatalf("PutFloat past the retry budget returned %d, want 0 (dropped)", v)
-	}
-	if ns.WriteDrops() != 1 {
-		t.Fatalf("PutFloat: drops = %d, want 1", ns.WriteDrops())
-	}
-	if v, ok := ns.Float("n"); !ok || v != 1.5 {
-		t.Errorf("after the dropped write Float = %v, %v, want the previous 1.5", v, ok)
-	}
-
-	// So does a value write.
-	c = newTestCluster(t, 2, 1.0)
+	// A value write goes through the same retries and drops.
+	c = newObservedCluster(t, 2)
 	inj = &stubInjector{namingFail: func(_ string, attempt int) bool { return attempt <= 2 }}
 	c.SetFaultInjector(inj)
 	ns = c.Naming()
@@ -318,15 +315,15 @@ func TestNamingWriteRetryAndDrop(t *testing.T) {
 	if v := ns.PutValue("m", first); v != 1 {
 		t.Fatalf("PutValue with transient failures returned version %d, want 1", v)
 	}
-	if ns.WriteRetries() != 2 || ns.WriteDrops() != 0 {
-		t.Fatalf("PutValue: retries=%d drops=%d, want 2/0", ns.WriteRetries(), ns.WriteDrops())
+	if r, d := retriesAndDrops(); r != 2 || d != 0 {
+		t.Fatalf("PutValue: retries=%d drops=%d, want 2/0", r, d)
 	}
 	inj.namingFail = func(string, int) bool { return true }
 	if v := ns.PutValue("m", &struct{ n int }{2}); v != 0 {
 		t.Fatalf("PutValue past the retry budget returned %d, want 0 (dropped)", v)
 	}
-	if ns.WriteDrops() != 1 || ns.CurrentVersion() != 1 {
-		t.Fatalf("PutValue: drops = %d, version = %d, want 1, 1", ns.WriteDrops(), ns.CurrentVersion())
+	if _, d := retriesAndDrops(); d != 1 || ns.CurrentVersion() != 1 {
+		t.Fatalf("PutValue: drops = %d, version = %d, want 1, 1", d, ns.CurrentVersion())
 	}
 	if v, ok := ns.Value("m"); !ok || v != first {
 		t.Errorf("after the dropped write Value = %v, %v, want the previous %p", v, ok, first)
@@ -334,7 +331,7 @@ func TestNamingWriteRetryAndDrop(t *testing.T) {
 }
 
 func TestReportLostLeavesLastKnownGood(t *testing.T) {
-	c := newTestCluster(t, 2, 1.0)
+	c := newObservedCluster(t, 2)
 	svc, err := c.CreateService("db", 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +347,8 @@ func TestReportLostLeavesLastKnownGood(t *testing.T) {
 	if r.Loads[MetricDiskGB] != 100 || r.Node.Load(MetricDiskGB) != 100 {
 		t.Errorf("lost report mutated loads: replica=%v node=%v", r.Loads[MetricDiskGB], r.Node.Load(MetricDiskGB))
 	}
-	if c.ReportsLostCount() != 1 {
-		t.Errorf("lost count = %d", c.ReportsLostCount())
+	if got := count(c, "fabric.reports_lost"); got != 1 {
+		t.Errorf("lost count = %d", got)
 	}
 }
 
@@ -434,7 +431,7 @@ func TestDegradedModeSkipsStaleNodes(t *testing.T) {
 	c, clock := degradedTestCluster(t)
 	c.EnableDegradedMode()
 	// Let every load report age past the staleness timeout.
-	clock.RunUntil(testStart.Add(c.Config().LoadStalenessTimeout + time.Minute))
+	clock.RunUntil(testStart.Add(c.cfg.LoadStalenessTimeout + time.Minute))
 
 	moves := 0
 	c.Subscribe(func(ev Event) {

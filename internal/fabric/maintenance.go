@@ -73,7 +73,6 @@ func (c *Cluster) SetNodeUp(id string) error {
 		return fmt.Errorf("fabric: node %q is not down", id)
 	}
 	n.down = false
-	n.crashed = false
 	c.obs.Instant("fabric.node_up", obs.Str("node", id))
 	c.emit(Event{Kind: EventNodeUp, Time: c.clock.Now(), To: id})
 	// Stranded replicas are reachable again; close any quorum-loss

@@ -140,22 +140,22 @@ func TestRollingUpgradeSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	start := c.Clock().Now().Add(time.Hour)
+	start := c.clock.Now().Add(time.Hour)
 	perNode := 30 * time.Minute
 	c.ScheduleRollingUpgrade(start, perNode)
 
 	// Mid-upgrade: exactly one node down at any instant.
-	c.Clock().RunUntil(start.Add(15 * time.Minute))
+	c.clock.RunUntil(start.Add(15 * time.Minute))
 	if c.UpNodes() != 3 {
 		t.Errorf("up nodes mid-upgrade = %d, want 3", c.UpNodes())
 	}
-	c.Clock().RunUntil(start.Add(75 * time.Minute)) // inside node 2's window
+	c.clock.RunUntil(start.Add(75 * time.Minute)) // inside node 2's window
 	if c.UpNodes() != 3 {
 		t.Errorf("up nodes during second window = %d, want 3", c.UpNodes())
 	}
 	// After the full rollout everything is back and all services placed
 	// on up nodes.
-	c.Clock().RunUntil(start.Add(4*perNode + time.Minute))
+	c.clock.RunUntil(start.Add(4*perNode + time.Minute))
 	if c.UpNodes() != 4 {
 		t.Errorf("up nodes after upgrade = %d", c.UpNodes())
 	}

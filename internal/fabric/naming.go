@@ -1,9 +1,6 @@
 package fabric
 
 import (
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -11,14 +8,13 @@ import (
 )
 
 // NamingService is a highly available key-value metastore, modeled on
-// Service Fabric's Naming Service (§3.3.1). An entry holds bytes (Put,
-// Get), a number (PutFloat, Float) or a value (PutValue, Value). Toto
-// stores its validated model set in it as a value, which every reader
-// takes without a text encoding in between, and the persisted-metric
-// protocol (§3.3.2) round-trips previously reported disk loads through it
-// as numbers, so a newly promoted primary on a different node sees the
-// same disk usage the old primary reported. A number entry still reads as
-// its shortest decimal text through Get.
+// Service Fabric's Naming Service (§3.3.1). An entry holds a number
+// (PutFloat, Float) or a value (PutValue, Value). Toto stores its
+// validated model set in it as a value, which every reader takes without
+// a text encoding in between, and the persisted-metric protocol (§3.3.2)
+// round-trips previously reported disk loads through it as numbers, so a
+// newly promoted primary on a different node sees the same disk usage the
+// old primary reported.
 //
 // Every write bumps a monotonically increasing version so readers can
 // detect changes cheaply. The store is safe for concurrent use: in the
@@ -39,15 +35,12 @@ type NamingService struct {
 	// fail). backoffFn computes the jittered backoff delay charged for a
 	// failed attempt, letting the cluster account it without the store
 	// owning a clock or RNG.
-	injector     FaultInjector
-	retry        retryPolicy
-	backoffFn    func(attempt int) time.Duration
-	writeRetries int64
-	writeDrops   int64
+	injector  FaultInjector
+	retry     retryPolicy
+	backoffFn func(attempt int) time.Duration
 }
 
 type namingEntry struct {
-	value   []byte  // written by Put
 	num     float64 // written by PutFloat
 	v       any     // written by PutValue
 	kind    entryKind
@@ -58,8 +51,7 @@ type namingEntry struct {
 type entryKind uint8
 
 const (
-	bytesEntry entryKind = iota
-	numberEntry
+	numberEntry entryKind = iota
 	valueEntry
 )
 
@@ -86,22 +78,11 @@ func (n *NamingService) setInjector(fi FaultInjector, pol retryPolicy, backoffFn
 	n.backoffFn = backoffFn
 }
 
-// Put stores value under key and returns the new entry version. The value
-// is copied, so callers may reuse their buffer. Under fault injection the
-// write is retried with exponential backoff up to the retry budget; a
-// write that exhausts it is dropped and Put returns 0 — readers re-read
-// the store every refresh interval, so a dropped model write is repaired
-// by the writer's next refresh rather than by blocking the simulation.
-func (n *NamingService) Put(key string, value []byte) int64 {
-	if !n.admitWrite(key) {
-		return 0
-	}
-	return n.install(key, namingEntry{value: append([]byte(nil), value...)})
-}
-
 // PutFloat stores the number v under key and returns the new entry
-// version. It is the same write as Put, with the same fault injection,
-// retries, drops and counters; only Float reads v back as a number.
+// version. Under fault injection the write is retried with exponential
+// backoff up to the retry budget; a write that exhausts it is dropped,
+// leaving the entry as it was, and PutFloat returns 0 rather than
+// blocking the simulation.
 func (n *NamingService) PutFloat(key string, v float64) int64 {
 	if !n.admitWrite(key) {
 		return 0
@@ -110,10 +91,10 @@ func (n *NamingService) PutFloat(key string, v float64) int64 {
 }
 
 // PutValue stores v under key and returns the new entry version. It is
-// the same write as Put, with the same fault injection, retries, drops and
-// counters; only Value reads v back. The store keeps v itself, not a
-// copy, and hands it to every reader, so the caller passes a value that
-// nothing will modify again.
+// the same write as PutFloat, with the same fault injection, retries,
+// drops and counters; only Value reads v back. The store keeps v itself,
+// not a copy, and hands it to every reader, so the caller passes a value
+// that nothing will modify again.
 func (n *NamingService) PutValue(key string, v any) int64 {
 	if !n.admitWrite(key) {
 		return 0
@@ -138,18 +119,12 @@ func (n *NamingService) admitWrite(key string) bool {
 		}
 		if attempt < attempts {
 			n.cWriteRetries.Inc()
-			n.mu.Lock()
-			n.writeRetries++
-			n.mu.Unlock()
 			if n.backoffFn != nil {
 				n.backoffFn(attempt)
 			}
 		}
 	}
 	n.cWriteDrops.Inc()
-	n.mu.Lock()
-	n.writeDrops++
-	n.mu.Unlock()
 	return false
 }
 
@@ -162,22 +137,6 @@ func (n *NamingService) install(key string, e namingEntry) int64 {
 	e.version = n.version
 	n.entries[key] = e
 	return n.version
-}
-
-// WriteRetries returns the cumulative number of write attempts that
-// failed and were retried.
-func (n *NamingService) WriteRetries() int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.writeRetries
-}
-
-// WriteDrops returns the number of writes abandoned after exhausting the
-// retry budget.
-func (n *NamingService) WriteDrops() int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.writeDrops
 }
 
 // CurrentVersion returns the store's global write version.
@@ -202,24 +161,8 @@ func (n *NamingService) MaxEntryVersion() int64 {
 	return max
 }
 
-// Get returns the value and version stored under key. The returned slice
-// is a copy. A number entry reads as its shortest decimal text, the bytes
-// fmt's %g writes; ok is false when key is absent or holds a value
-// written by PutValue.
-func (n *NamingService) Get(key string) (value []byte, version int64, ok bool) {
-	e, ok := n.read(key)
-	switch {
-	case !ok || e.kind == valueEntry:
-		return nil, 0, false
-	case e.kind == numberEntry:
-		return strconv.AppendFloat(nil, e.num, 'g', -1, 64), e.version, true
-	}
-	return append([]byte(nil), e.value...), e.version, true
-}
-
 // Float returns the number stored under key by PutFloat. It counts as one
-// read, exactly like Get. ok is false when key is absent or holds another
-// kind of entry.
+// read. ok is false when key is absent or holds a value.
 func (n *NamingService) Float(key string) (v float64, ok bool) {
 	e, ok := n.read(key)
 	if !ok || e.kind != numberEntry {
@@ -229,9 +172,8 @@ func (n *NamingService) Float(key string) (v float64, ok bool) {
 }
 
 // Value returns the value stored under key by PutValue. It counts as one
-// read, exactly like Get. ok reports whether key exists; v is nil when it
-// holds bytes or a number. Every reader gets the one stored value and
-// must not modify it.
+// read. ok reports whether key exists; v is nil when it holds a number.
+// Every reader gets the one stored value and must not modify it.
 func (n *NamingService) Value(key string) (v any, ok bool) {
 	e, ok := n.read(key)
 	return e.v, ok
@@ -254,21 +196,7 @@ func (n *NamingService) Delete(key string) {
 	delete(n.entries, key)
 }
 
-// Keys returns all keys with the given prefix in sorted order.
-func (n *NamingService) Keys(prefix string) []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var out []string
-	for k := range n.entries {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reads returns the cumulative number of Get, Float and Value calls
+// Reads returns the cumulative number of Float and Value calls
 // served — the load the metastore absorbs from polling readers (each
 // node's RgManager re-reads the models every refresh interval, §3.3.1).
 func (n *NamingService) Reads() int64 {

@@ -172,7 +172,7 @@ func TestBalancingMovesFromHotToCold(t *testing.T) {
 	c.ReportLoad(a.Replicas[0], MetricDiskGB, 3000)
 	c.ReportLoad(b.Replicas[0], MetricDiskGB, 1000)
 	// Spread = (4000 - 0)/8192 = 0.49 > 0.2: balancing should move one.
-	c.Clock().RunUntil(testStart.Add(10 * time.Minute))
+	c.clock.RunUntil(testStart.Add(10 * time.Minute))
 	if c.PlannedMoveCount() == 0 {
 		t.Error("no balancing move despite large spread")
 	}
@@ -190,7 +190,7 @@ func TestDegradationAccrues(t *testing.T) {
 	defer c.Stop()
 	svc, _ := c.CreateService("x", 1, 2, nil)
 	c.ReportLoad(svc.Replicas[0], MetricDiskGB, 9000) // violation, unfixable
-	c.Clock().RunUntil(testStart.Add(time.Hour))
+	c.clock.RunUntil(testStart.Add(time.Hour))
 	want := 12 * cfg.ScanInterval // 12 scans in an hour
 	if svc.Downtime != want {
 		t.Errorf("degradation downtime = %v, want %v", svc.Downtime, want)
@@ -206,7 +206,7 @@ func TestNoDegradationWhenDisabled(t *testing.T) {
 	defer c.Stop()
 	svc, _ := c.CreateService("x", 1, 2, nil)
 	c.ReportLoad(svc.Replicas[0], MetricDiskGB, 9000)
-	c.Clock().RunUntil(testStart.Add(time.Hour))
+	c.clock.RunUntil(testStart.Add(time.Hour))
 	if svc.Downtime != 0 {
 		t.Errorf("downtime = %v with degradation disabled", svc.Downtime)
 	}

@@ -135,7 +135,7 @@ func TestProvisioningLatency(t *testing.T) {
 	}
 	bc, _ := c.CreateServiceWithLoads("bc", 4, 2, nil, map[MetricName]float64{MetricDiskGB: 250})
 	got := c.ProvisioningLatency(bc)
-	want := 45*time.Second + time.Duration(250/c.Config().BuildRateGBPerSec)*time.Second
+	want := 45*time.Second + time.Duration(250/c.cfg.BuildRateGBPerSec)*time.Second
 	if got != want {
 		t.Errorf("local-store provisioning = %v, want %v (build 250GB)", got, want)
 	}

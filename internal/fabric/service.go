@@ -361,12 +361,6 @@ type Node struct {
 	// down marks the node as drained for maintenance or crashed (see
 	// maintenance.go and faults.go).
 	down bool
-	// crashed distinguishes an abrupt failure from a planned drain while
-	// the node is down; cleared on restart.
-	crashed bool
-	// lastCrash is the last simulated time the node crashed (zero if it
-	// never has). Used to recognize flapping nodes.
-	lastCrash time.Time
 	// quarantinedUntil excludes a recently-flapped node from placement
 	// and failover targets until the given instant. Only the degraded-mode
 	// restart path ever sets it, so the zero value keeps the no-chaos

@@ -118,12 +118,11 @@ func defaultSeeds() core.Seeds {
 }
 
 // repeatSeeds derives repeat r's seeds from the base. Repeat 0 is the
-// base itself; later repeats shift the PLB seed exactly like
-// core.RepeatRun (the paper's §5.3.4 protocol) and give the population
-// its own stream so repeats are fully independent workloads.
+// base itself; later repeats shift the PLB seed by base.RepeatRun(r),
+// exactly like core.RepeatRun (the paper's §5.3.4 protocol), and give the
+// population its own stream so repeats are fully independent workloads.
 func repeatSeeds(base core.Seeds, r int) core.Seeds {
-	s := base
-	s.PLB += uint64(r) * 104729
+	s := base.RepeatRun(r)
 	s.Population += uint64(r) * 7919
 	s.Bootstrap += uint64(r) * 15485863
 	return s

@@ -9,19 +9,8 @@ import (
 
 	"toto/internal/fabric"
 	"toto/internal/obs/journal"
-	"toto/internal/rng"
 	"toto/internal/simclock"
 )
-
-// goldenEventStreamHash mirrors the constant in
-// internal/fabric/determinism_test.go: the SHA-256 of the event stream a
-// seed-7 simulated day produces. The round-trip test below re-derives it
-// from a journal that was written, serialized to JSONL, and read back —
-// proving the journal is a lossless record of the golden stream, not a
-// parallel serialization that can drift.
-const goldenEventStreamHash = "76db709cbf57b5e3feeed3c7b21a6d803c5da8169ea2dea5105dfe0400dbf159"
-
-const goldenEventStreamCount = 545
 
 var testStart = time.Date(2020, time.June, 1, 0, 0, 0, 0, time.UTC)
 
@@ -31,118 +20,6 @@ func testCapacity() map[fabric.MetricName]float64 {
 		fabric.MetricDiskGB:   8192,
 		fabric.MetricMemoryGB: 512,
 	}
-}
-
-// runSimulatedDay drives the exact workload of the fabric package's
-// simulatedDayEventStream (seed 7) with a journal attached, and returns
-// the journal bytes. Kept in lockstep with determinism_test.go: if that
-// workload changes, both golden hashes change together.
-func runSimulatedDay(t *testing.T, w *journal.Writer) {
-	t.Helper()
-	clock := simclock.New(testStart)
-	cfg := fabric.DefaultConfig()
-	cfg.PLBSeed = 7
-	cfg.BalancingEnabled = true
-	cfg.BalanceSpread = 0.45
-	c := fabric.NewCluster(clock, 12, testCapacity(), cfg)
-	w.Attach(c)
-	c.Start()
-
-	src := rng.New(0x70707)
-	for i := 0; i < 140; i++ {
-		name := fmt.Sprintf("db-%d", i)
-		var labels map[string]string
-		if i%10 == 3 {
-			labels = map[string]string{"growth": "fast"}
-		}
-		if i%4 == 0 {
-			loads := map[fabric.MetricName]float64{fabric.MetricDiskGB: src.UniformRange(150, 700)}
-			_, _ = c.CreateServiceWithLoads(name, 4, 2, labels, loads)
-		} else {
-			loads := map[fabric.MetricName]float64{fabric.MetricDiskGB: src.UniformRange(5, 150)}
-			_, _ = c.CreateServiceWithLoads(name, 1, 2, labels, loads)
-		}
-	}
-	hour := 0
-	clock.Every(time.Hour, func(time.Time) {
-		hour++
-		_, _ = c.CreateService(fmt.Sprintf("churn-%d", hour), 1, 2, nil)
-		if hour%5 == 0 {
-			_ = c.DropService(fmt.Sprintf("db-%d", hour))
-		}
-		if hour%7 == 0 {
-			_, _ = c.ResizeService(fmt.Sprintf("db-%d", hour+20), float64(2+hour%6))
-		}
-	})
-	clock.Every(20*time.Minute, func(time.Time) {
-		for _, svc := range c.LiveServices() {
-			grow := 2.2
-			if svc.Labels["growth"] == "fast" {
-				grow = 80.0
-			}
-			for _, rep := range svc.Replicas {
-				_ = c.ReportLoad(rep, fabric.MetricDiskGB, rep.Load(fabric.MetricDiskGB)+src.UniformRange(0, grow))
-				_ = c.ReportLoad(rep, fabric.MetricMemoryGB, src.UniformRange(1, 8))
-			}
-		}
-	})
-	c.ScheduleRollingUpgrade(testStart.Add(10*time.Hour), 30*time.Minute)
-
-	clock.RunUntil(testStart.Add(24 * time.Hour))
-	c.Stop()
-}
-
-// TestJournalRoundTripMatchesGoldenHash is the journal's trust anchor:
-// write the golden simulated day through the full JSONL pipeline, read
-// it back, and re-derive the event-stream hash from the decoded entries.
-// It must equal the golden constant bit-for-bit, which requires every
-// hashed event field to survive the JSON round trip exactly (including
-// %g float fidelity).
-func TestJournalRoundTripMatchesGoldenHash(t *testing.T) {
-	var buf bytes.Buffer
-	w := journal.NewWriter(&buf)
-	w.Meta("golden-day", testStart, map[string]string{"seed": "7"})
-	runSimulatedDay(t, w)
-	if err := w.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	events, annotations := w.Counts()
-	t.Logf("journal: %d events, %d annotations, %d bytes", events, annotations, buf.Len())
-	if events != goldenEventStreamCount {
-		t.Errorf("journaled %d events, want golden %d", events, goldenEventStreamCount)
-	}
-	if annotations == 0 {
-		t.Error("no annotations journaled; causal layer not exercised")
-	}
-
-	entries, err := journal.Read(&buf)
-	if err != nil {
-		t.Fatalf("read back: %v", err)
-	}
-	hash, n := journal.EventStreamHash(entries)
-	if n != goldenEventStreamCount {
-		t.Errorf("decoded %d events, want %d", n, goldenEventStreamCount)
-	}
-	if hash != goldenEventStreamHash {
-		t.Errorf("round-tripped event stream hash = %s, want golden %s; "+
-			"the journal is NOT a lossless record of the event stream", hash, goldenEventStreamHash)
-	}
-
-	meta, ok := journal.Meta(entries)
-	if !ok || meta.Name != "golden-day" || meta.Attrs["seed"] != "7" {
-		t.Errorf("meta entry lost in round trip: ok=%v %+v", ok, meta)
-	}
-
-	// Every journaled failover in this workload stems from an in-fabric
-	// cause (violations, drains, resizes) — none may come back unknown.
-	a := journal.Attribute(entries)
-	if a.Unplanned == 0 {
-		t.Fatal("workload produced no unplanned failovers; attribution untested")
-	}
-	if a.Unknown != 0 {
-		t.Errorf("%d of %d unplanned failovers have unknown root cause", a.Unknown, a.Unplanned)
-	}
-	t.Logf("attribution: %d unplanned, %d planned, causes=%v", a.Unplanned, a.Planned, a.Causes())
 }
 
 // TestCausalChainCrashFailover injects a chaos-style crash exactly the

@@ -84,14 +84,8 @@ func (l *Logger) logf(lv Level, format string, args ...any) {
 	fmt.Fprintf(l.out.w, "%s %s %s\n", ts.UTC().Format(time.RFC3339), lv, fmt.Sprintf(format, args...))
 }
 
-// Debugf logs at debug level with a sim timestamp.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args...) }
-
 // Infof logs at info level with a sim timestamp.
 func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args...) }
 
 // Warnf logs at warn level with a sim timestamp.
 func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, args...) }
-
-// Errorf logs at error level with a sim timestamp.
-func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args...) }

@@ -266,9 +266,6 @@ type Span struct {
 	attrs     []Attr
 }
 
-// Active reports whether the span records anything.
-func (s Span) Active() bool { return s.o != nil }
-
 // Attr is one key/value span attribute. Values are held unboxed so
 // building attributes never allocates.
 type Attr struct {

@@ -272,12 +272,12 @@ func TestHistogramBucketBounds(t *testing.T) {
 }
 
 func TestLoggerSimTimestamps(t *testing.T) {
-	o := New(Options{LogWriter: &bytes.Buffer{}, LogLevel: LevelInfo})
+	o := New(Options{LogWriter: &bytes.Buffer{}, LogLevel: LevelWarn})
 	buf := &bytes.Buffer{}
 	o.log.out.w = buf
 	sim := time.Date(2020, 6, 3, 14, 30, 0, 0, time.UTC)
 	o.SetNow(func() time.Time { return sim })
-	o.Log().Debugf("hidden")
+	o.Log().Infof("hidden")
 	o.Log().Warnf("stranded %d replicas", 2)
 	out := buf.String()
 	if want := "2020-06-03T14:30:00Z WARN  stranded 2 replicas\n"; out != want {

@@ -126,7 +126,7 @@ func TestRefreshVersionShortCircuit(t *testing.T) {
 
 func TestRefreshRejectsMalformedXML(t *testing.T) {
 	e := newEnv(t, testModelSet())
-	e.cluster.Naming().Put(models.NamingKey, []byte("<broken"))
+	e.cluster.Naming().PutFloat(models.NamingKey, 1)
 	if err := e.managers["node-0"].Refresh(); err == nil {
 		t.Error("an entry holding no model set accepted")
 	}
@@ -290,11 +290,11 @@ func TestClearPersisted(t *testing.T) {
 	info := bcInfo("bc1", start)
 	p := svc.Primary()
 	e.managerOf(p).SeedLoad(p, info, 100)
-	if len(e.cluster.Naming().Keys("toto/load/")) != 1 {
+	if _, ok := e.cluster.Naming().Float(loadNamingKey("bc1")); !ok {
 		t.Fatal("persisted load not written")
 	}
 	ClearPersisted(e.cluster.Naming(), "bc1")
-	if len(e.cluster.Naming().Keys("toto/load/")) != 0 {
+	if _, ok := e.cluster.Naming().Float(loadNamingKey("bc1")); ok {
 		t.Error("persisted load not cleared")
 	}
 }
@@ -420,7 +420,7 @@ func TestManagersShareOneDecodePerVersion(t *testing.T) {
 			t.Errorf("%s holds %p, not the stored set %p", id, m.Models(), set)
 		}
 	}
-	naming.Put(models.NamingKey, []byte("<broken"))
+	naming.PutFloat(models.NamingKey, 1)
 	for id, m := range e.managers {
 		if err := m.Refresh(); err == nil {
 			t.Errorf("%s accepted an entry holding no model set", id)
@@ -431,9 +431,9 @@ func TestManagersShareOneDecodePerVersion(t *testing.T) {
 	}
 }
 
-// TestPersistedLoadMatchesPercentG pins the persisted load's bytes, as a
-// reader of the Naming Service sees them, to the bytes fmt's %g writes,
-// and the value read back to the one its %g scan gives.
+// TestPersistedLoadMatchesPercentG pins the persisted load read back to
+// the value a scan of fmt's %g text gives, the value the persisted-metric
+// protocol delivered when it stored loads as text.
 func TestPersistedLoadMatchesPercentG(t *testing.T) {
 	e := newEnv(t, testModelSet())
 	m := e.managers["node-0"]
@@ -446,16 +446,13 @@ func TestPersistedLoadMatchesPercentG(t *testing.T) {
 	info := &DBInfo{Name: "db"}
 	for _, v := range vals {
 		m.persistLoad(info, v)
-		data, _, _ := e.cluster.Naming().Get(loadNamingKey("db"))
-		if want := fmt.Sprintf("%g", v); string(data) != want {
-			t.Fatalf("persistLoad(%v) wrote %q, %%g writes %q", v, data, want)
-		}
+		text := fmt.Sprintf("%g", v)
 		var want float64
-		if _, err := fmt.Sscanf(string(data), "%g", &want); err != nil {
+		if _, err := fmt.Sscanf(text, "%g", &want); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.persistedLoad(info); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("persistedLoad(%q) = %v; %%g scans %v", data, got, want)
+			t.Fatalf("persistedLoad after persistLoad(%v) = %v; %%g scans %q as %v", v, got, text, want)
 		}
 	}
 }

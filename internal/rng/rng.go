@@ -1,6 +1,6 @@
 // Package rng provides deterministic, splittable random number streams
 // and the samplers Toto's behaviour models need (normal, uniform,
-// Poisson, negative binomial, exponential).
+// Poisson, Bernoulli).
 //
 // The paper fixes "the seeds of all the random objects used within the
 // code": the Population Manager uses a single seed, and every node's
@@ -121,15 +121,6 @@ func (s *Source) Normal(mean, sigma float64) float64 {
 	return mean + sigma*u*f
 }
 
-// Exponential returns an exponentially distributed value with the given
-// rate (mean 1/rate). rate must be > 0.
-func (s *Source) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential with non-positive rate")
-	}
-	return -math.Log(1-s.Float64()) / rate
-}
-
 // Poisson returns a Poisson-distributed count with the given mean. For
 // small means it uses Knuth's product method; for large means a normal
 // approximation with continuity correction (adequate for the hourly event
@@ -158,33 +149,6 @@ func (s *Source) Poisson(mean float64) int {
 		return 0
 	}
 	return int(v + 0.5)
-}
-
-// Geometric returns a geometrically distributed count of failures before
-// the first success, with success probability p in (0, 1].
-func (s *Source) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric with p outside (0, 1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := s.Float64()
-	return int(math.Floor(math.Log(1-u) / math.Log(1-p)))
-}
-
-// NegBinomial returns a negative-binomial count: the number of failures
-// before r successes with success probability p. It is the sum of r
-// independent geometric draws, which is exact and avoids gamma sampling.
-func (s *Source) NegBinomial(r int, p float64) int {
-	if r <= 0 {
-		panic("rng: NegBinomial with non-positive r")
-	}
-	total := 0
-	for i := 0; i < r; i++ {
-		total += s.Geometric(p)
-	}
-	return total
 }
 
 // Bernoulli returns true with probability p.

@@ -122,22 +122,6 @@ func TestNormalZeroSigmaIsMean(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	s := New(8)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := s.Exponential(0.5)
-		if v < 0 {
-			t.Fatalf("Exponential < 0: %v", v)
-		}
-		sum += v
-	}
-	if m := sum / n; math.Abs(m-2.0) > 0.03 {
-		t.Errorf("Exponential(0.5) mean = %v, want 2", m)
-	}
-}
-
 func TestPoissonMoments(t *testing.T) {
 	s := New(9)
 	for _, mean := range []float64{0.5, 4, 20, 100} {
@@ -162,42 +146,6 @@ func TestPoissonMoments(t *testing.T) {
 func TestPoissonZero(t *testing.T) {
 	if v := New(1).Poisson(0); v != 0 {
 		t.Fatalf("Poisson(0) = %d", v)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	s := New(10)
-	const p = 0.25
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(s.Geometric(p))
-	}
-	want := (1 - p) / p // mean failures before first success
-	if m := sum / n; math.Abs(m-want) > 0.05 {
-		t.Errorf("Geometric(%v) mean = %v, want %v", p, m, want)
-	}
-}
-
-func TestNegBinomialMoments(t *testing.T) {
-	s := New(11)
-	const r, p = 5, 0.4
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := float64(s.NegBinomial(r, p))
-		sum += v
-		sumSq += v * v
-	}
-	m := sum / n
-	v := sumSq/n - m*m
-	wantMean := float64(r) * (1 - p) / p
-	wantVar := float64(r) * (1 - p) / (p * p)
-	if math.Abs(m-wantMean) > 0.1 {
-		t.Errorf("NegBinomial mean = %v, want %v", m, wantMean)
-	}
-	if math.Abs(v-wantVar) > 0.5 {
-		t.Errorf("NegBinomial variance = %v, want %v", v, wantVar)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	if c.Pending() != 1 {
 		t.Fatalf("pending after two cancels = %d, want 1", c.Pending())
 	}
-	c.Run()
+	c.RunUntil(t0.Add(3 * time.Minute))
 	if c.Pending() != 0 {
 		t.Fatalf("pending after drain = %d, want 0", c.Pending())
 	}
@@ -54,7 +54,7 @@ func TestCompactionEvictsDeadEntries(t *testing.T) {
 	if c.Pending() != n-cancelled {
 		t.Fatalf("pending = %d, want %d", c.Pending(), n-cancelled)
 	}
-	c.Run()
+	c.RunUntil(t0.Add(n * time.Second))
 	if len(fired) != n-cancelled {
 		t.Fatalf("fired %d events, want %d", len(fired), n-cancelled)
 	}
@@ -71,11 +71,11 @@ func TestCompactionEvictsDeadEntries(t *testing.T) {
 func TestStaleHandleCannotCancelReusedSlot(t *testing.T) {
 	c := New(t0)
 	h := c.After(time.Second, func(time.Time) {})
-	c.Run() // fires; slot recycled to the free list
+	c.RunUntil(t0.Add(time.Second)) // fires; slot recycled to the free list
 	fired := false
 	c.After(time.Second, func(time.Time) { fired = true }) // reuses the slot
 	h.Cancel()                                             // stale: must be a no-op
-	c.Run()
+	c.RunUntil(t0.Add(2 * time.Second))
 	if !fired {
 		t.Fatal("stale handle cancelled an unrelated event that reused its slot")
 	}
@@ -114,10 +114,10 @@ func TestScheduleFireAllocFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.After(time.Duration(i+1)*time.Second, fn)
 	}
-	c.Run()
+	c.RunUntil(t0.Add(64 * time.Second))
 	if allocs := testing.AllocsPerRun(1000, func() {
 		c.After(time.Second, fn)
-		c.Step()
+		c.RunUntil(c.Now().Add(time.Second))
 	}); allocs != 0 {
 		t.Fatalf("schedule+fire allocates %.1f per op, want 0", allocs)
 	}
@@ -144,9 +144,9 @@ func TestTickerSteadyStateAllocFree(t *testing.T) {
 	c := New(t0)
 	tk := c.Every(time.Second, func(time.Time) {})
 	defer tk.Stop()
-	c.Step() // first tick warms the reschedule path
+	c.RunUntil(c.Now().Add(time.Second)) // first tick warms the reschedule path
 	if allocs := testing.AllocsPerRun(1000, func() {
-		c.Step()
+		c.RunUntil(c.Now().Add(time.Second))
 	}); allocs != 0 {
 		t.Fatalf("ticker tick allocates %.1f per op, want 0", allocs)
 	}
@@ -248,7 +248,7 @@ func TestFlatHeapMatchesReferenceOrder(t *testing.T) {
 		}
 
 		refOrder := ref.drain()
-		flat.Run()
+		flat.RunUntil(t0.Add(97 * time.Minute))
 
 		if len(flatOrder) != len(refOrder) {
 			t.Fatalf("seed %d: flat fired %d events, reference fired %d", seed, len(flatOrder), len(refOrder))
@@ -307,7 +307,7 @@ func TestFlatHeapMatchesReferenceWithInterleavedFiring(t *testing.T) {
 			}
 			base = deadline
 		}
-		flat.Run()
+		flat.RunUntil(base.Add(50 * time.Minute))
 		refOrder = append(refOrder, ref.drain()...)
 
 		if len(flatOrder) != len(refOrder) {
@@ -329,12 +329,12 @@ func BenchmarkClockSchedule(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		c.After(time.Duration(i+1)*time.Second, fn)
 	}
-	c.Run()
+	c.RunUntil(t0.Add(64 * time.Second))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.After(time.Second, fn)
-		c.Step()
+		c.RunUntil(c.Now().Add(time.Second))
 	}
 }
 

@@ -71,7 +71,6 @@ func (h Handle) Cancel() {
 	}
 	s.dead = true
 	s.fn = nil // release the closure; the slot stays parked until popped
-	c.live--
 	c.deadCount++
 	if c.deadCount*2 > len(c.heap) {
 		c.compact()
@@ -86,7 +85,6 @@ type Clock struct {
 	heap      []heapEntry
 	slots     []slot
 	free      []int32 // recycled slot indices
-	live      int     // scheduled, not yet fired or cancelled
 	deadCount int     // cancelled entries still parked in the heap
 }
 
@@ -97,15 +95,6 @@ func New(start time.Time) *Clock {
 
 // Now returns the current simulated time.
 func (c *Clock) Now() time.Time { return c.now }
-
-// Pending reports the number of live events waiting to fire. Cancelled
-// events are excluded even when their heap entries have not been
-// compacted away yet.
-func (c *Clock) Pending() int { return c.live }
-
-// queueLen reports the raw heap size including parked dead entries; it
-// exists so tests can observe compaction.
-func (c *Clock) queueLen() int { return len(c.heap) }
 
 // alloc takes a slot from the free list (or grows the arena) and fills it.
 func (c *Clock) alloc(at time.Time, fn Event) int32 {
@@ -216,7 +205,6 @@ func (c *Clock) At(at time.Time, fn Event) Handle {
 	c.heap = append(c.heap, heapEntry{atNs: at.UnixNano(), seq: c.seq, slot: idx})
 	c.seq++
 	c.siftUp(len(c.heap) - 1)
-	c.live++
 	return Handle{c: c, slot: idx, gen: c.slots[idx].gen}
 }
 
@@ -270,28 +258,6 @@ func (t *Ticker) Stop() {
 	t.handle.Cancel()
 }
 
-// Step fires the single earliest pending event, advancing the clock to its
-// time. It returns false when no events remain.
-func (c *Clock) Step() bool {
-	for len(c.heap) > 0 {
-		e := c.heap[0]
-		c.popRoot()
-		s := &c.slots[e.slot]
-		if s.dead {
-			c.freeSlot(e.slot)
-			c.deadCount--
-			continue
-		}
-		at, fn := s.at, s.fn
-		c.freeSlot(e.slot)
-		c.live--
-		c.now = at
-		fn(c.now)
-		return true
-	}
-	return false
-}
-
 // RunUntil fires events in order until the event queue is empty or the
 // next event is after deadline. The clock is left at deadline (or at the
 // last fired event if the queue drained first, whichever is later never
@@ -314,24 +280,12 @@ func (c *Clock) RunUntil(deadline time.Time) int {
 		s := &c.slots[e.slot]
 		at, fn := s.at, s.fn
 		c.freeSlot(e.slot)
-		c.live--
 		c.now = at
 		fn(c.now)
 		fired++
 	}
 	if c.now.Before(deadline) {
 		c.now = deadline
-	}
-	return fired
-}
-
-// Run fires all pending events (including events scheduled by fired
-// events) until the queue drains, and returns the number fired. Use with
-// care: a self-rescheduling ticker never drains; prefer RunUntil.
-func (c *Clock) Run() int {
-	fired := 0
-	for c.Step() {
-		fired++
 	}
 	return fired
 }

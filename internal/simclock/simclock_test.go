@@ -20,7 +20,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	c.At(t0.Add(3*time.Hour), func(time.Time) { order = append(order, 3) })
 	c.At(t0.Add(1*time.Hour), func(time.Time) { order = append(order, 1) })
 	c.At(t0.Add(2*time.Hour), func(time.Time) { order = append(order, 2) })
-	c.Run()
+	c.RunUntil(t0.Add(3 * time.Hour))
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fire order = %v, want [1 2 3]", order)
 	}
@@ -34,7 +34,7 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 		i := i
 		c.At(at, func(time.Time) { order = append(order, i) })
 	}
-	c.Run()
+	c.RunUntil(at)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie-break order = %v, want ascending schedule order", order)
@@ -44,15 +44,15 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 
 func TestClockAdvancesToEventTime(t *testing.T) {
 	c := New(t0)
-	var seen time.Time
-	c.After(90*time.Minute, func(now time.Time) { seen = now })
-	c.Run()
+	var seen, clockAt time.Time
+	c.After(90*time.Minute, func(now time.Time) { seen, clockAt = now, c.Now() })
+	c.RunUntil(t0.Add(2 * time.Hour))
 	want := t0.Add(90 * time.Minute)
 	if !seen.Equal(want) {
 		t.Fatalf("callback now = %v, want %v", seen, want)
 	}
-	if !c.Now().Equal(want) {
-		t.Fatalf("clock now = %v, want %v", c.Now(), want)
+	if !clockAt.Equal(want) {
+		t.Fatalf("clock now = %v, want %v", clockAt, want)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 	fired := false
 	h := c.After(time.Hour, func(time.Time) { fired = true })
 	h.Cancel()
-	c.Run()
+	c.RunUntil(t0.Add(time.Hour))
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -72,7 +72,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 func TestSchedulingInPastPanics(t *testing.T) {
 	c := New(t0)
 	c.After(time.Hour, func(time.Time) {})
-	c.Run() // clock is now t0+1h
+	c.RunUntil(t0.Add(time.Hour)) // clock is now t0+1h
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -130,7 +130,7 @@ func TestEventsScheduledByEventsFire(t *testing.T) {
 		hits++
 		c.After(time.Hour, func(time.Time) { hits++ })
 	})
-	c.Run()
+	c.RunUntil(t0.Add(2 * time.Hour))
 	if hits != 2 {
 		t.Fatalf("hits = %d, want 2", hits)
 	}
@@ -189,22 +189,6 @@ func TestNonPositivePeriodPanics(t *testing.T) {
 	c.Every(0, func(time.Time) {})
 }
 
-func TestStepFiresSingleEvent(t *testing.T) {
-	c := New(t0)
-	count := 0
-	c.After(time.Minute, func(time.Time) { count++ })
-	c.After(2*time.Minute, func(time.Time) { count++ })
-	if !c.Step() || count != 1 {
-		t.Fatalf("after one Step count = %d, want 1", count)
-	}
-	if !c.Step() || count != 2 {
-		t.Fatalf("after two Steps count = %d, want 2", count)
-	}
-	if c.Step() {
-		t.Fatal("Step on empty queue returned true")
-	}
-}
-
 func TestPendingCounts(t *testing.T) {
 	c := New(t0)
 	if c.Pending() != 0 {
@@ -241,8 +225,8 @@ func TestManyEventsStress(t *testing.T) {
 			prev = now
 		})
 	}
-	c.Run()
-	c2.Run()
+	c.RunUntil(t0.Add(n * time.Second))
+	c2.RunUntil(t0.Add(n * time.Second))
 	if fired != n {
 		t.Fatalf("fired %d of %d events", fired, n)
 	}

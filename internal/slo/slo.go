@@ -9,7 +9,6 @@ package slo
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Edition classifies a database by where its data lives, which determines
@@ -92,7 +91,6 @@ func (s SLO) TotalCores() int { return s.Cores * s.Edition.ReplicaCount() }
 // Catalog is an immutable set of SLOs with lookup by name.
 type Catalog struct {
 	byName map[string]SLO
-	names  []string
 }
 
 // NewCatalog builds a catalog from the given SLOs. Duplicate names are an
@@ -110,9 +108,7 @@ func NewCatalog(slos []SLO) (*Catalog, error) {
 			return nil, fmt.Errorf("slo: duplicate SLO name %q", s.Name)
 		}
 		c.byName[s.Name] = s
-		c.names = append(c.names, s.Name)
 	}
-	sort.Strings(c.names)
 	return c, nil
 }
 
@@ -122,11 +118,8 @@ func (c *Catalog) Lookup(name string) (SLO, bool) {
 	return s, ok
 }
 
-// Names returns all SLO names in sorted order.
-func (c *Catalog) Names() []string { return append([]string(nil), c.names...) }
-
 // Len returns the number of SLOs in the catalog.
-func (c *Catalog) Len() int { return len(c.names) }
+func (c *Catalog) Len() int { return len(c.byName) }
 
 // Gen5 returns the SLO catalog for the gen5 hardware SKU used in the
 // paper's experiments (§5.2: "a smaller 14 node, gen5, stage cluster",

@@ -45,8 +45,7 @@ func TestGen5CatalogShape(t *testing.T) {
 		t.Errorf("catalog size = %d, want 34 (12 singleton + 5 pool core sizes x 2 editions)", c.Len())
 	}
 	var gp, bc []SLO
-	for _, name := range c.Names() {
-		s, _ := c.Lookup(name)
+	for _, s := range c.byName {
 		switch s.Edition {
 		case StandardGP:
 			gp = append(gp, s)
@@ -117,14 +116,8 @@ func TestCatalogLookupAndNames(t *testing.T) {
 	if _, ok := c.Lookup("nope"); ok {
 		t.Error("lookup of unknown SLO succeeded")
 	}
-	names := c.Names()
-	if len(names) != c.Len() {
-		t.Error("Names length mismatch")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatal("Names not sorted")
-		}
+	if s, ok := c.Lookup("BC_Gen5_8"); !ok || s.Name != "BC_Gen5_8" {
+		t.Errorf("lookup of BC_Gen5_8 = %+v, %v", s, ok)
 	}
 }
 

@@ -100,7 +100,10 @@ func TestDetectDeterministic(t *testing.T) {
 }
 
 func TestDetectTooShort(t *testing.T) {
-	s := stats.MustSeries(1, 2, 3, 4)
+	s, err := stats.NewSeries([]float64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pts := Detect(s, DefaultOptions()); pts != nil {
 		t.Fatalf("series shorter than 2*MinSegment produced points: %+v", pts)
 	}

@@ -79,15 +79,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (the R-7 / NumPy default). It
 // panics on an empty slice or q outside [0, 1].
@@ -118,9 +109,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // BoxPlot summarizes a sample the way the paper's dispersion box plots do
 // (Figures 3a, 6, 7, 13): quartiles, 1.5*IQR whiskers clamped to the data

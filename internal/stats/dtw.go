@@ -5,51 +5,17 @@ import (
 	"math"
 )
 
-// DTW returns the dynamic-time-warping distance between two series using
-// absolute difference as the local cost and the standard unit-step
-// recurrence. The paper uses DTW (alongside RMSE) to compare the
+// DTWWindow returns the dynamic-time-warping distance between two series
+// using absolute difference as the local cost and the standard unit-step
+// recurrence, constrained to a Sakoe-Chiba band of the given radius (in
+// samples). The paper uses DTW (alongside RMSE) to compare the
 // hourly-normal disk model against KDE and custom-binning candidates
 // (§4.2.2): DTW tolerates small temporal misalignment between the modeled
 // and production curves that RMSE would punish.
 //
-// Memory is O(min(len(a), len(b))) via a rolling two-row table.
-func DTW(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, ErrEmpty
-	}
-	// Keep b as the shorter series so the rows are minimal.
-	if len(b) > len(a) {
-		a, b = b, a
-	}
-	n, m := len(a), len(b)
-	prev := make([]float64, m+1)
-	curr := make([]float64, m+1)
-	for j := 1; j <= m; j++ {
-		prev[j] = math.Inf(1)
-	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		curr[0] = math.Inf(1)
-		for j := 1; j <= m; j++ {
-			cost := math.Abs(a[i-1] - b[j-1])
-			best := prev[j] // insertion
-			if prev[j-1] < best {
-				best = prev[j-1] // match
-			}
-			if curr[j-1] < best {
-				best = curr[j-1] // deletion
-			}
-			curr[j] = cost + best
-		}
-		prev, curr = curr, prev
-	}
-	return prev[m], nil
-}
-
-// DTWWindow returns the DTW distance constrained to a Sakoe-Chiba band of
-// the given radius (in samples). A radius >= max(len(a), len(b)) is
-// equivalent to unconstrained DTW. The band makes long-series comparisons
-// (two-week, 20-minute-granularity disk traces) linear-time in practice.
+// A radius >= max(len(a), len(b)) is equivalent to unconstrained DTW.
+// The band makes long-series comparisons (two-week, 20-minute-granularity
+// disk traces) linear-time in practice.
 func DTWWindow(a, b []float64, radius int) (float64, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, ErrEmpty

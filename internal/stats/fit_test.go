@@ -91,7 +91,10 @@ func TestFitNegBinomialRecovers(t *testing.T) {
 	const r, p = 5, 0.4
 	xs := make([]float64, 8000)
 	for i := range xs {
-		xs[i] = float64(src.NegBinomial(r, p))
+		// Failures before r successes: a sum of r geometric draws.
+		for k := 0; k < r; k++ {
+			xs[i] += math.Floor(math.Log(1-src.Float64()) / math.Log(1-p))
+		}
 	}
 	nb, err := FitNegBinomial(xs)
 	if err != nil {

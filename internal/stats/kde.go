@@ -46,27 +46,6 @@ func silverman(sorted []float64) float64 {
 	return 0.9 * spread * math.Pow(n, -0.2)
 }
 
-// Bandwidth returns the estimator's bandwidth.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
-// PDF returns the estimated density at x.
-func (k *KDE) PDF(x float64) float64 {
-	sum := 0.0
-	for _, xi := range k.data {
-		sum += NormalPDF(x, xi, k.bandwidth)
-	}
-	return sum / float64(len(k.data))
-}
-
-// CDF returns the estimated cumulative probability at x.
-func (k *KDE) CDF(x float64) float64 {
-	sum := 0.0
-	for _, xi := range k.data {
-		sum += NormalCDF(x, xi, k.bandwidth)
-	}
-	return sum / float64(len(k.data))
-}
-
 // Sample draws one value from the estimated density: pick a data point
 // uniformly, then add Gaussian noise scaled by the bandwidth. rnd must
 // return uniform values in [0, 1) and gauss standard-normal values; they

@@ -7,18 +7,6 @@ import (
 	"toto/internal/rng"
 )
 
-func TestKDEPDFIntegratesToOne(t *testing.T) {
-	k := NewKDE(normalSample(1, 200, 0, 1))
-	sum := 0.0
-	const step = 0.02
-	for x := -8.0; x < 8.0; x += step {
-		sum += k.PDF(x) * step
-	}
-	if !almost(sum, 1, 0.01) {
-		t.Errorf("KDE PDF integral = %v", sum)
-	}
-}
-
 func TestKDECDFMonotone(t *testing.T) {
 	k := NewKDE(normalSample(2, 100, 5, 2))
 	prev := -1.0

@@ -155,50 +155,3 @@ func NormalCDF(x, mean, sigma float64) float64 {
 	}
 	return 0.5 * math.Erfc(-(x-mean)/(sigma*math.Sqrt2))
 }
-
-// NormalPDF returns the density of a normal distribution with the given
-// mean and standard deviation, evaluated at x. sigma must be > 0.
-func NormalPDF(x, mean, sigma float64) float64 {
-	if sigma <= 0 {
-		panic("stats: NormalPDF with non-positive sigma")
-	}
-	z := (x - mean) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// NormalQuantile returns the inverse CDF of the standard normal
-// distribution at probability p in (0, 1), via the Acklam rational
-// approximation (relative error < 1.15e-9, ample for test thresholds).
-func NormalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic("stats: NormalQuantile with p outside (0,1)")
-	}
-	// Coefficients for the central and tail regions.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-	const pLow = 0.02425
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-pLow:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-}

@@ -59,7 +59,7 @@ func TestKSTestNormalOnSkewedData(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		xs := make([]float64, 300)
 		for i := range xs {
-			xs[i] = src.Exponential(1)
+			xs[i] = -math.Log(1 - src.Float64()) // rate 1
 		}
 		if KSTestNormal(xs).Reject(0.05) {
 			rejected++
@@ -115,40 +115,6 @@ func TestNormalCDFValues(t *testing.T) {
 	}
 	if v := NormalCDF(8, 5, 3); !almost(v, NormalCDF(1, 0, 1), 1e-12) {
 		t.Errorf("scaled CDF mismatch: %v", v)
-	}
-}
-
-func TestNormalPDFIntegratesToOne(t *testing.T) {
-	// Trapezoid integration over ±8 sigma.
-	sum := 0.0
-	const step = 0.01
-	for x := -8.0; x < 8.0; x += step {
-		sum += NormalPDF(x, 0, 1) * step
-	}
-	if !almost(sum, 1, 1e-3) {
-		t.Errorf("integral of PDF = %v", sum)
-	}
-}
-
-func TestNormalQuantileInvertsCDF(t *testing.T) {
-	for _, p := range []float64{0.001, 0.025, 0.25, 0.5, 0.8, 0.975, 0.999} {
-		z := NormalQuantile(p)
-		if back := NormalCDF(z, 0, 1); !almost(back, p, 1e-6) {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, back)
-		}
-	}
-}
-
-func TestNormalQuantilePanics(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NormalQuantile(%v) did not panic", p)
-				}
-			}()
-			NormalQuantile(p)
-		}()
 	}
 }
 

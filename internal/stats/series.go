@@ -9,7 +9,7 @@ import (
 // The Wilcoxon, Kolmogorov-Smirnov, and change-point entry points share
 // it so each does not re-implement the same emptiness and finiteness
 // checks on bare []float64 arguments. The zero Series is empty and not
-// usable; construct one with NewSeries or MustSeries.
+// usable; construct one with NewSeries.
 type Series struct {
 	vals []float64
 }
@@ -29,24 +29,8 @@ func NewSeries(vals []float64) (Series, error) {
 	return Series{vals: append([]float64(nil), vals...)}, nil
 }
 
-// MustSeries is NewSeries for literals in tests and tools; it panics on
-// invalid input.
-func MustSeries(vals ...float64) Series {
-	s, err := NewSeries(vals)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Len returns the number of observations.
 func (s Series) Len() int { return len(s.vals) }
 
 // Values returns a copy of the observations, oldest first.
 func (s Series) Values() []float64 { return append([]float64(nil), s.vals...) }
-
-// Mean returns the arithmetic mean of the sample.
-func (s Series) Mean() float64 { return Mean(s.vals) }
-
-// Sum returns the sum of the sample.
-func (s Series) Sum() float64 { return Sum(s.vals) }

@@ -20,8 +20,8 @@ func TestNewSeriesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid sample rejected: %v", err)
 	}
-	if s.Len() != 3 || s.Sum() != 6 || s.Mean() != 2 {
-		t.Fatalf("Len/Sum/Mean wrong: %d %v %v", s.Len(), s.Sum(), s.Mean())
+	if got := s.Values(); s.Len() != 3 || got[0] != 3 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("Len/Values wrong: %d %v", s.Len(), got)
 	}
 }
 

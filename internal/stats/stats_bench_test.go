@@ -50,15 +50,6 @@ func BenchmarkDTWWindow(b *testing.B) {
 	}
 }
 
-func BenchmarkKDEPDF(b *testing.B) {
-	k := NewKDE(benchSample(1000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.PDF(float64(i % 20))
-	}
-}
-
 func BenchmarkBoxPlot(b *testing.B) {
 	xs := benchSample(500)
 	b.ReportAllocs()

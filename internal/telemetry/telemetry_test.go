@@ -22,12 +22,13 @@ func editionFromLabel(svc *fabric.Service) slo.Edition {
 
 func newEnv(t *testing.T, nodes int) (*fabric.Cluster, *Recorder) {
 	t.Helper()
-	cluster := fabric.NewCluster(simclock.New(start), nodes, map[fabric.MetricName]float64{
+	clock := simclock.New(start)
+	cluster := fabric.NewCluster(clock, nodes, map[fabric.MetricName]float64{
 		fabric.MetricCores:    64,
 		fabric.MetricDiskGB:   8192,
 		fabric.MetricMemoryGB: 512,
 	}, fabric.DefaultConfig())
-	rec := NewRecorder(cluster.Clock(), cluster, time.Hour, 10*time.Minute, editionFromLabel)
+	rec := NewRecorder(clock, cluster, time.Hour, 10*time.Minute, editionFromLabel)
 	return cluster, rec
 }
 
@@ -35,7 +36,7 @@ func TestPeriodicSampling(t *testing.T) {
 	cluster, rec := newEnv(t, 4)
 	cluster.CreateService("a", 1, 4, nil)
 	rec.Start(3 * time.Hour)
-	cluster.Clock().RunUntil(start.Add(3 * time.Hour))
+	rec.clock.RunUntil(start.Add(3 * time.Hour))
 	rec.Stop()
 
 	// Immediate sample + one per hour, each series sized exactly by Start.
@@ -54,7 +55,7 @@ func TestPeriodicSampling(t *testing.T) {
 	}
 	// After Stop no more samples accrue.
 	n := len(rec.Samples())
-	cluster.Clock().RunUntil(start.Add(6 * time.Hour))
+	rec.clock.RunUntil(start.Add(6 * time.Hour))
 	if len(rec.Samples()) != n {
 		t.Error("sampling continued after Stop")
 	}
@@ -146,7 +147,7 @@ func TestCSVExport(t *testing.T) {
 	cluster, rec := newEnv(t, 4)
 	cluster.CreateService("a", 1, 4, map[string]string{"edition": "Standard/GP"})
 	rec.Start(2 * time.Hour)
-	cluster.Clock().RunUntil(start.Add(2 * time.Hour))
+	rec.clock.RunUntil(start.Add(2 * time.Hour))
 
 	var buf bytes.Buffer
 	if err := WriteSamplesCSV(&buf, rec.Samples()); err != nil {

@@ -272,16 +272,11 @@ type DBTrace struct {
 	Class GrowthClass
 }
 
-// Deltas returns the per-interval usage differences, optionally
-// re-discretized to a coarser period (which must be a multiple of the
-// trace interval). This reproduces the paper's 20-minute Delta Disk
-// Usage from finer samples.
-func (t *DBTrace) Deltas(period time.Duration) []float64 {
-	return t.AppendDeltas(nil, period)
-}
-
-// AppendDeltas appends Deltas(period) to dst and returns the extended
-// slice, so a caller walking many traces can reuse one buffer.
+// AppendDeltas appends the per-interval usage differences to dst and
+// returns the extended slice, so a caller walking many traces can reuse
+// one buffer. The differences are optionally re-discretized to a coarser
+// period (which must be a multiple of the trace interval). This
+// reproduces the paper's 20-minute Delta Disk Usage from finer samples.
 func (t *DBTrace) AppendDeltas(dst []float64, period time.Duration) []float64 {
 	step := 1
 	if period > t.Interval {

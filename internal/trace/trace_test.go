@@ -100,7 +100,7 @@ func TestDiskTraceSteadyFraction(t *testing.T) {
 	// ~99.8% of 20-minute deltas are steady-state (|delta| small).
 	total, steady := 0, 0
 	for _, tr := range traces {
-		for _, d := range tr.Deltas(20 * time.Minute) {
+		for _, d := range tr.AppendDeltas(nil, 20*time.Minute) {
 			total++
 			if math.Abs(d) <= 5 {
 				steady++
@@ -158,7 +158,7 @@ func TestRapidGrowthCycles(t *testing.T) {
 		}
 		// A daily spike at midnight must be visible: the max hourly gain
 		// around hour 0 should far exceed the steady rate.
-		deltas := tr.Deltas(time.Hour)
+		deltas := tr.AppendDeltas(nil, time.Hour)
 		maxGain := stats.Max(deltas)
 		if maxGain < 10 {
 			t.Errorf("%s rapid-growth trace has max hourly delta %v", tr.DB, maxGain)
@@ -176,11 +176,11 @@ func TestDeltasRediscretization(t *testing.T) {
 		Interval: 5 * time.Minute,
 		UsageGB:  []float64{0, 1, 2, 3, 4, 5, 6, 7, 8},
 	}
-	d5 := tr.Deltas(5 * time.Minute)
+	d5 := tr.AppendDeltas(nil, 5*time.Minute)
 	if len(d5) != 8 || d5[0] != 1 {
 		t.Errorf("5-minute deltas = %v", d5)
 	}
-	d20 := tr.Deltas(20 * time.Minute)
+	d20 := tr.AppendDeltas(nil, 20*time.Minute)
 	if len(d20) != 2 || d20[0] != 4 || d20[1] != 4 {
 		t.Errorf("20-minute deltas = %v", d20)
 	}

@@ -168,8 +168,6 @@ type Engine struct {
 	// another shed.
 	anchors journal.Anchors
 
-	ticker  *simclock.Ticker
-	flusher *simclock.Ticker
 	started bool
 
 	stats    Stats
@@ -265,28 +263,12 @@ func (e *Engine) Start(from time.Time) {
 	e.started = true
 	e.cluster.SubscribeAnnotations(e.anchors.Observe)
 	e.cluster.Subscribe(e.onEvent)
-	e.ticker = e.clock.Every(e.tickEvery, e.tick)
-	e.flusher = e.clock.Every(time.Hour, e.flush)
+	e.clock.Every(e.tickEvery, e.tick)
+	e.clock.Every(time.Hour, e.flush)
 	e.o.Instant("traffic.start",
 		obs.I64("seed", int64(e.spec.Seed)),
 		obs.Float("per_core_rps", e.spec.PerCoreRPS),
 	)
-}
-
-// Stop halts the tickers. The subscriptions stay attached (the fabric
-// has no unsubscribe) but see no further simulated time.
-func (e *Engine) Stop() {
-	if e.ticker != nil {
-		e.ticker.Stop()
-		e.ticker = nil
-	}
-	if e.flusher != nil {
-		e.flusher.Stop()
-		e.flusher = nil
-	}
-	if e.promOn {
-		e.promUpdate() // fold the final partial hour into /metrics
-	}
 }
 
 // Stats returns the plane's totals so far, with whole-run latency

@@ -135,7 +135,6 @@ func runDay(tb testing.TB, o dayOpts) (traffic.Stats, fabric.SlowNodeStats) {
 	if eng == nil {
 		return traffic.Stats{}, c.SlowNodeStats()
 	}
-	eng.Stop()
 	return eng.Stats(), c.SlowNodeStats()
 }
 

@@ -12,10 +12,6 @@ const (
 	histGrowth  = 1.25
 )
 
-// Buckets returns the histogram's bucket count, for analysis tools that
-// need to walk the layout without importing its internals.
-func Buckets() int { return histBuckets }
-
 // BucketBound returns bucket i's nominal upper bound in ms, base·growth^i
 // — the exact float the quantile functions report, so an analysis tool
 // can match a journaled p99 back to its bucket by float equality. It is

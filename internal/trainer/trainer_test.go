@@ -246,7 +246,7 @@ func TestTrainDiskBucketsOffEpoch(t *testing.T) {
 			if tr.UsageGB[1]-tr.UsageGB[0] > opts.InitialGrowthLabelGB { // 5-minute samples
 				skip = int(opts.InitialWindow / opts.DeltaPeriod)
 			}
-			for i, d := range tr.Deltas(opts.DeltaPeriod) {
+			for i, d := range tr.AppendDeltas(nil, opts.DeltaPeriod) {
 				if i < skip || math.Abs(d) > opts.SpikeThresholdGB {
 					continue
 				}

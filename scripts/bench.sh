@@ -28,7 +28,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkPlacement|BenchmarkGreedyPlacement|BenchmarkPlace|BenchmarkPlaceWithTopology|BenchmarkScan|BenchmarkPLBScan|BenchmarkReportLoad|BenchmarkNamingService|BenchmarkNamingServiceFloat|BenchmarkSimulatedDay|BenchmarkSimulatedDayWithFaults|BenchmarkSimulatedDayJournaled|BenchmarkSimulatedDayWithTraffic|BenchmarkSimulatedDayWithTrafficTraced|BenchmarkSimulatedDayTrafficHedged|BenchmarkSimulatedDayNoTraffic|BenchmarkClockSchedule|BenchmarkClockCancel|BenchmarkTrainDefaultModels|BenchmarkDecodeDefaultModels)$'
+BENCHES='^(BenchmarkPlacement|BenchmarkGreedyPlacement|BenchmarkPlace|BenchmarkPlaceWithTopology|BenchmarkScan|BenchmarkPLBScan|BenchmarkReportLoad|BenchmarkNamingServiceFloat|BenchmarkSimulatedDay|BenchmarkSimulatedDayWithFaults|BenchmarkSimulatedDayJournaled|BenchmarkSimulatedDayWithTraffic|BenchmarkSimulatedDayWithTrafficTraced|BenchmarkSimulatedDayTrafficHedged|BenchmarkSimulatedDayNoTraffic|BenchmarkClockSchedule|BenchmarkClockCancel|BenchmarkTrainDefaultModels|BenchmarkDecodeDefaultModels)$'
 PKGS='./internal/fabric/ ./internal/simclock/ ./internal/traffic/ ./internal/core/'
 BENCHTIME="${BENCHTIME:-2s}"
 BENCHCOUNT="${BENCHCOUNT:-3}"
