@@ -19,9 +19,10 @@ import (
 // service names never contain the separators (| ; @ ~), which the
 // engine's fixed vocabulary guarantees.
 
-// AppendDetail encodes tr onto buf and returns the extended slice. The
-// traffic engine reuses one buffer across traces, so a kept trace costs
-// exactly one string allocation (the annotation Detail).
+// AppendDetail encodes tr onto buf and returns the extended slice. It is
+// a kept trace's only stored form: Recorder.Record encodes into a buffer
+// it reuses across traces, so a kept trace costs exactly one allocation,
+// the string the ring keeps and the journal annotation's Detail shares.
 func AppendDetail(buf []byte, tr *Trace) []byte {
 	buf = appendID(buf, tr.ID)
 	buf = append(buf, '|')

@@ -20,10 +20,15 @@
 //
 // The engine is aggregate — it serves request groups, not individual
 // requests — so one Trace represents Count requests that took the same
-// path at the same modeled latency. Kept traces are encoded into the
-// journal's annotation Detail field (see AppendDetail) inside the same
-// causal bracket as the failure they describe, so a trace's root cause
-// is exactly the journal's attribution for the incident.
+// path at the same modeled latency. A kept trace is stored once, in its
+// wire form (see AppendDetail): Recorder.Record encodes it into a
+// string, keeps that string in the ring and returns it, and the engine
+// journals the same string as the annotation's Detail, inside the same
+// causal bracket as the failure the trace describes, so a trace's root
+// cause is exactly the journal's attribution for the incident. The ring
+// holds no caller memory: the caller may reuse its span slice as soon as
+// Record returns, and Snapshot decodes fresh Traces from the immutable
+// strings.
 package reqtrace
 
 import (
@@ -276,11 +281,23 @@ type Recorder struct {
 	spec    Spec
 	sampler *Sampler
 	seed    uint64
+	buf     []byte // Record's encode buffer, reused across traces
 
 	mu   sync.Mutex
-	ring []Trace
+	ring []kept
 	next int
 	live Stats // sampler counters as of the newest kept trace
+}
+
+// kept is one ring entry: what Snapshot filters and orders on, the
+// arrival time and service the wire form leaves out, and the wire form
+// itself, which holds everything else.
+type kept struct {
+	time      int64
+	service   string
+	outcome   Outcome
+	latencyMs float64
+	detail    string
 }
 
 // NewRecorder validates the spec and builds an unbound recorder. Bind
@@ -295,7 +312,7 @@ func NewRecorder(spec *Spec) (*Recorder, error) {
 	resolved := spec.withDefaults()
 	return &Recorder{
 		spec: resolved,
-		ring: make([]Trace, 0, resolved.RingSize),
+		ring: make([]kept, 0, resolved.RingSize),
 	}, nil
 }
 
@@ -325,26 +342,29 @@ func (r *Recorder) Keep(outcome Outcome, bucketFirst bool) bool {
 	return r.sampler.Keep(outcome, bucketFirst)
 }
 
-// Record enters a kept trace into the ring. tr holds the group's time,
-// service, outcome, count, latency, retries and spans. Record stamps
-// its outcome name and its ID, which is derived from the seed, time,
-// service, outcome and group. group is the group's index within its
-// (time, service) tick, so IDs stay unique when one tick emits several
-// groups. The ring's copy shares tr.Spans, so the caller must not
-// modify the spans afterwards.
-func (r *Recorder) Record(tr *Trace, group int) {
+// Record enters a kept trace into the ring and returns its wire form,
+// AppendDetail of the stamped trace, which is what the ring stores. tr
+// holds the group's time, service, outcome, count, latency, retries and
+// spans. Record stamps tr.ID, derived from the seed, time, service,
+// outcome and group. group is the group's index within its (time,
+// service) tick, so IDs stay unique when one tick emits several groups.
+// The ring keeps nothing of tr but the service name, so the caller may
+// reuse tr.Spans once Record returns; the returned string is the one
+// allocation a kept trace costs.
+func (r *Recorder) Record(tr *Trace, group int) string {
 	tr.ID = TraceID(r.seed, tr.Time, tr.Service, tr.Outcome, group)
-	tr.IDHex = IDString(tr.ID)
-	tr.OutcomeS = tr.Outcome.String()
+	r.buf = AppendDetail(r.buf[:0], tr)
+	k := kept{time: tr.Time, service: tr.Service, outcome: tr.Outcome, latencyMs: tr.LatencyMs, detail: string(r.buf)}
 	r.mu.Lock()
 	if len(r.ring) < r.spec.RingSize {
-		r.ring = append(r.ring, *tr)
+		r.ring = append(r.ring, k)
 	} else {
-		r.ring[r.next] = *tr
+		r.ring[r.next] = k
 		r.next = (r.next + 1) % r.spec.RingSize
 	}
 	r.live = r.sampler.stats
 	r.mu.Unlock()
+	return k.detail
 }
 
 // Stats returns the sampler's counters. Call it from the simulation
@@ -377,22 +397,26 @@ type Query struct {
 	Slowest bool    // sort by latency descending instead of arrival order
 }
 
-// Snapshot copies the kept-trace ring, oldest first, applying the
-// query. Safe for concurrent use with the simulation goroutine.
+// Snapshot returns the kept traces, oldest first, applying the query.
+// It filters, orders and trims the ring's entries on their header
+// fields under the ring's mutex, then decodes only the traces it
+// returns from their wire form, so each call hands out fresh Traces
+// that share no memory with the ring or the simulation. Safe for
+// concurrent use with the simulation goroutine.
 func (r *Recorder) Snapshot(q Query) []Trace {
 	r.mu.Lock()
-	out := make([]Trace, 0, len(r.ring))
-	appendIf := func(t Trace) {
-		if q.Service != "" && t.Service != q.Service {
+	sel := make([]kept, 0, len(r.ring))
+	appendIf := func(k kept) {
+		if q.Service != "" && k.service != q.Service {
 			return
 		}
-		if q.Outcome != "" && t.OutcomeS != q.Outcome {
+		if q.Outcome != "" && k.outcome.String() != q.Outcome {
 			return
 		}
-		if t.LatencyMs < q.MinMs {
+		if k.latencyMs < q.MinMs {
 			return
 		}
-		out = append(out, t)
+		sel = append(sel, k)
 	}
 	for i := r.next; i < len(r.ring); i++ {
 		appendIf(r.ring[i])
@@ -402,18 +426,27 @@ func (r *Recorder) Snapshot(q Query) []Trace {
 	}
 	r.mu.Unlock()
 	if q.Slowest {
-		for i := 1; i < len(out); i++ { // insertion sort: rings are small
-			for j := i; j > 0 && out[j].LatencyMs > out[j-1].LatencyMs; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
+		for i := 1; i < len(sel); i++ { // insertion sort: rings are small
+			for j := i; j > 0 && sel[j].latencyMs > sel[j-1].latencyMs; j-- {
+				sel[j], sel[j-1] = sel[j-1], sel[j]
 			}
 		}
 	}
-	if q.Limit > 0 && len(out) > q.Limit {
+	if q.Limit > 0 && len(sel) > q.Limit {
 		if q.Slowest {
-			out = out[:q.Limit]
+			sel = sel[:q.Limit]
 		} else {
-			out = out[len(out)-q.Limit:] // newest when in arrival order
+			sel = sel[len(sel)-q.Limit:] // newest when in arrival order
 		}
+	}
+	out := make([]Trace, len(sel))
+	for i, k := range sel {
+		tr, err := DecodeDetail(k.detail)
+		if err != nil {
+			panic(fmt.Sprintf("reqtrace: ring entry does not decode: %v", err)) // AppendDetail's output always does
+		}
+		tr.Time, tr.Service = k.time, k.service
+		out[i] = tr
 	}
 	return out
 }

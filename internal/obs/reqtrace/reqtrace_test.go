@@ -3,6 +3,7 @@ package reqtrace
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,16 +174,20 @@ func TestSamplerDrawIndependentOfBucketState(t *testing.T) {
 	}
 }
 
-// TestRecorderRingAndSnapshot: ring rotation keeps the newest RingSize
-// traces, Record stamps each kept trace's ID and outcome name, the
-// published counters follow the kept traces, and Snapshot's filters and
-// ordering behave.
+// TestRecorderRingAndSnapshot: Record stamps each kept trace's ID and
+// returns its wire form; ring rotation keeps the newest RingSize traces;
+// the ring keeps nothing of the caller's trace, whose spans the caller
+// reuses; every snapshot trace equals the recorded one field by field;
+// the published counters follow the kept traces; and Snapshot's filters
+// and ordering behave.
 func TestRecorderRingAndSnapshot(t *testing.T) {
 	rec, err := NewRecorder(&Spec{SampleOneIn: 1, RingSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec.Bind(9, rng.New(9).Split("reqtrace"))
+	spans := make([]Span, 0, 2) // one span buffer, reused as the engine reuses its own
+	recorded := map[int64]Trace{}
 	for i := 0; i < 10; i++ {
 		svc := "svc-a"
 		if i%2 == 1 {
@@ -195,31 +200,39 @@ func TestRecorderRingAndSnapshot(t *testing.T) {
 		if !rec.Keep(outcome, true) {
 			t.Fatalf("trace %d not kept (SampleOneIn=1, bucketFirst)", i)
 		}
-		tr := Trace{Time: int64(i), Service: svc, Outcome: outcome, Count: 10, LatencyMs: float64(i)}
+		tr := Trace{Time: int64(i), Service: svc, Outcome: outcome, Count: 10, LatencyMs: float64(i),
+			Retries: i % 3, Spans: spans[:0]}
 		tr.Add(SpanArrival, 0, 0)
 		tr.AddDispatch(0, float64(i), "node-1", 0.5)
-		rec.Record(&tr, i)
-		if tr.ID != TraceID(9, int64(i), svc, outcome, i) || tr.IDHex != IDString(tr.ID) ||
-			tr.OutcomeS != outcome.String() {
-			t.Fatalf("trace %d not stamped: %+v", i, tr)
+		wire := rec.Record(&tr, i)
+		if tr.ID != TraceID(9, int64(i), svc, outcome, i) {
+			t.Fatalf("trace %d not stamped: ID %016x", i, tr.ID)
 		}
-		tr.Service = "mutated" // the ring holds its own copy of the header
+		if want := string(AppendDetail(nil, &tr)); wire != want {
+			t.Fatalf("trace %d: Record returned %q, want AppendDetail of the stamped trace %q", i, wire, want)
+		}
+		want := tr
+		want.IDHex, want.OutcomeS = IDString(tr.ID), outcome.String()
+		want.Spans = append([]Span(nil), tr.Spans...)
+		recorded[want.Time] = want
+		// The caller reuses its spans and header at once: none of it may
+		// show in the ring.
+		tr.Spans[1].Node, tr.Spans[1].DurMs, tr.Service = "mutated", -1, "mutated"
+		spans = tr.Spans
 	}
 
 	all := rec.Snapshot(Query{})
 	if len(all) != 4 {
 		t.Fatalf("ring holds %d traces, want RingSize=4", len(all))
 	}
-	// Oldest first: times 6,7,8,9 survive the rotation.
+	// Oldest first: times 6,7,8,9 survive the rotation, each equal to the
+	// trace as recorded, Time, Service and IDHex included.
 	for i, tr := range all {
 		if tr.Time != int64(6+i) {
 			t.Fatalf("ring order: slot %d has time %d", i, tr.Time)
 		}
-		if tr.Service == "mutated" || tr.IDHex == "" {
-			t.Fatalf("ring trace %d aliases the caller's trace: %+v", i, tr)
-		}
-		if len(tr.Spans) != 2 || tr.Spans[1].Node != "node-1" {
-			t.Fatalf("ring trace %d lost its spans: %+v", i, tr.Spans)
+		if want := recorded[tr.Time]; !reflect.DeepEqual(tr, want) {
+			t.Fatalf("ring trace %d differs from the recorded one:\n got %+v\nwant %+v", i, tr, want)
 		}
 	}
 
@@ -253,29 +266,46 @@ func TestRecorderRingAndSnapshot(t *testing.T) {
 }
 
 // TestRecorderConcurrentReaders is the /traces contract: while the
-// simulation goroutine offers groups and records kept traces, another
-// goroutine may snapshot the ring and read the published counters, and
-// every counter copy it reads is whole (Kept+Dropped == Considered) and
-// never runs backwards. Run under -race.
+// simulation goroutine offers groups and records kept traces, building
+// each one in the same reused span buffer as the engine does, another
+// goroutine may snapshot the ring and read the published counters. Every
+// counter copy it reads is whole (Kept+Dropped == Considered) and never
+// runs backwards, and every span of every snapshot trace is the one its
+// own header implies, so no span was torn or overwritten by a later
+// trace. Run under -race.
 func TestRecorderConcurrentReaders(t *testing.T) {
 	rec, err := NewRecorder(&Spec{SampleOneIn: 3, RingSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec.Bind(1, rng.New(1).Split("reqtrace"))
+	nodes := [...]string{"node-0", "node-1", "node-2", "node-3"}
+	// spansOf is the span tree the writer records for the trace of group
+	// i, all of it derived from i, which the trace's Time carries.
+	spansOf := func(buf []Span, i int64) []Span {
+		lat := float64(i) / 4
+		tr := Trace{Spans: buf}
+		tr.Add(SpanArrival, 0, 0)
+		tr.AddDispatch(0, lat, nodes[i%4], float64(i%100)/128)
+		tr.Add(SpanComplete, lat, 0)
+		return tr.Spans
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		spans := make([]Span, 0, 3)
 		for i := 0; i < 20000; i++ {
 			if !rec.Keep(OutcomeOK, false) {
 				continue
 			}
-			tr := Trace{Time: int64(i), Service: "svc", Count: 1, LatencyMs: float64(i),
-				Spans: []Span{{Name: SpanArrival}, {Name: SpanComplete, StartMs: float64(i)}}}
+			tr := Trace{Time: int64(i), Service: "svc", Count: 1, LatencyMs: float64(i) / 4,
+				Spans: spansOf(spans[:0], int64(i))}
 			rec.Record(&tr, 0)
+			spans = tr.Spans
 		}
 	}()
 	var last Stats
+	var checked int
 	for running := true; running; {
 		select {
 		case <-done:
@@ -288,13 +318,16 @@ func TestRecorderConcurrentReaders(t *testing.T) {
 		}
 		last = st
 		for _, tr := range rec.Snapshot(Query{Slowest: true}) {
-			if len(tr.Spans) != 2 || tr.IDHex != IDString(tr.ID) {
-				t.Fatalf("snapshot trace incomplete: %+v", tr)
+			want := spansOf(nil, tr.Time)
+			if tr.ID != TraceID(1, tr.Time, "svc", OutcomeOK, 0) || tr.IDHex != IDString(tr.ID) ||
+				tr.LatencyMs != float64(tr.Time)/4 || !reflect.DeepEqual(tr.Spans, want) {
+				t.Fatalf("snapshot trace torn:\n got %+v\nwant spans %+v", tr, want)
 			}
+			checked++
 		}
 	}
-	if st := rec.Stats(); st.Kept == 0 || rec.LiveStats().Kept != st.Kept {
-		t.Fatalf("after the run: published %+v, sampler %+v", rec.LiveStats(), st)
+	if st := rec.Stats(); st.Kept == 0 || rec.LiveStats().Kept != st.Kept || checked == 0 {
+		t.Fatalf("after the run: published %+v, sampler %+v, %d traces checked", rec.LiveStats(), st, checked)
 	}
 }
 

@@ -100,11 +100,13 @@ func TestWarmedTrafficTickZeroAlloc(t *testing.T) {
 // TestWarmedTracedTickAllocsPerKeptTrace pins the traced tick's cost to
 // the traces it keeps: the sampler decides before a span is built, so a
 // warmed minute in which no group is kept allocates nothing, and every
-// kept trace costs exactly allocsPerKeptTrace — its span slice, its hex
-// ID and its journal Detail string. Windows holding the hourly flush,
-// whose verdict line is formatted, are skipped.
+// kept trace costs exactly allocsPerKeptTrace — its wire-form string,
+// which the recorder's ring keeps and the journal annotation's Detail
+// shares. The spans go into the engine's reused slice and the recorder
+// formats no hex ID. Windows holding the hourly flush, whose verdict
+// line is formatted, are skipped.
 func TestWarmedTracedTickAllocsPerKeptTrace(t *testing.T) {
-	const allocsPerKeptTrace = 3
+	const allocsPerKeptTrace = 1
 	clock, eng := warmTraffic(t, &traffic.Spec{Seed: 7, Reqtrace: &reqtrace.Spec{}})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var quiet, keeping int

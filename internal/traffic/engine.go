@@ -181,10 +181,10 @@ type Engine struct {
 	// Request tracing (nil when disabled — every trace call site below is
 	// nil-guarded, so the disabled hot path allocates nothing extra).
 	rec        *reqtrace.Recorder
-	traceGroup int     // per-serveOne group counter, part of the trace ID
-	detailBuf  []byte  // reused wire-encoding buffer
-	lastNode   string  // serving node at the last latencyMs call
-	lastUtil   float64 // serving node utilization at the last latencyMs call
+	traceGroup int             // per-serveOne group counter, part of the trace ID
+	spans      []reqtrace.Span // the kept trace's spans, reused across traces
+	lastNode   string          // serving node at the last latencyMs call
+	lastUtil   float64         // serving node utilization at the last latencyMs call
 
 	// Fail-slow hook (nil when no chaos fail-slow view is attached).
 	slowFn func(node string, now time.Time) float64
@@ -818,13 +818,15 @@ func (e *Engine) traceFail(now time.Time, svc string, outcome reqtrace.Outcome, 
 	if !keep {
 		return
 	}
-	tr := reqtrace.Trace{Time: now.UnixNano(), Service: svc, Outcome: outcome, Count: count, LatencyMs: latMs}
+	tr := reqtrace.Trace{Time: now.UnixNano(), Service: svc, Outcome: outcome, Count: count, LatencyMs: latMs,
+		Spans: e.spans[:0]}
+	tr.Add(reqtrace.SpanArrival, 0, 0)
+	tr.Add(reqtrace.SpanAdmission, 0, 0)
 	if outcome == reqtrace.OutcomeRejected {
-		tr.Spans = []reqtrace.Span{{Name: reqtrace.SpanArrival}, {Name: reqtrace.SpanAdmission},
-			{Name: reqtrace.SpanBreaker}, {Name: reqtrace.SpanReject}}
+		tr.Add(reqtrace.SpanBreaker, 0, 0)
+		tr.Add(reqtrace.SpanReject, 0, 0)
 	} else {
-		tr.Spans = []reqtrace.Span{{Name: reqtrace.SpanArrival}, {Name: reqtrace.SpanAdmission},
-			{Name: reqtrace.SpanShed}}
+		tr.Add(reqtrace.SpanShed, 0, 0)
 	}
 	e.recordTrace(now, &tr, group, aSeq, aKind)
 }
@@ -841,13 +843,12 @@ func (e *Engine) traceError(now time.Time, svc string, count int64, meanMs float
 		retries = 1
 	}
 	tr := reqtrace.Trace{Time: now.UnixNano(), Service: svc, Outcome: reqtrace.OutcomeError,
-		Count: count, LatencyMs: meanMs, Retries: retries, Spans: []reqtrace.Span{
-			{Name: reqtrace.SpanArrival},
-			{Name: reqtrace.SpanAdmission},
-			{Name: reqtrace.SpanBreaker},
-			{Name: reqtrace.SpanDispatch, DurMs: meanMs, Node: e.lastNode, Util: e.lastUtil},
-			{Name: reqtrace.SpanError, StartMs: meanMs},
-		}}
+		Count: count, LatencyMs: meanMs, Retries: retries, Spans: e.spans[:0]}
+	tr.Add(reqtrace.SpanArrival, 0, 0)
+	tr.Add(reqtrace.SpanAdmission, 0, 0)
+	tr.Add(reqtrace.SpanBreaker, 0, 0)
+	tr.AddDispatch(0, meanMs, e.lastNode, e.lastUtil)
+	tr.Add(reqtrace.SpanError, meanMs, 0)
 	e.recordTrace(now, &tr, group, aSeq, aKind)
 }
 
@@ -860,15 +861,8 @@ func (e *Engine) traceOK(now time.Time, svc string, b int, count int64, v, queue
 	if !keep {
 		return
 	}
-	spans := 5
-	if queueMs > 0 {
-		spans++
-	}
-	if backMs > 0 {
-		spans++
-	}
 	tr := reqtrace.Trace{Time: now.UnixNano(), Service: svc, Outcome: reqtrace.OutcomeOK,
-		Count: count, LatencyMs: v, Retries: retries, Spans: make([]reqtrace.Span, 0, spans)}
+		Count: count, LatencyMs: v, Retries: retries, Spans: e.spans[:0]}
 	tr.Add(reqtrace.SpanArrival, 0, 0)
 	off := 0.0
 	if queueMs > 0 {
@@ -907,14 +901,13 @@ func (e *Engine) traceHedged(now time.Time, svc string, b int, count int64, v fl
 		dispatchMs, hedgeMs = e.hedgeDelayMs, v-e.hedgeDelayMs
 	}
 	tr := reqtrace.Trace{Time: now.UnixNano(), Service: svc, Outcome: reqtrace.OutcomeOK,
-		Count: count, LatencyMs: v, Spans: []reqtrace.Span{
-			{Name: reqtrace.SpanArrival},
-			{Name: reqtrace.SpanAdmission},
-			{Name: reqtrace.SpanBreaker},
-			{Name: reqtrace.SpanDispatch, DurMs: dispatchMs, Node: e.lastNode, Util: e.lastUtil},
-			{Name: reqtrace.SpanHedge, StartMs: e.hedgeDelayMs, DurMs: hedgeMs},
-			{Name: reqtrace.SpanComplete, StartMs: v},
-		}}
+		Count: count, LatencyMs: v, Spans: e.spans[:0]}
+	tr.Add(reqtrace.SpanArrival, 0, 0)
+	tr.Add(reqtrace.SpanAdmission, 0, 0)
+	tr.Add(reqtrace.SpanBreaker, 0, 0)
+	tr.AddDispatch(0, dispatchMs, e.lastNode, e.lastUtil)
+	tr.Add(reqtrace.SpanHedge, e.hedgeDelayMs, hedgeMs)
+	tr.Add(reqtrace.SpanComplete, v, 0)
 	e.recordExemplar(now, &tr, group, b)
 }
 
@@ -928,13 +921,14 @@ func (e *Engine) recordExemplar(now time.Time, tr *reqtrace.Trace, group, b int)
 }
 
 // recordTrace enters a kept trace into the recorder's ring and journals
-// it inside the causal bracket of the incident that explains it,
-// reusing the engine's encode buffer so the journal entry costs one
-// allocation (the Detail string).
+// the wire form Record returns inside the causal bracket of the incident
+// that explains it. That string is the kept trace's one allocation: the
+// ring holds it too, and keeps none of the spans, so the engine's span
+// slice is free for the next trace.
 func (e *Engine) recordTrace(now time.Time, tr *reqtrace.Trace, group int, aSeq uint64, aKind fabric.CauseKind) {
-	e.rec.Record(tr, group)
-	e.detailBuf = reqtrace.AppendDetail(e.detailBuf[:0], tr)
-	e.annotate(KindRequestTrace, now, tr.Service, float64(tr.Count), tr.LatencyMs, string(e.detailBuf), aSeq, aKind)
+	detail := e.rec.Record(tr, group)
+	e.spans = tr.Spans[:0]
+	e.annotate(KindRequestTrace, now, tr.Service, float64(tr.Count), tr.LatencyMs, detail, aSeq, aKind)
 }
 
 // flush closes one observation hour: latency quantiles and rates go to
