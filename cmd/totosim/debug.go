@@ -59,9 +59,10 @@ func newDebugMux(sess *obs.Session, jw *journal.Writer, eng *alert.Engine, rec *
 	})
 
 	// /traces searches the recorder's ring of kept request traces:
-	// ?service= &outcome=ok|error|shed|rejected &min_ms= &limit= and
-	// &slowest=1 (latency-sorted instead of newest-first). JSON span
-	// trees, newest last — ready for the dashboard's drill-down.
+	// ?service= &outcome=ok|error|shed|breaker-rejected &min_ms= &limit=
+	// and &slowest=1 (latency-sorted instead of newest-first). JSON span
+	// trees, newest last — ready for the dashboard's drill-down. An
+	// outcome that is none of these is a 400.
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
 		if rec == nil {
 			http.Error(w, "request tracing not enabled (-reqtrace)", http.StatusNotFound)
@@ -72,6 +73,10 @@ func newDebugMux(sess *obs.Session, jw *journal.Writer, eng *alert.Engine, rec *
 			Outcome: r.URL.Query().Get("outcome"),
 			Slowest: r.URL.Query().Get("slowest") == "1",
 			Limit:   50,
+		}
+		if _, ok := reqtrace.ParseOutcome(q.Outcome); q.Outcome != "" && !ok {
+			http.Error(w, fmt.Sprintf("unknown outcome %q: want ok, error, shed or breaker-rejected", q.Outcome), http.StatusBadRequest)
+			return
 		}
 		if v := r.URL.Query().Get("min_ms"); v != "" {
 			fmt.Sscanf(v, "%g", &q.MinMs)

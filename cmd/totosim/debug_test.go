@@ -95,7 +95,8 @@ func TestDebugMuxAlertEndpointsDisabled(t *testing.T) {
 }
 
 // TestDebugMuxTracesEndpoint: /traces serves the recorder's kept-trace
-// ring as JSON with sampler stats, honors query filters, and 404s when
+// ring as JSON with sampler stats, honors query filters by the outcomes'
+// wire names, answers an unknown outcome with 400, and 404s when
 // tracing is off.
 func TestDebugMuxTracesEndpoint(t *testing.T) {
 	rec, err := reqtrace.NewRecorder(&reqtrace.Spec{SampleOneIn: 1, RingSize: 8})
@@ -103,17 +104,26 @@ func TestDebugMuxTracesEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Bind(1, rng.New(1).Split("reqtrace"))
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		outcome := reqtrace.OutcomeOK
-		if i == 2 {
+		switch i {
+		case 2:
 			outcome = reqtrace.OutcomeError
+		case 3:
+			outcome = reqtrace.OutcomeRejected
 		}
 		if !rec.Keep(outcome, true) {
 			t.Fatalf("trace %d dropped", i)
 		}
 		tr := reqtrace.Trace{Time: int64(i), Service: "db-0", Outcome: outcome, Count: 5, LatencyMs: float64(10 + i)}
 		tr.Add(reqtrace.SpanArrival, 0, 0)
-		tr.AddDispatch(0, float64(10+i), "node-1", 0.4)
+		if outcome == reqtrace.OutcomeRejected {
+			tr.LatencyMs = 0
+			tr.Add(reqtrace.SpanBreaker, 0, 0)
+			tr.Add(reqtrace.SpanReject, 0, 0)
+		} else {
+			tr.AddDispatch(0, float64(10+i), "node-1", 0.4)
+		}
 		rec.Record(&tr, i)
 	}
 	mux := newDebugMux(&obs.Session{}, nil, nil, rec)
@@ -135,8 +145,8 @@ func TestDebugMuxTracesEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatal(err)
 	}
-	if payload.Stats.Kept != 3 {
-		t.Errorf("stats = %+v, want 3 kept", payload.Stats)
+	if payload.Stats.Kept != 4 {
+		t.Errorf("stats = %+v, want 4 kept", payload.Stats)
 	}
 	if len(payload.Traces) != 2 || payload.Traces[0].LatencyMs != 12 {
 		t.Errorf("slowest-first limit 2: %+v", payload.Traces)
@@ -159,9 +169,27 @@ func TestDebugMuxTracesEndpoint(t *testing.T) {
 		t.Errorf("outcome=ok filter returned %d traces", len(payload.Traces))
 	}
 
+	// A breaker-rejected trace is found by its wire name; a name that is
+	// no outcome's is a 400 that names it, not an empty list.
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest("GET", "/traces?outcome=breaker-rejected", nil))
+	payload.Traces = nil
+	if err := json.NewDecoder(w.Body).Decode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusOK || len(payload.Traces) != 1 || payload.Traces[0].OutcomeS != "breaker-rejected" ||
+		payload.Traces[0].Time != 3 || len(payload.Traces[0].Spans) != 3 {
+		t.Errorf("outcome=breaker-rejected: status %d, traces %+v", w.Code, payload.Traces)
+	}
+	w = httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest("GET", "/traces?outcome=rejected", nil))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"rejected"`) {
+		t.Errorf("outcome=rejected: status %d, body %q; want 400 naming the value", w.Code, w.Body.String())
+	}
+
 	// Without a recorder the endpoint is a 404, like the other gated ones.
 	off := newDebugMux(&obs.Session{}, nil, nil, nil)
-	w := httptest.NewRecorder()
+	w = httptest.NewRecorder()
 	off.ServeHTTP(w, httptest.NewRequest("GET", "/traces", nil))
 	if w.Code != http.StatusNotFound {
 		t.Errorf("/traces without -reqtrace = %d, want 404", w.Code)

@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -63,7 +62,7 @@ const (
 	// anchorHorizon is how far back a causal anchor may be and still
 	// explain a shed, breaker trip, or request error.
 	anchorHorizon = 2 * time.Hour
-	// budgetBurstTicks sizes the retry-token bucket in ticks of refill.
+	// budgetBurstTicks sizes a tokenBudget's bucket in ticks of refill.
 	budgetBurstTicks = 4
 	// colocLatencyFactor is the per-co-located-replica latency tax on the
 	// primary's node (noisy neighbours on a dense node).
@@ -105,12 +104,11 @@ type Stats struct {
 
 // svcState is one service's front-end state.
 type svcState struct {
-	br          *Breaker
-	retryTokens float64
-	// hedge is the service's hedge budget — a separate bucket from
-	// retryTokens by design: hedges and retries may never trade tokens.
-	hedge  hedgeBudget
-	queued int
+	br *Breaker
+	// retry and hedge are separate buckets by design: hedges and retries
+	// may never trade tokens.
+	retry, hedge tokenBudget
+	queued       int
 	// openSeq/openKind chain the breaker lifecycle: the open annotation's
 	// journal seq and root cause, so half-open and closed chain to it.
 	openSeq  uint64
@@ -170,13 +168,12 @@ type Engine struct {
 
 	started bool
 
-	stats    Stats
+	stats Stats
+	// flushed holds the run's arrivals, sheds and failures as the last
+	// flush saw them: the hour's counts are what they gained since.
+	flushed  struct{ arrivals, shed, failed int64 }
 	hourHist hist
 	runHist  hist
-
-	hourArrivals int64
-	hourFailed   int64
-	hourShed     int64
 
 	// Request tracing (nil when disabled — every trace call site below is
 	// nil-guarded, so the disabled hot path allocates nothing extra).
@@ -425,7 +422,6 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, st *svcState, shape 
 		n = e.arrivalRnd.Poisson(mean)
 	}
 	e.stats.Arrivals += int64(n)
-	e.hourArrivals += int64(n)
 
 	// Admission: requests queued last tick drain first, then fresh
 	// arrivals; overflow beyond the bounded queue is shed — journaled,
@@ -450,8 +446,6 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, st *svcState, shape 
 	}
 	if shed := overflow - st.queued; shed > 0 {
 		e.stats.Shed += int64(shed)
-		e.hourShed += int64(shed)
-		e.hourFailed += int64(shed)
 		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		e.annotate(KindRequestShed, now, s.Name, float64(shed), float64(demand), "admission-overflow", aSeq, aKind)
 		if e.rec != nil {
@@ -473,7 +467,6 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, st *svcState, shape 
 	}
 	if rejected > 0 {
 		e.stats.BreakerRejected += int64(rejected)
-		e.hourFailed += int64(rejected)
 		if e.rec != nil {
 			aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 			e.traceFail(now, s.Name, reqtrace.OutcomeRejected, int64(rejected), 0, aSeq, aKind)
@@ -508,7 +501,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, st *svcState, shape 
 	}
 
 	// Hedging: the budget refills from fresh arrivals only (like the
-	// retry budget, but a strictly separate bucket), and the tick
+	// retry budget, but a separate bucket), and the tick
 	// qualifies once its modeled mean outlives the class hedge delay —
 	// per-cell grants happen inside observe, where the latency spread is
 	// known. Consumes no randomness.
@@ -521,16 +514,9 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, st *svcState, shape 
 
 	// Retries: the budget refills from fresh arrivals only, so a retry
 	// storm is capped at BudgetRatio of offered load — no amplification.
-	st.retryTokens += float64(n) * e.spec.Retry.BudgetRatio
-	if limit := mean*e.spec.Retry.BudgetRatio*budgetBurstTicks + 1; st.retryTokens > limit {
-		st.retryTokens = limit
-	}
+	st.retry.refill(n, mean, e.spec.Retry.BudgetRatio)
 	desired := fail * (e.spec.Retry.MaxAttempts - 1)
-	granted := desired
-	if g := int(st.retryTokens); g < granted {
-		granted = g
-	}
-	st.retryTokens -= float64(granted)
+	granted := st.retry.grant(desired)
 	if short := desired - granted; short > 0 {
 		e.stats.RetriesDenied += int64(short)
 		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
@@ -555,7 +541,6 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, st *svcState, shape 
 	errors := fail - saved
 	if errors > 0 {
 		e.stats.Errors += int64(errors)
-		e.hourFailed += int64(errors)
 		aSeq, aKind, _ := e.anchors.Best(now, anchorHorizon)
 		e.annotate(KindRequestErrors, now, s.Name, float64(errors), float64(pass), health.String(), aSeq, aKind)
 		if e.rec != nil {
@@ -725,18 +710,13 @@ var latSpread = []struct{ cum, mult float64 }{
 // spans sum exactly to its recorded latency. hedge marks cells eligible
 // for hedged dispatch when the current tick qualifies.
 //
-// A plain cell, one that cannot hedge while tracing is off, is hist.add
-// written out inline: the same clamp and the same updates in cell order,
-// so the histogram and its sum keep their bits. hist.add is over the
-// compiler's inlining budget, and calling it here measurably slows every
-// traffic tick; TestObservePlainCellsMatchHistAdd and FuzzObserveCells
-// hold this copy to it.
+// A plain cell, one that cannot hedge while tracing is off, is one
+// hist.add, which the compiler inlines.
 func (e *Engine) observe(now time.Time, svc string, count int, ms, queueMs, backMs float64, retries int, hedge bool) {
 	if count <= 0 {
 		return
 	}
 	plain := e.rec == nil && (!hedge || e.curHedge == nil)
-	h := &e.hourHist
 	assigned := int64(0)
 	for _, qs := range latSpread {
 		upto := int64(qs.cum*float64(count) + 0.5)
@@ -748,18 +728,11 @@ func (e *Engine) observe(now time.Time, svc string, count int, ms, queueMs, back
 			continue
 		}
 		assigned = upto
-		if !plain {
+		if plain {
+			e.hourHist.add(ms*qs.mult, k)
+		} else {
 			e.observeCell(now, svc, k, qs.mult, ms, queueMs, backMs, retries, hedge)
-			continue
 		}
-		v := ms * qs.mult
-		if math.IsNaN(v) || v < 0 {
-			v = 0
-		}
-		b := BucketIndex(v)
-		h.counts[b] += k
-		h.total += k
-		h.sum += v * float64(k)
 	}
 	if k := int64(count) - assigned; k > 0 {
 		mult := latSpread[len(latSpread)-1].mult
@@ -938,21 +911,27 @@ func (e *Engine) flush(now time.Time) {
 	p50 := e.hourHist.quantile(0.50)
 	p99 := e.hourHist.quantile(0.99)
 	p999 := e.hourHist.quantile(0.999)
+	st, prev := &e.stats, e.flushed
+	e.flushed.arrivals, e.flushed.shed = st.Arrivals, st.Shed
+	e.flushed.failed = st.Shed + st.BreakerRejected + st.Errors
+	arrivals := e.flushed.arrivals - prev.arrivals
+	shed := e.flushed.shed - prev.shed
+	failed := e.flushed.failed - prev.failed
 	rate := 0.0
-	if e.hourArrivals > 0 {
-		rate = float64(e.hourFailed) / float64(e.hourArrivals)
+	if arrivals > 0 {
+		rate = float64(failed) / float64(arrivals)
 	}
 	if e.store != nil {
 		e.store.Series(SeriesLatencyP50).Push(p50)
 		e.store.Series(SeriesLatencyP99).Push(p99)
 		e.store.Series(SeriesLatencyP999).Push(p999)
 		e.store.Series(SeriesErrorRate).Push(rate)
-		e.store.Series(SeriesRequests).Push(float64(e.hourArrivals))
-		e.store.Series(SeriesErrors).Push(float64(e.hourFailed))
-		e.store.Series(SeriesShed).Push(float64(e.hourShed))
+		e.store.Series(SeriesRequests).Push(float64(arrivals))
+		e.store.Series(SeriesErrors).Push(float64(failed))
+		e.store.Series(SeriesShed).Push(float64(shed))
 	}
 	e.stats.HoursObserved++
-	violation := e.hourHist.total > 0 && p99 > e.spec.SLOP99Ms
+	violation := e.hourHist.total() > 0 && p99 > e.spec.SLOP99Ms
 	if violation {
 		e.stats.SLOViolationHours++
 	}
@@ -962,7 +941,6 @@ func (e *Engine) flush(now time.Time) {
 	e.runHist.mergeExemplars(&e.hourHist)
 	e.runHist.merge(&e.hourHist)
 	e.hourHist.reset()
-	e.hourArrivals, e.hourFailed, e.hourShed = 0, 0, 0
 	if e.promOn {
 		e.promUpdate()
 	}
@@ -981,7 +959,7 @@ func (e *Engine) traceHour(now time.Time, p99 float64, violation bool) {
 	if violation {
 		v = 1
 	}
-	detail := fmt.Sprintf("p99-bucket=%d exemplar=%s violation=%d samples=%d", b, exID, v, e.hourHist.total)
+	detail := fmt.Sprintf("p99-bucket=%d exemplar=%s violation=%d samples=%d", b, exID, v, e.hourHist.total())
 	aSeq, aKind := uint64(0), fabric.CauseNone
 	if violation {
 		aSeq, aKind, _ = e.anchors.Best(now, anchorHorizon)
@@ -1007,7 +985,7 @@ func (e *Engine) RegisterProm(reg *obs.Registry) {
 func (e *Engine) promUpdate() {
 	comb := e.runHist
 	comb.merge(&e.hourHist)
-	snap := obs.HistogramSnapshot{Count: comb.total, Sum: comb.sum}
+	snap := obs.HistogramSnapshot{Count: comb.total(), Sum: comb.sum}
 	for i := 0; i < histBuckets; i++ {
 		n := comb.counts[i]
 		if n == 0 {

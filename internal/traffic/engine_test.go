@@ -9,6 +9,7 @@ import (
 	"toto/internal/fabric"
 	"toto/internal/obs"
 	"toto/internal/obs/journal"
+	"toto/internal/obs/timeseries"
 	"toto/internal/rng"
 	"toto/internal/simclock"
 	"toto/internal/traffic"
@@ -26,12 +27,13 @@ func harnessCapacity() map[fabric.MetricName]float64 {
 
 // dayOpts configures one run of the harness day.
 type dayOpts struct {
-	spec   *traffic.Spec   // the engine's spec; nil runs no engine (the no-traffic control)
-	outage bool            // crash node-1..node-5 at noon, restart them an hour later
-	detect bool            // enable the fabric's slow-node detector
-	slow   bool            // attach grayfailSlowFn as the engine's fail-slow view
-	labels bool            // label every 4th service Premium/BC
-	w      *journal.Writer // journal the day when set
+	spec   *traffic.Spec     // the engine's spec; nil runs no engine (the no-traffic control)
+	outage bool              // crash node-1..node-5 at noon, restart them an hour later
+	detect bool              // enable the fabric's slow-node detector
+	slow   bool              // attach grayfailSlowFn as the engine's fail-slow view
+	labels bool              // label every 4th service Premium/BC
+	w      *journal.Writer   // journal the day when set
+	store  *timeseries.Store // the engine's series store when set
 	// afterTick, when set, runs right after every engine tick, at the
 	// tick's timestamp.
 	afterTick func(eng *traffic.Engine, now time.Time)
@@ -102,7 +104,7 @@ func runDay(tb testing.TB, o dayOpts) (traffic.Stats, fabric.SlowNodeStats) {
 	var eng *traffic.Engine
 	if o.spec != nil {
 		var err error
-		if eng, err = traffic.NewEngine(clock, c, o.spec, nil, obs.New(obs.Options{})); err != nil {
+		if eng, err = traffic.NewEngine(clock, c, o.spec, o.store, obs.New(obs.Options{})); err != nil {
 			tb.Fatalf("NewEngine: %v", err)
 		}
 		if o.slow {
@@ -190,6 +192,44 @@ func TestSameSeedIdenticalJournals(t *testing.T) {
 	if hashA != hashC || nA != nC {
 		t.Errorf("traffic seed changed the fabric event stream: %s/%d vs %s/%d",
 			hashA, nA, hashC, nC)
+	}
+}
+
+// TestHourlySeriesAddUpToRunTotals: each hourly flush pushes what the
+// run's arrivals, sheds and failures gained since the previous flush, so
+// over a day of whole hours the three series add up to the run totals as
+// the last flush saw them. That flush, at the day's closing instant,
+// runs before the engine tick of the same instant (its event was
+// scheduled an hour earlier), so those totals are the ones after the
+// day's second-to-last tick: the closing tick's requests are in Stats
+// but in no hour.
+func TestHourlySeriesAddUpToRunTotals(t *testing.T) {
+	store := timeseries.NewStore(time.Hour, 48)
+	var atFlush, last traffic.Stats // Stats after the day's last two ticks
+	st, _ := runDay(t, dayOpts{spec: &traffic.Spec{Seed: 42}, outage: true, store: store,
+		afterTick: func(eng *traffic.Engine, _ time.Time) { atFlush, last = last, eng.Stats() }})
+	if last.Arrivals != st.Arrivals {
+		t.Fatalf("the last tick's Stats (%d arrivals) are not the run's (%d)", last.Arrivals, st.Arrivals)
+	}
+	if atFlush.Shed == 0 || atFlush.Failed <= atFlush.Shed {
+		t.Fatalf("the outage day must shed, and fail beyond shedding: %+v", atFlush)
+	}
+	for _, c := range []struct {
+		series string
+		want   int64
+	}{
+		{traffic.SeriesRequests, atFlush.Arrivals},
+		{traffic.SeriesShed, atFlush.Shed},
+		{traffic.SeriesErrors, atFlush.Failed},
+	} {
+		s := store.Series(c.series)
+		sum, hours := s.TailSum(48)
+		if hours != 24 || s.Dropped() != 0 {
+			t.Errorf("%s holds %d hours (%d dropped), want 24", c.series, hours, s.Dropped())
+		}
+		if sum != float64(c.want) {
+			t.Errorf("%s adds up to %v, the totals at the last flush are %d", c.series, sum, c.want)
+		}
 	}
 }
 

@@ -8,36 +8,38 @@ import (
 
 // This file is the gray-failure resilience layer of the traffic plane:
 // traffic-class resolution, load-aware replica routing, the fail-slow
-// latency hook, and the hedge budget. Everything here is reached only
-// when the corresponding sub-spec is configured — a plain spec keeps the
-// engine's behavior byte-identical to a build predating this file.
+// latency hook, and the token budget that hedges share with retries.
+// Apart from the retry budget, everything here is reached only when the
+// corresponding sub-spec is configured — a plain spec keeps the engine's
+// behavior byte-identical to a build predating this file.
 
 // maxHedgeBudgetRatio is the hard ceiling on HedgeSpec.BudgetRatio:
 // hedged requests may never add more than 5% of offered load.
 const maxHedgeBudgetRatio = 0.05
 
-// hedgeBudget is the hedge-token bucket, mirroring the retry budget's
-// shape: tokens accrue only from fresh arrivals at the configured ratio
-// and are capped at a few ticks of refill, so cumulative grants can
-// never exceed ratio × cumulative fresh arrivals — no amplification, by
-// construction. It is deliberately free of engine state so the fuzz
-// target can hammer the invariant in isolation.
-type hedgeBudget struct {
+// tokenBudget is the token bucket behind both retries and hedges; each
+// service holds one of each, and the two never trade tokens. Tokens
+// accrue only from fresh arrivals at the configured ratio and are capped
+// at a few ticks of refill, so cumulative grants can never exceed
+// ratio × cumulative fresh arrivals — no amplification, by construction.
+// It is deliberately free of engine state so the fuzz target can hammer
+// the invariant in isolation.
+type tokenBudget struct {
 	tokens float64
 }
 
 // refill accrues tokens for fresh arrivals. mean is the tick's expected
-// arrival count, sizing the burst cap exactly like the retry budget's.
-func (b *hedgeBudget) refill(fresh int, mean, ratio float64) {
+// arrival count, sizing the burst cap at budgetBurstTicks of refill.
+func (b *tokenBudget) refill(fresh int, mean, ratio float64) {
 	b.tokens += float64(fresh) * ratio
 	if limit := mean*ratio*budgetBurstTicks + 1; b.tokens > limit {
 		b.tokens = limit
 	}
 }
 
-// grant returns how many of desired hedges the budget allows, consuming
-// that many tokens.
-func (b *hedgeBudget) grant(desired int) int {
+// grant returns how many of desired attempts the budget allows,
+// consuming that many tokens.
+func (b *tokenBudget) grant(desired int) int {
 	g := desired
 	if t := int(b.tokens); t < g {
 		g = t

@@ -60,16 +60,16 @@ func TestHedgeSpecDefaults(t *testing.T) {
 	}
 }
 
-// hedgeBudgetModel shadows a hedgeBudget from outside, tracking the
-// invariant the tentpole promises: cumulative grants never exceed the
+// tokenBudgetModel shadows a tokenBudget from outside, tracking the
+// invariant the budget promises: cumulative grants never exceed the
 // configured ratio of cumulative fresh arrivals — tokens only ever
-// accrue from fresh load, so hedging cannot amplify.
-type hedgeBudgetModel struct {
+// accrue from fresh load, so neither retries nor hedges can amplify.
+type tokenBudgetModel struct {
 	fresh   int64
 	granted int64
 }
 
-func (m *hedgeBudgetModel) step(t *testing.T, b *hedgeBudget, ratio float64, fresh int, mean float64, desired int) {
+func (m *tokenBudgetModel) step(t *testing.T, b *tokenBudget, ratio float64, fresh int, mean float64, desired int) {
 	t.Helper()
 	b.refill(fresh, mean, ratio)
 	g := b.grant(desired)
@@ -82,41 +82,48 @@ func (m *hedgeBudgetModel) step(t *testing.T, b *hedgeBudget, ratio float64, fre
 	m.fresh += int64(fresh)
 	m.granted += int64(g)
 	if float64(m.granted) > ratio*float64(m.fresh)+1e-6 {
-		t.Fatalf("hedge amplification: %d grants from %d arrivals at ratio %v",
+		t.Fatalf("amplification: %d grants from %d arrivals at ratio %v",
 			m.granted, m.fresh, ratio)
 	}
 }
 
-// TestHedgeBudgetRandomOps is the in-repo property test, mirroring
-// TestBreakerRandomOps: long seeded sequences against several ratios.
-func TestHedgeBudgetRandomOps(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
+// TestTokenBudgetRandomOps is the in-repo property test, mirroring
+// TestBreakerRandomOps: long seeded sequences against ratios from both
+// users' ranges, the hedge budget's 0 to 0.05 on odd seeds and 0 to 1
+// (retries default to 0.2) on even ones.
+func TestTokenBudgetRandomOps(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
 		src := rng.New(seed)
-		ratio := float64(src.Intn(51)) / 1000 // 0 .. 0.05
-		b := &hedgeBudget{}
-		m := &hedgeBudgetModel{}
+		ratio := float64(src.Intn(1001)) / 1000 // 0 .. 1
+		if seed%2 == 1 {
+			ratio /= 20 // 0 .. 0.05
+		}
+		b := &tokenBudget{}
+		m := &tokenBudgetModel{}
 		for i := 0; i < 2000; i++ {
 			m.step(t, b, ratio, src.Intn(200), src.Float64()*150, src.Intn(300))
 		}
 	}
 }
 
-// FuzzHedgeBudget feeds arbitrary operation tapes to the hedge budget,
-// mirroring FuzzBreaker's shape: data[0] picks the ratio (clamped to the
-// 0.05 ceiling the spec enforces), then each 3-byte group is (fresh
-// arrivals, tick mean, desired hedges). The bound must hold on every
-// prefix: grants never exceed ratio × fresh arrivals.
-func FuzzHedgeBudget(f *testing.F) {
+// FuzzTokenBudget feeds arbitrary operation tapes to the token budget,
+// mirroring FuzzBreaker's shape: data[0] picks the ratio, 0 to 1 in
+// steps of 0.005 (the hedge budget's 0.02 default and 0.05 ceiling and
+// the retry budget's 0.2 default among them), then each 3-byte group is
+// (fresh arrivals, tick mean, desired attempts). The bound must hold on
+// every prefix: grants never exceed ratio × fresh arrivals.
+func FuzzTokenBudget(f *testing.F) {
 	f.Add([]byte{50, 100, 60, 200, 0, 0, 10, 30, 30, 255})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{25, 255, 255, 255, 1, 1, 1})
+	f.Add([]byte{40, 200, 50, 255, 3, 9, 40, 120, 120, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
-		ratio := float64(int(data[0])%51) / 1000
-		b := &hedgeBudget{}
-		m := &hedgeBudgetModel{}
+		ratio := float64(int(data[0])%201) / 200
+		b := &tokenBudget{}
+		m := &tokenBudgetModel{}
 		for i := 1; i+2 < len(data); i += 3 {
 			m.step(t, b, ratio, int(data[i]), float64(data[i+1]), int(data[i+2]))
 		}

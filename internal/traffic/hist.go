@@ -80,7 +80,7 @@ func BucketIndex(ms float64) int {
 	if ms >= bucketFloor[histBuckets-1] {
 		return histBuckets - 1
 	}
-	i := int(sliceFirst[int(math.Float64bits(ms)>>48)-(1023-2)<<4])
+	i := int(sliceFirst[math.Float64bits(ms)>>48-(1023-2)<<4])
 	for ms >= bucketFloor[i+1] {
 		i++
 	}
@@ -96,7 +96,6 @@ type exemplar struct {
 
 type hist struct {
 	counts [histBuckets]int64
-	total  int64
 	sum    float64
 	// ex is nil unless request tracing is enabled; a heap pointer keeps
 	// the common hist copies cheap and the disabled path untouched.
@@ -112,19 +111,25 @@ func (h *hist) enableExemplars() {
 
 // add records n observations at ms and returns ms's bucket, so a caller
 // that also needs the bucket (the tracer's exemplar check) looks it up
-// once. observe writes it out for plain latency cells: a change here
-// must be made there too.
+// once. n must be at least 1: every caller adds a non-empty cell. NaN
+// and negative latencies count as 0. add is small enough for the
+// compiler to inline, which the per-cell call in observe relies on.
 func (h *hist) add(ms float64, n int64) int {
-	if math.IsNaN(ms) || ms < 0 {
+	if !(ms >= 0) { // also catches NaN
 		ms = 0
 	}
 	b := BucketIndex(ms)
-	if n > 0 {
-		h.counts[b] += n
-		h.total += n
-		h.sum += ms * float64(n)
-	}
+	h.counts[b] += n
+	h.sum += ms * float64(n)
 	return b
+}
+
+// total is the number of observations: the sum of the bucket counts.
+func (h *hist) total() (t int64) {
+	for _, c := range h.counts {
+		t += c
+	}
+	return t
 }
 
 // needsExemplar reports whether bucket b has no exemplar yet. False
@@ -159,7 +164,8 @@ func (h *hist) exemplarAt(i int) exemplar {
 // so a degenerate single-sample hour or an out-of-range q can never
 // index past the layout.
 func (h *hist) quantileBucket(q float64) int {
-	if h.total <= 0 {
+	total := h.total()
+	if total <= 0 {
 		return -1
 	}
 	if math.IsNaN(q) || q <= 0 {
@@ -168,12 +174,12 @@ func (h *hist) quantileBucket(q float64) int {
 	if q > 1 {
 		q = 1
 	}
-	target := int64(q*float64(h.total) + 0.5)
+	target := int64(q*float64(total) + 0.5)
 	if target < 1 {
 		target = 1
 	}
-	if target > h.total {
-		target = h.total
+	if target > total {
+		target = total
 	}
 	cum := int64(0)
 	for i, c := range h.counts {
@@ -203,7 +209,6 @@ func (h *hist) merge(other *hist) {
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
-	h.total += other.total
 	h.sum += other.sum
 }
 

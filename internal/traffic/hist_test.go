@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"strconv"
 	"testing"
-	"time"
 )
 
 // logBucketIndex is the histogram's defining formula, which BucketIndex
@@ -106,9 +105,9 @@ func TestBucketSlicesHoldOneFloor(t *testing.T) {
 	}
 }
 
-// TestBucketIndexEdges pins the bucket mapping for every degenerate
-// latency the engine's models can produce: quantile math must clamp,
-// never panic or index out of the layout.
+// TestBucketIndexEdges pins the bucket mapping and add's clamp for every
+// degenerate latency the engine's models can produce: quantile math must
+// clamp, never panic or index out of the layout.
 func TestBucketIndexEdges(t *testing.T) {
 	cases := []struct {
 		name string
@@ -145,6 +144,37 @@ func TestBucketIndexEdges(t *testing.T) {
 			t.Fatalf("BucketIndex not monotone at bucket %d: %d < %d", i, got, prev)
 		}
 		prev = got
+	}
+
+	// add clamps with !(ms >= 0); the reference is the clamp it replaced,
+	// math.IsNaN(ms) || ms < 0. Both leave −0 as it is and send NaN and
+	// negatives to 0, so the returned bucket, the counts and the sum
+	// keep their bits on every degenerate latency and around every floor.
+	refAdd := func(h *hist, ms float64, n int64) int {
+		if math.IsNaN(ms) || ms < 0 {
+			ms = 0
+		}
+		b := BucketIndex(ms)
+		h.counts[b] += n
+		h.sum += ms * float64(n)
+		return b
+	}
+	lats := []float64{0, math.Copysign(0, -1), -1, -histBaseMs, -math.MaxFloat64, math.Inf(-1),
+		math.NaN(), math.SmallestNonzeroFloat64, math.Nextafter(0x1p-1022, 0), 0x1p-1022,
+		math.Inf(1), bucketFloor[histBuckets-1] * 2, math.MaxFloat64}
+	for _, f := range bucketFloor[1:] {
+		bits := math.Float64bits(f)
+		for d := uint64(0); d <= 3; d++ {
+			lats = append(lats, math.Float64frombits(bits+d), math.Float64frombits(bits-d))
+		}
+	}
+	for _, ms := range lats {
+		var got, want hist
+		gb, wb := got.add(ms, 3), refAdd(&want, ms, 3)
+		if gb != wb || got.counts != want.counts || math.Float64bits(got.sum) != math.Float64bits(want.sum) {
+			t.Fatalf("add(%v = %#016x, 3): bucket %d sum %#016x, the old clamp gives bucket %d sum %#016x",
+				ms, math.Float64bits(ms), gb, math.Float64bits(got.sum), wb, math.Float64bits(want.sum))
+		}
 	}
 }
 
@@ -188,23 +218,6 @@ func TestHistQuantileEdges(t *testing.T) {
 				t.Fatalf("quantile(%v) = %g, want %g", tc.q, got, want)
 			}
 		})
-	}
-}
-
-// TestHistAddIgnoresNonPositiveCounts: zero or negative counts are
-// dropped rather than corrupting the totals.
-func TestHistAddIgnoresNonPositiveCounts(t *testing.T) {
-	var h hist
-	h.add(5, 0)
-	h.add(5, -3)
-	if h.total != 0 || h.sum != 0 {
-		t.Fatalf("non-positive adds leaked: total=%d sum=%g", h.total, h.sum)
-	}
-	if b := h.add(5, 2); b != BucketIndex(5) {
-		t.Fatalf("add(5,2) returned bucket %d, want %d", b, BucketIndex(5))
-	}
-	if h.total != 2 || h.sum != 10 {
-		t.Fatalf("add(5,2): total=%d sum=%g", h.total, h.sum)
 	}
 }
 
@@ -253,7 +266,7 @@ func TestHistExemplars(t *testing.T) {
 
 	h.add(5, 3)
 	h.reset()
-	if h.total != 0 {
+	if h.total() != 0 {
 		t.Fatal("reset kept counts")
 	}
 	if h.ex == nil {
@@ -276,7 +289,7 @@ func TestHistMergeSkipsExemplars(t *testing.T) {
 
 	copied := a // value copy: shares a.ex
 	copied.merge(&b)
-	if copied.total != 4 || copied.counts[BucketIndex(5)] != 4 {
+	if copied.total() != 4 || copied.counts[BucketIndex(5)] != 4 {
 		t.Fatalf("merge lost counts: %+v", copied)
 	}
 	if a.exemplarAt(BucketIndex(5)).id != 0 {
@@ -305,90 +318,6 @@ func TestHistAddZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("hist.add with exemplars allocates %.1f per call", n)
 	}
-}
-
-// observeCellsRef is observe's latency split with one hist.add per
-// non-empty cell: the oracle the plain-cell path must match.
-func observeCellsRef(h *hist, ms float64, count int) {
-	assigned := int64(0)
-	for _, qs := range latSpread {
-		upto := int64(qs.cum*float64(count) + 0.5)
-		if upto > int64(count) {
-			upto = int64(count)
-		}
-		if k := upto - assigned; k > 0 {
-			h.add(ms*qs.mult, k)
-			assigned = upto
-		}
-	}
-	if k := int64(count) - assigned; k > 0 {
-		h.add(ms*latSpread[len(latSpread)-1].mult, k)
-	}
-}
-
-// sameHistBits reports whether two histograms hold the same counts, the
-// same total and the same sum, bit for bit.
-func sameHistBits(a, b *hist) bool {
-	return a.counts == b.counts && a.total == b.total &&
-		math.Float64bits(a.sum) == math.Float64bits(b.sum)
-}
-
-// TestObservePlainCellsMatchHistAdd checks the plain-cell path against
-// one hist.add per cell. An untraced engine without a hedging tick makes
-// every cell plain, with or without the hedge flag, so the flag
-// alternates. Each latency is fed every count from 0 to 10,000 into one
-// histogram, so the sum also has to accumulate in the same order. The
-// latencies cover every bucket floor ±3 ulps, every floor divided by a
-// spread multiplier (a cell that lands on an edge), and the degenerate
-// inputs the clamp and the bucket lookup must absorb.
-func TestObservePlainCellsMatchHistAdd(t *testing.T) {
-	var lats []float64
-	for _, f := range bucketFloor[1:] {
-		bits := math.Float64bits(f)
-		for d := uint64(0); d <= 3; d++ {
-			lats = append(lats, math.Float64frombits(bits+d), math.Float64frombits(bits-d))
-		}
-		for _, qs := range latSpread {
-			lats = append(lats, f/qs.mult)
-		}
-	}
-	lats = append(lats, 0, math.Copysign(0, -1), -1, -histBaseMs, -math.MaxFloat64, math.Inf(-1),
-		math.NaN(), math.SmallestNonzeroFloat64, math.Nextafter(0x1p-1022, 0), 0x1p-1022,
-		math.Inf(1), bucketFloor[histBuckets-1]*2, math.MaxFloat64)
-	for _, ms := range lats {
-		var e Engine
-		var ref hist
-		for count := 0; count <= 10_000; count++ {
-			hedge := count%2 == 1
-			e.observe(time.Time{}, "db-0", count, ms, 0, 0, 0, hedge)
-			observeCellsRef(&ref, ms, count)
-			if !sameHistBits(&e.hourHist, &ref) {
-				t.Fatalf("observe(%v = %#016x, count %d, hedge %v): total %d sum %#016x, one add per cell gives total %d sum %#016x",
-					ms, math.Float64bits(ms), count, hedge, e.hourHist.total, math.Float64bits(e.hourHist.sum),
-					ref.total, math.Float64bits(ref.sum))
-			}
-		}
-	}
-}
-
-// FuzzObserveCells checks the plain-cell path against one hist.add per
-// cell for any latency and count.
-func FuzzObserveCells(f *testing.F) {
-	for _, ms := range []float64{0, 7.5, 103.4, bucketFloor[4], bucketFloor[32] / 1.6, math.NaN(), math.Inf(1), -3} {
-		f.Add(ms, 17)
-		f.Add(ms, 10_000)
-	}
-	f.Fuzz(func(t *testing.T, ms float64, count int) {
-		var e Engine
-		var ref hist
-		e.observe(time.Time{}, "db-0", count, ms, 0, 0, 0, true)
-		observeCellsRef(&ref, ms, count)
-		if !sameHistBits(&e.hourHist, &ref) {
-			t.Fatalf("observe(%v = %#016x, count %d): counts %v total %d sum %#016x, one add per cell gives %v %d %#016x",
-				ms, math.Float64bits(ms), count, e.hourHist.counts, e.hourHist.total, math.Float64bits(e.hourHist.sum),
-				ref.counts, ref.total, math.Float64bits(ref.sum))
-		}
-	})
 }
 
 // BenchmarkHistAdd is the per-add cost over a latency spread like the

@@ -30,7 +30,7 @@ func TestDroppedSlotStartsFresh(t *testing.T) {
 	}
 	st := e.state(old)
 	oldBreaker := st.br
-	st.queued, st.retryTokens, st.openSeq = 9, 4, 17
+	st.queued, st.retry.tokens, st.openSeq = 9, 4, 17
 	st.br.Record(start, 0, 100) // trips it
 
 	if err := c.DropService("db-old"); err != nil {
@@ -44,7 +44,7 @@ func TestDroppedSlotStartsFresh(t *testing.T) {
 		t.Fatalf("db-new got slot %d, want db-old's recycled slot %d", next.Slot(), old.Slot())
 	}
 	got := e.state(next)
-	if got.queued != 0 || got.retryTokens != 0 || got.openSeq != 0 {
+	if got.queued != 0 || got.retry.tokens != 0 || got.openSeq != 0 {
 		t.Errorf("recycled slot kept state: %+v", *got)
 	}
 	if got.br == oldBreaker || got.br.State() != BreakerClosed {
